@@ -562,14 +562,15 @@ def catalog() -> tuple[GateCatalogEntry, ...]:
     return tuple(entries)
 
 
+@lru_cache(maxsize=None)
 def catalog_fingerprint() -> str:
-    """SHA-256 over every catalog matrix, stable across runs."""
+    """SHA-256 over every catalog matrix, stable across runs; each matrix
+    enters as its row-major (re, im) float64 pairs."""
     digest = hashlib.sha256()
     for entry in catalog():
         digest.update(entry.name.encode())
         digest.update(struct.pack(f"{len(entry.dims)}i", *entry.dims))
-        flat = np.ascontiguousarray(entry.matrix).reshape(-1)
-        digest.update(struct.pack(f"{2 * len(flat)}d", *np.column_stack([flat.real, flat.imag]).reshape(-1)))
+        digest.update(np.ascontiguousarray(entry.matrix, dtype=np.complex128).tobytes())
     return digest.hexdigest()
 
 

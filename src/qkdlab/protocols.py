@@ -15,6 +15,33 @@ Both high-dimensional scenarios are behaviourally equivalent to the control
 run: with a fixed seed they produce identical sifted keys.  The high-
 dimensional eavesdropper measures the d_e qudit in its computational basis,
 which never disturbs the channel and reads off Alice's (value, basis) pair.
+
+Outcome tables
+--------------
+Every channel state is one of at most 12 (value, basis) basis states in at
+most 8 dimensions, so each scenario reduces to an exact table: row
+[value, alice_basis, bob_basis] is the cumulative Born distribution of Bob's
+outcome, computed once per protocol through the state-vector code (basis
+gates, and the conversion circuit via ``apply_to_slot`` for conv).  A trial
+samples all of its particles at once by inverse CDF, which picks the same
+outcome as ``core._sample`` would for the same uniform.
+
+Stream layout v2
+----------------
+Each trial reads the streams ``(seed, trial, party)`` in this order:
+
+alice        ``integers(0, 2, raw_bits)`` key bits, then
+             ``integers(0, bases, particles)`` encoding bases;
+bob-basis    ``integers(0, bases, particles)``;
+bob-measure  ``random(particles)``, one uniform per particle; relabel then
+             draws ``integers(values, off_count)`` replacement values for its
+             off-basis outcomes, in particle order;
+eve          standard eavesdropper only: ``integers(0, bases, particles)``
+             guessed bases, then ``random(particles)``.
+
+The reference for the cross-scenario "matches" flag, the control run without
+an eavesdropper, reads the same alice, bob-basis and bob-measure uniforms, so
+it is sampled from them instead of being run again.
 """
 
 from __future__ import annotations
@@ -26,16 +53,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import analysis, gates
-from .core import (
-    ConfigError,
-    ContractError,
-    RandomSource,
-    _sample,
-    apply_to_slot,
-    basis_state,
-    measure,
-    measure_slot,
-)
+from .core import ConfigError, ContractError, RandomSource, apply_to_slot, basis_state
 
 
 class Scenario(str, Enum):
@@ -57,6 +75,12 @@ PARTY_ALICE = 0
 PARTY_BOB_BASIS = 1
 PARTY_BOB_MEASURE = 2
 PARTY_EVE = 3
+
+# Upper bound on raw bits per trial.  A trial holds a few int64 and float64
+# arrays plus tuples and key strings per particle, so its memory grows
+# linearly with raw bits; at this bound a whole run peaks below 200 MB
+# resident, well under 1 GB.
+MAX_RAW_BITS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -113,7 +137,8 @@ def validate_pairing(scenario: Scenario, eve: EveModel) -> None:
 
 
 class _Engine:
-    """Per-protocol cache of encode states and decode matrices."""
+    """Per-protocol cache of encode states, decode matrices and the
+    cumulative outcome tables sampled by every trial."""
 
     def __init__(self, spec: ProtocolSpec):
         self.spec = spec
@@ -173,24 +198,42 @@ class _Engine:
             for gate in hd_basis
         ]
         self.conversion = gates.conversion_gate(spec.name)
-        self._conversion_probs: dict = {}
+        self._tables: dict[Scenario, np.ndarray] = {}
 
-    def conversion_outcome_probs(self, state: np.ndarray, basis: int):
-        """Outcome distribution of convert-decode-measure for basis-state
-        inputs, cached per (source index, basis); None for superpositions."""
-        populated = np.flatnonzero(np.abs(state) > 1e-12)
-        if len(populated) != 1 or abs(abs(state[populated[0]]) - 1.0) > 1e-12:
-            return None
-        key = (int(populated[0]), basis)
-        probs = self._conversion_probs.get(key)
-        if probs is None:
-            conv = self.conversion
-            reg = conv.apply(conv.input_register(key[0]))
-            reg = apply_to_slot(self.decode[basis], reg, conv.output_slot)
-            psi = np.moveaxis(reg.state.reshape(conv.slots), conv.output_slot, 0)
-            probs = np.sum(np.abs(psi) ** 2, axis=tuple(range(1, psi.ndim)))
-            self._conversion_probs[key] = probs
-        return probs
+    def born(self, scenario: Scenario, value: int, basis: int, bob_basis: int) -> np.ndarray:
+        """Bob's outcome probabilities for one (value, basis) channel state."""
+        if scenario is Scenario.CONTROL:
+            return np.abs(self.decode[bob_basis] @ self.encode[value, basis]) ** 2
+        if scenario is Scenario.RELABEL:
+            return np.abs(self.hd_decode[bob_basis] @ self.hd_encode[value, basis]) ** 2
+        conv = self.conversion
+        reg = conv.apply(conv.input_register(self.spec.state_index(value, basis)))
+        reg = apply_to_slot(self.decode[bob_basis], reg, conv.output_slot)
+        psi = np.moveaxis(reg.state.reshape(conv.slots), conv.output_slot, 0)
+        return np.sum(np.abs(psi) ** 2, axis=tuple(range(1, psi.ndim)))
+
+    def table(self, scenario: Scenario) -> np.ndarray:
+        """Cumulative outcome table [value, alice_basis, bob_basis, outcome],
+        built on first use.  The control table also serves the standard
+        eavesdropper, who decodes in her guessed basis."""
+        table = self._tables.get(scenario)
+        if table is None:
+            values, bases = self.spec.values_per_particle, self.spec.basis_count
+            rows = []
+            for index in np.ndindex(values, bases, bases):
+                p = self.born(scenario, *index)
+                # Renormalizing keeps deterministic outcomes exact despite
+                # float residue, as core._sample does.
+                rows.append(np.cumsum(p / float(p.sum())))
+            table = np.array(rows).reshape(values, bases, bases, -1)
+            self._tables[scenario] = table
+        return table
+
+
+def _sample_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF sample of one outcome per row of ``cdf`` from uniforms
+    ``u``; for each row it picks what ``core._sample`` picks for that draw."""
+    return np.minimum((u[:, None] >= cdf).sum(-1), cdf.shape[-1] - 1)
 
 
 @lru_cache(maxsize=None)
@@ -206,6 +249,8 @@ def alice_draws(
         raise ConfigError(
             f"raw_bits must be a positive multiple of {spec.bits_per_particle}"
         )
+    if raw_bits > MAX_RAW_BITS:
+        raise ConfigError(f"raw_bits must be at most {MAX_RAW_BITS}, got {raw_bits}")
     bits = rng.integers(0, 2, size=raw_bits)
     bases = rng.integers(0, spec.basis_count, size=raw_bits // spec.bits_per_particle)
     return bits, bases
@@ -228,75 +273,14 @@ def encode_particle_hd(spec: ProtocolSpec, value: int, basis: int) -> np.ndarray
     return _engine(spec).hd_encode[int(value), int(basis)]
 
 
-def eve_standard(
-    spec: ProtocolSpec, state: np.ndarray, rng: np.random.Generator
-) -> tuple[int, int, np.ndarray]:
-    """Intercept-resend at the particle dimension: guess a basis, decode,
-    measure, and re-encode the measured value in the guessed basis."""
-    engine = _engine(spec)
-    basis = int(rng.integers(spec.basis_count))
-    outcome, _ = measure(engine.decode[basis] @ state, rng)
-    return outcome, basis, engine.encode[outcome, basis]
-
-
-def eve_hd(
-    spec: ProtocolSpec, state: np.ndarray, rng: np.random.Generator
-) -> tuple[tuple[int, int], np.ndarray]:
-    """Measure the d_e qudit in its computational basis and resend it.
-
-    The channel state is a basis state, so the outcome is deterministic and
-    the resent state is identical: nothing downstream can notice the tap.
-    """
-    outcome, collapsed = measure(state, rng)
-    return spec.value_basis(outcome), collapsed
-
-
-def bob_decode_control(
-    spec: ProtocolSpec, state: np.ndarray, basis: int, rng: np.random.Generator
-) -> int:
-    """Apply the basis gate and measure; the outcome is the particle value."""
-    engine = _engine(spec)
-    outcome, _ = measure(engine.decode[basis] @ state, rng)
-    return outcome
-
-
-def bob_decode_scenario1(
-    spec: ProtocolSpec, state: np.ndarray, basis: int, rng: np.random.Generator
-) -> int:
-    """Convert the d_e qudit down to d_ab, then decode as in the control run."""
-    engine = _engine(spec)
-    probs = engine.conversion_outcome_probs(state, basis)
-    if probs is not None:
-        # Channel states are basis states, so the distribution is cacheable.
-        return _sample(probs, rng)
-    conv = engine.conversion
-    reg = conv.apply(conv.input_register(state))
-    reg = apply_to_slot(engine.decode[basis], reg, conv.output_slot)
-    outcome, _ = measure_slot(reg, conv.output_slot, rng)
-    return outcome
-
-
-def bob_decode_scenario2(
-    spec: ProtocolSpec, state: np.ndarray, basis: int, rng: np.random.Generator
-) -> int:
-    """Measure the d_e qudit after Bob's basis gate and relabel the outcome.
-
-    After the decode gate, an outcome whose basis component is 0 means the
-    particle was encoded in Bob's basis and carries its value deterministically;
-    any other outcome stands for an off-basis measurement and is replaced by
-    uniformly random value bits drawn from Bob's stream.
-    """
-    engine = _engine(spec)
-    outcome, _ = measure(engine.hd_decode[basis] @ state, rng)
-    value, basis_flag = spec.value_basis(outcome)
-    if basis_flag == 0:
-        return value
-    return int(rng.integers(spec.values_per_particle))
-
-
 @dataclass(frozen=True)
 class Transcript:
-    """Every random choice and measurement outcome of one trial."""
+    """Every random choice and measurement outcome of one trial.
+
+    ``control_values`` are Bob's outcomes for the same draws in the control
+    scenario without an eavesdropper: the reference for cross-scenario
+    matches.
+    """
 
     spec: ProtocolSpec
     scenario: Scenario
@@ -308,6 +292,7 @@ class Transcript:
     bob_bases: tuple[int, ...]
     bob_values: tuple[int, ...]
     kept: tuple[bool, ...]
+    control_values: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -324,11 +309,14 @@ def sift(spec: ProtocolSpec, transcript: Transcript):
     are kept or discarded as whole chunks.
     """
     positions = tuple(i for i, keep in enumerate(transcript.kept) if keep)
-    alice = "".join(spec.value_bits(transcript.alice_values[i]) for i in positions)
-    bob = "".join(spec.value_bits(transcript.bob_values[i]) for i in positions)
-    eve = None
-    if transcript.eve_values is not None:
-        eve = "".join(spec.value_bits(transcript.eve_values[i]) for i in positions)
+    words = [spec.value_bits(v) for v in range(spec.values_per_particle)]
+
+    def bits(values) -> str:
+        return "".join([words[values[i]] for i in positions])
+
+    alice = bits(transcript.alice_values)
+    bob = bits(transcript.bob_values)
+    eve = None if transcript.eve_values is None else bits(transcript.eve_values)
     return SiftedKey(alice, positions), SiftedKey(bob, positions), eve
 
 
@@ -340,59 +328,69 @@ def run_trial(
     seed: int,
     trial: int = 0,
 ) -> Transcript:
-    """Execute one full trial: draw, encode, optional intercept, decode, sift."""
+    """Execute one full trial: draw, encode, optional intercept, decode.
+
+    All particles are sampled at once from the protocol's outcome tables; the
+    streams are read in the order of stream layout v2 (module docstring).
+    """
     scenario, eve = Scenario(scenario), EveModel(eve)
     validate_pairing(scenario, eve)
+    engine = _engine(spec)
     source = RandomSource(seed)
-    alice_rng = source.stream(trial, PARTY_ALICE)
-    bob_basis_rng = source.stream(trial, PARTY_BOB_BASIS)
-    bob_measure_rng = source.stream(trial, PARTY_BOB_MEASURE)
-    eve_rng = source.stream(trial, PARTY_EVE)
-
-    bits, alice_bases = alice_draws(spec, raw_bits, alice_rng)
+    bits, alice_bases = alice_draws(spec, raw_bits, source.stream(trial, PARTY_ALICE))
     alice_values = pack_values(spec, bits)
     particles = len(alice_bases)
-    bob_bases = bob_basis_rng.integers(0, spec.basis_count, size=particles)
+    bob_bases = source.stream(trial, PARTY_BOB_BASIS).integers(
+        0, spec.basis_count, size=particles
+    )
+    bob_rng = source.stream(trial, PARTY_BOB_MEASURE)
+    u = bob_rng.random(particles)
 
-    eve_values: list[int] | None = [] if eve is not EveModel.NONE else None
-    eve_bases: list[int] | None = [] if eve is not EveModel.NONE else None
-    bob_values = []
-    for i in range(particles):
-        value, basis = int(alice_values[i]), int(alice_bases[i])
-        if scenario is Scenario.CONTROL:
-            state = encode_particle_control(spec, value, basis)
-            if eve is EveModel.STANDARD:
-                ev, eb, state = eve_standard(spec, state, eve_rng)
-                eve_values.append(ev)
-                eve_bases.append(eb)
-            bob_values.append(
-                bob_decode_control(spec, state, int(bob_bases[i]), bob_measure_rng)
+    control = engine.table(Scenario.CONTROL)
+    control_values = _sample_rows(control[alice_values, alice_bases, bob_bases], u)
+    eve_values = eve_bases = None
+    if eve is EveModel.STANDARD:
+        # Intercept-resend: Eve decodes in a guessed basis, then resends the
+        # value she measured encoded in that basis.
+        eve_rng = source.stream(trial, PARTY_EVE)
+        eve_bases = eve_rng.integers(0, spec.basis_count, size=particles)
+        eve_values = _sample_rows(
+            control[alice_values, alice_bases, eve_bases], eve_rng.random(particles)
+        )
+        bob_values = _sample_rows(control[eve_values, eve_bases, bob_bases], u)
+    elif scenario is Scenario.CONTROL:
+        bob_values = control_values
+    else:
+        if eve is EveModel.HD:
+            # The channel holds the basis state indexing (value, basis): the
+            # measurement reads it deterministically and resends it unchanged.
+            eve_values, eve_bases = alice_values, alice_bases
+        table = engine.table(scenario)
+        bob_values = _sample_rows(table[alice_values, alice_bases, bob_bases], u)
+        if scenario is Scenario.RELABEL:
+            # Outcome index = value * bases + basis flag; a nonzero flag is an
+            # off-basis outcome, replaced by random value bits.
+            bob_values, flags = np.divmod(bob_values, spec.basis_count)
+            off = flags != 0
+            bob_values[off] = bob_rng.integers(
+                spec.values_per_particle, size=int(np.count_nonzero(off))
             )
-        else:
-            state = encode_particle_hd(spec, value, basis)
-            if eve is EveModel.HD:
-                (ev, eb), state = eve_hd(spec, state, eve_rng)
-                eve_values.append(ev)
-                eve_bases.append(eb)
-            decode = (
-                bob_decode_scenario1
-                if scenario is Scenario.CONVERSION
-                else bob_decode_scenario2
-            )
-            bob_values.append(decode(spec, state, int(bob_bases[i]), bob_measure_rng))
 
-    kept = tuple(bool(a == b) for a, b in zip(alice_bases, bob_bases))
+    def ints(values):
+        return None if values is None else tuple(values.tolist())
+
     return Transcript(
         spec=spec,
         scenario=scenario,
         eve=eve,
-        alice_values=tuple(int(v) for v in alice_values),
-        alice_bases=tuple(int(b) for b in alice_bases),
-        eve_values=None if eve_values is None else tuple(eve_values),
-        eve_bases=None if eve_bases is None else tuple(eve_bases),
-        bob_bases=tuple(int(b) for b in bob_bases),
-        bob_values=tuple(int(v) for v in bob_values),
-        kept=kept,
+        alice_values=ints(alice_values),
+        alice_bases=ints(alice_bases),
+        eve_values=ints(eve_values),
+        eve_bases=ints(eve_bases),
+        bob_bases=ints(bob_bases),
+        bob_values=ints(bob_values),
+        kept=tuple((alice_bases == bob_bases).tolist()),
+        control_values=ints(control_values),
     )
 
 
@@ -407,23 +405,16 @@ def run_experiment(
     """Run several trials and score each against its same-seed control run.
 
     The reference for the "matches" flag is the control-scenario trial without
-    an eavesdropper, which shares Alice's and Bob's randomness by construction.
+    an eavesdropper, which shares Alice's and Bob's randomness by construction;
+    each transcript carries it as ``control_values``.
     """
-    scenario, eve = Scenario(scenario), EveModel(eve)
-    validate_pairing(scenario, eve)
     if trials < 1:
         raise ConfigError("trial count must be at least 1")
     results = []
     for trial in range(trials):
-        reference = run_trial(
-            spec, Scenario.CONTROL, EveModel.NONE, raw_bits, seed, trial
-        )
-        _, reference_key, _ = sift(spec, reference)
-        if scenario is Scenario.CONTROL and eve is EveModel.NONE:
-            transcript = reference
-        else:
-            transcript = run_trial(spec, scenario, eve, raw_bits, seed, trial)
+        transcript = run_trial(spec, scenario, eve, raw_bits, seed, trial)
         alice_key, bob_key, eve_bits = sift(spec, transcript)
+        positions = alice_key.positions
         results.append(
             analysis.TrialResult(
                 trial=trial,
@@ -436,7 +427,10 @@ def run_experiment(
                 knowledge_bob=(
                     None if eve_bits is None else analysis.knowledge(eve_bits, bob_key)
                 ),
-                matches_control=bob_key.bits == reference_key.bits,
+                matches_control=all(
+                    transcript.bob_values[i] == transcript.control_values[i]
+                    for i in positions
+                ),
             )
         )
     return results

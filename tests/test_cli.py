@@ -66,6 +66,15 @@ def test_run_rejects_zero_trials(capsys):
     assert "trials" in err
 
 
+def test_run_rejects_oversized_raw_bits(capsys):
+    # Fails on the bound before any array is allocated.
+    code, _, err = _run(
+        capsys, ["run", "--protocol", "bb84", "--raw-bits", "10000000000000"]
+    )
+    assert code == cli.EXIT_CONFIG
+    assert "raw_bits" in err
+
+
 def test_run_rejects_invalid_pairing(capsys):
     code, _, err = _run(
         capsys, ["run", "--protocol", "bb84", "--scenario", "control", "--eve", "hd"]

@@ -2,23 +2,28 @@ import numpy as np
 import pytest
 
 from qkdlab import analysis
-from qkdlab.core import ConfigError, RandomSource, basis_state, equal_up_to_global_phase
+from qkdlab.core import (
+    ConfigError,
+    RandomSource,
+    _sample,
+    apply_to_slot,
+    basis_state,
+    equal_up_to_global_phase,
+)
 from qkdlab.protocols import (
     BB84,
     HDBB84,
+    MAX_RAW_BITS,
     PROTOCOLS,
     SSP,
     EveModel,
     Scenario,
     Transcript,
+    _engine,
+    _sample_rows,
     alice_draws,
-    bob_decode_control,
-    bob_decode_scenario1,
-    bob_decode_scenario2,
     encode_particle_control,
     encode_particle_hd,
-    eve_hd,
-    eve_standard,
     pack_values,
     run_experiment,
     run_trial,
@@ -35,6 +40,16 @@ ALL_SPECS = (BB84, HDBB84, SSP)
 
 def _rng(tag, seed=SEED):
     return RandomSource(seed).stream(0, tag)
+
+
+def _probs(spec, scenario, value, basis, bob_basis):
+    """Outcome probabilities of one row of the protocol's outcome table."""
+    cdf = _engine(spec).table(scenario)[value, basis, bob_basis]
+    return np.diff(cdf, prepend=0.0)
+
+
+def _delta(dim, k):
+    return np.eye(dim)[k]
 
 
 # --- protocol specs ----------------------------------------------------------------
@@ -100,6 +115,11 @@ def test_alice_draws_rejects_indivisible_length():
         alice_draws(BB84, 0, _rng("alice"))
 
 
+def test_alice_draws_rejects_oversized_length():
+    with pytest.raises(ConfigError, match="at most"):
+        alice_draws(BB84, MAX_RAW_BITS + 1, _rng("alice"))
+
+
 # --- encoding ---------------------------------------------------------------------------
 
 
@@ -128,57 +148,120 @@ def test_hd_encoding_examples():
     np.testing.assert_allclose(encode_particle_hd(SSP, 1, 2), basis_state(6, 5), atol=1e-12)
 
 
+# --- outcome tables ------------------------------------------------------------------
+
+
+def _state_vector_probs(spec, scenario, value, basis, bob_basis):
+    engine = _engine(spec)
+    if scenario is Scenario.CONTROL:
+        return np.abs(engine.decode[bob_basis] @ engine.encode[value, basis]) ** 2
+    if scenario is Scenario.RELABEL:
+        return np.abs(engine.hd_decode[bob_basis] @ engine.hd_encode[value, basis]) ** 2
+    conv = engine.conversion
+    reg = conv.apply(conv.input_register(encode_particle_hd(spec, value, basis)))
+    reg = apply_to_slot(engine.decode[bob_basis], reg, conv.output_slot)
+    psi = np.moveaxis(reg.state.reshape(conv.slots), conv.output_slot, 0)
+    return np.sum(np.abs(psi) ** 2, axis=tuple(range(1, psi.ndim)))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
+@pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
+def test_outcome_table_rows_equal_state_vector_born_probabilities(spec, scenario):
+    dim = spec.d_e if scenario is Scenario.RELABEL else spec.d_ab
+    table = _engine(spec).table(scenario)
+    assert table.shape == (
+        spec.values_per_particle, spec.basis_count, spec.basis_count, dim
+    )
+    for value in range(spec.values_per_particle):
+        for basis in range(spec.basis_count):
+            for bob_basis in range(spec.basis_count):
+                expected = _state_vector_probs(spec, scenario, value, basis, bob_basis)
+                np.testing.assert_allclose(
+                    _probs(spec, scenario, value, basis, bob_basis), expected, atol=1e-12
+                )
+                assert table[value, basis, bob_basis, -1] == pytest.approx(1.0, abs=1e-15)
+
+
+class _FixedDraw:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_sample_rows_matches_core_sample():
+    # Rows with float residue, uniforms on and next to every cumulative edge,
+    # and 1 - 2**-53 past a last entry below 1 (the clamp: ten 0.1 steps sum
+    # to 0.9999999999999999).
+    rows = [
+        np.full(10, 0.1),
+        np.array([0.5, 0.5]),
+        np.array([1e-33, 0.9999999999999998]),
+        np.array([0.25, 0.25, 0.25, 0.2499999999999999]),
+        np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0]),
+        np.array([1 / 3, 1 / 3, 1 / 3]),
+    ]
+    for probs in rows:
+        cdf = np.cumsum(probs / float(probs.sum()))
+        edges = np.concatenate([cdf, np.nextafter(cdf, 0), np.nextafter(cdf, 2)])
+        u = np.concatenate([[0.0, 1 - 2**-53], edges[edges < 1], _rng("rows").random(200)])
+        sampled = _sample_rows(np.broadcast_to(cdf, (len(u), len(cdf))), u)
+        assert sampled.tolist() == [_sample(probs, _FixedDraw(x)) for x in u]
+
+
 # --- eavesdroppers ------------------------------------------------------------------------
 
 
 def test_standard_eve_is_transparent_when_bases_match():
-    rng = _rng("eve")
+    # Decoding in Alice's basis reads her value with certainty, and the resent
+    # state is the one Alice sent.
     for spec in ALL_SPECS:
         for value in range(spec.values_per_particle):
             for basis in range(spec.basis_count):
-                incoming = encode_particle_control(spec, value, basis)
-                hits = 0
-                while hits < 5:
-                    eve_value, eve_basis, outgoing = eve_standard(spec, incoming, rng)
-                    if eve_basis != basis:
-                        continue
-                    hits += 1
-                    assert eve_value == value
-                    assert equal_up_to_global_phase(outgoing, incoming)
+                np.testing.assert_allclose(
+                    _probs(spec, Scenario.CONTROL, value, basis, basis),
+                    _delta(spec.d_ab, value),
+                    atol=1e-12,
+                )
+        transcript = run_trial(spec, Scenario.CONTROL, EveModel.STANDARD, 200, SEED)
+        hits = [
+            i for i, (a, e) in enumerate(zip(transcript.alice_bases, transcript.eve_bases))
+            if a == e
+        ]
+        assert hits
+        for i in hits:
+            assert transcript.eve_values[i] == transcript.alice_values[i]
+            assert transcript.bob_values[i] == transcript.control_values[i]
 
 
 def test_standard_eve_wrong_basis_fraction():
-    rng = _rng("eve-fraction")
     for spec, expect in ((BB84, 0.5), (SSP, 2 / 3)):
-        incoming = encode_particle_control(spec, 0, 0)
-        wrong = sum(
-            eve_standard(spec, incoming, rng)[1] != 0 for _ in range(3000)
-        )
-        assert abs(wrong / 3000 - expect) < 0.05
+        transcript = run_trial(spec, Scenario.CONTROL, EveModel.STANDARD, 3000, SEED)
+        wrong = np.mean(np.array(transcript.eve_bases) != np.array(transcript.alice_bases))
+        assert abs(wrong - expect) < 0.05
 
 
 def test_standard_eve_wrong_basis_outcome_is_uniform():
-    rng = _rng("eve-uniform")
-    incoming = encode_particle_control(BB84, 0, 0)
-    outcomes = []
-    while len(outcomes) < 2000:
-        value, basis, _ = eve_standard(BB84, incoming, rng)
-        if basis == 1:
-            outcomes.append(value)
-    assert abs(np.mean(outcomes) - 0.5) < 0.05
+    for value in range(2):
+        for basis in range(2):
+            np.testing.assert_allclose(
+                _probs(BB84, Scenario.CONTROL, value, basis, 1 - basis), [0.5, 0.5], atol=1e-12
+            )
 
 
 def test_hd_eve_reads_state_and_resends_it():
-    rng = _rng("eve-hd")
-    (value, basis), outgoing = eve_hd(BB84, basis_state(4, 3), rng)
-    assert (value, basis) == (1, 1)
-    np.testing.assert_array_equal(outgoing, basis_state(4, 3))
-    (value, basis), _ = eve_hd(HDBB84, basis_state(8, 4), rng)
-    assert (value, basis) == (2, 0)
+    assert BB84.value_basis(3) == (1, 1)
+    assert HDBB84.value_basis(4) == (2, 0)
     for spec in ALL_SPECS:
-        for k in range(spec.d_e):
-            _, resent = eve_hd(spec, basis_state(spec.d_e, k), rng)
-            np.testing.assert_array_equal(resent, basis_state(spec.d_e, k))
+        for scenario in (Scenario.CONVERSION, Scenario.RELABEL):
+            tapped = run_trial(spec, scenario, EveModel.HD, 200, SEED)
+            clean = run_trial(spec, scenario, EveModel.NONE, 200, SEED)
+            assert tapped.eve_values == tapped.alice_values
+            assert tapped.eve_bases == tapped.alice_bases
+            # The resent state is unchanged, so Bob sees exactly what he sees
+            # without the tap, off-basis outcomes included.
+            assert tapped.bob_values == clean.bob_values
 
 
 # --- bob --------------------------------------------------------------------------------
@@ -186,73 +269,73 @@ def test_hd_eve_reads_state_and_resends_it():
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
 def test_bob_control_decode_matching_basis_is_exact(spec):
-    rng = _rng("bob-control")
     for value in range(spec.values_per_particle):
         for basis in range(spec.basis_count):
-            state = encode_particle_control(spec, value, basis)
-            for _ in range(3):
-                assert bob_decode_control(spec, state, basis, rng) == value
+            np.testing.assert_allclose(
+                _probs(spec, Scenario.CONTROL, value, basis, basis),
+                _delta(spec.d_ab, value),
+                atol=1e-12,
+            )
 
 
 def test_bob_control_decode_mismatched_basis_is_uniform():
-    rng = _rng("bob-mismatch")
-    state = encode_particle_control(BB84, 0, 0)
-    outcomes = [bob_decode_control(BB84, state, 1, rng) for _ in range(2000)]
-    assert abs(np.mean(outcomes) - 0.5) < 0.05
+    np.testing.assert_allclose(_probs(BB84, Scenario.CONTROL, 0, 0, 1), [0.5, 0.5], atol=1e-12)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
 def test_bob_scenario1_matching_basis_is_exact(spec):
-    rng = _rng("bob-conv")
     for value in range(spec.values_per_particle):
         for basis in range(spec.basis_count):
-            state = encode_particle_hd(spec, value, basis)
-            for _ in range(3):
-                assert bob_decode_scenario1(spec, state, basis, rng) == value
+            np.testing.assert_allclose(
+                _probs(spec, Scenario.CONVERSION, value, basis, basis),
+                _delta(spec.d_ab, value),
+                atol=1e-12,
+            )
 
 
 def test_bob_scenario1_mismatched_basis_is_uniform():
-    rng = _rng("conv-mismatch")
-    state = encode_particle_hd(BB84, 0, 0)
-    outcomes = [bob_decode_scenario1(BB84, state, 1, rng) for _ in range(2000)]
-    assert abs(np.mean(outcomes) - 0.5) < 0.05
-
-
-def test_bob_scenario1_accepts_superposition_input():
-    # Exercises the uncached register path.
-    rng = _rng("conv-superposition")
-    state = np.full(6, 6**-0.5, dtype=complex)
-    outcomes = {bob_decode_scenario1(SSP, state, 0, rng) for _ in range(50)}
-    assert outcomes <= {0, 1}
+    for value in range(2):
+        for basis in range(2):
+            np.testing.assert_allclose(
+                _probs(BB84, Scenario.CONVERSION, value, basis, 1 - basis), [0.5, 0.5], atol=1e-12
+            )
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
 def test_bob_scenario2_matching_basis_is_exact(spec):
-    rng = _rng("bob-relabel")
+    # In Bob's basis the outcome has basis flag 0 and carries the value.
     for value in range(spec.values_per_particle):
         for basis in range(spec.basis_count):
-            state = encode_particle_hd(spec, value, basis)
-            for _ in range(3):
-                assert bob_decode_scenario2(spec, state, basis, rng) == value
+            np.testing.assert_allclose(
+                _probs(spec, Scenario.RELABEL, value, basis, basis),
+                _delta(spec.d_e, spec.state_index(value, 0)),
+                atol=1e-12,
+            )
+
+
+def _off_basis_mass(spec, value, basis, bob_basis):
+    probs = _probs(spec, Scenario.RELABEL, value, basis, bob_basis)
+    return sum(p for k, p in enumerate(probs) if spec.value_basis(k)[1] != 0)
 
 
 def test_bob_scenario2_concrete_relabel_rows():
-    rng = _rng("relabel-rows")
     # In-basis outcomes are read out deterministically.
-    assert bob_decode_scenario2(BB84, encode_particle_hd(BB84, 0, 1), 1, rng) == 0
-    assert bob_decode_scenario2(BB84, encode_particle_hd(BB84, 1, 0), 0, rng) == 1
-    assert bob_decode_scenario2(SSP, encode_particle_hd(SSP, 1, 2), 2, rng) == 1
-    # Off-basis outcomes turn into a uniform bit.
-    state = encode_particle_hd(BB84, 0, 0)
-    outcomes = [bob_decode_scenario2(BB84, state, 1, rng) for _ in range(2000)]
-    assert abs(np.mean(outcomes) - 0.5) < 0.05
+    np.testing.assert_allclose(_probs(BB84, Scenario.RELABEL, 0, 1, 1), _delta(4, 0), atol=1e-12)
+    np.testing.assert_allclose(_probs(BB84, Scenario.RELABEL, 1, 0, 0), _delta(4, 2), atol=1e-12)
+    np.testing.assert_allclose(_probs(SSP, Scenario.RELABEL, 1, 2, 2), _delta(6, 3), atol=1e-12)
+    # Off-basis outcomes are always relabelled as random bits.
+    for spec in ALL_SPECS:
+        for value in range(spec.values_per_particle):
+            for basis in range(spec.basis_count):
+                for bob_basis in range(spec.basis_count):
+                    if bob_basis != basis:
+                        assert _off_basis_mass(spec, value, basis, bob_basis) == pytest.approx(1)
 
 
 def test_bob_scenario2_off_basis_hdbb84_draws_two_bits():
-    rng = _rng("relabel-hd")
-    state = encode_particle_hd(HDBB84, 0, 0)
-    outcomes = [bob_decode_scenario2(HDBB84, state, 1, rng) for _ in range(4000)]
-    counts = np.bincount(outcomes, minlength=4) / len(outcomes)
+    transcript = run_trial(HDBB84, Scenario.RELABEL, EveModel.NONE, 8000, SEED)
+    off = [v for v, keep in zip(transcript.bob_values, transcript.kept) if not keep]
+    counts = np.bincount(off, minlength=4) / len(off)
     np.testing.assert_allclose(counts, 0.25, atol=0.03)
 
 
@@ -273,6 +356,7 @@ def _forced_transcript(bob_bases):
         bob_bases=bob_bases,
         bob_values=(1,) * n,
         kept=tuple(a == b for a, b in zip(alice_bases, bob_bases)),
+        control_values=(1,) * n,
     )
 
 
@@ -352,6 +436,18 @@ def test_scenarios_share_sifted_keys_without_eve(spec):
         _, bob, _ = sift(spec, transcript)
         keys.append(bob.bits)
     assert keys[0] == keys[1] == keys[2]
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
+def test_control_reference_equals_separate_control_run(spec):
+    reference = run_trial(spec, Scenario.CONTROL, EveModel.NONE, 200, SEED, trial=4)
+    for scenario, eve in (
+        (Scenario.CONTROL, EveModel.STANDARD),
+        (Scenario.CONVERSION, EveModel.NONE),
+        (Scenario.RELABEL, EveModel.HD),
+    ):
+        transcript = run_trial(spec, scenario, eve, 200, SEED, trial=4)
+        assert transcript.control_values == reference.bob_values
 
 
 def test_alice_randomness_is_scenario_independent():
