@@ -1,9 +1,14 @@
-"""Golden outputs: result documents and reproduce-paper tables, byte for byte.
+"""Golden outputs: result documents, reproduce-paper tables and the gate
+catalog, byte for byte.
 
 ``tests/golden/run_digests.json`` holds the SHA-256 of
 ``qkdlab run --format json --seed 7`` (25 trials x 200 raw bits) for every
 grid cell, and ``tests/golden/paper/`` the four ``reproduce-paper --seed 7``
-tables.  A change that alters any of them must do so on purpose and say why;
+tables.  ``validate_gates.txt`` and ``hypothesis_table.txt`` are the stdout of
+``validate-gates --seed 7`` and ``hypothesis-table``, and
+``catalog_dump.sha256`` the SHA-256 of the ``validate-gates --dump`` file
+(320 kB of JSON), which pins every catalog matrix.  A change that alters any
+of them must do so on purpose and say why;
 ``PYTHONPATH=src python tests/test_golden.py`` rewrites them.
 """
 
@@ -25,18 +30,32 @@ CELLS = [
     for _, scenario, eve in cli.GRID_ROWS
 ]
 PAPER_FILES = ("results_bb84.csv", "results_hdbb84.csv", "results_ssp.csv", "qber_with_eve.csv")
+STDOUT_FILES = {
+    "validate_gates.txt": ["validate-gates", "--seed", SEED],
+    "hypothesis_table.txt": ["hypothesis-table"],
+}
+
+
+def _stdout(argv) -> bytes:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert cli.main(argv) == cli.EXIT_OK
+    return buffer.getvalue().encode()
 
 
 def _run_digest(cell) -> str:
     protocol, scenario, eve = cell
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
-        code = cli.main(
-            ["run", "--protocol", protocol, "--scenario", scenario, "--eve", eve,
-             "--format", "json", "--seed", SEED]
-        )
-    assert code == cli.EXIT_OK
-    return hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+    document = _stdout(
+        ["run", "--protocol", protocol, "--scenario", scenario, "--eve", eve,
+         "--format", "json", "--seed", SEED]
+    )
+    return hashlib.sha256(document).hexdigest()
+
+
+def _dump_digest(tmp_dir: Path) -> str:
+    path = tmp_dir / "catalog.json"
+    _stdout(["validate-gates", "--seed", SEED, "--dump", str(path)])
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _reproduce_paper(out_dir: Path) -> None:
@@ -56,7 +75,22 @@ def test_reproduce_paper_tables_match_golden(tmp_path):
         assert (tmp_path / name).read_bytes() == (GOLDEN / "paper" / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("name", sorted(STDOUT_FILES))
+def test_cli_stdout_matches_golden(name):
+    assert _stdout(STDOUT_FILES[name]) == (GOLDEN / name).read_bytes()
+
+
+def test_catalog_dump_matches_golden_digest(tmp_path):
+    assert _dump_digest(tmp_path) == (GOLDEN / "catalog_dump.sha256").read_text().strip()
+
+
 if __name__ == "__main__":
+    import tempfile
+
     _reproduce_paper(GOLDEN / "paper")
+    for name, argv in STDOUT_FILES.items():
+        (GOLDEN / name).write_bytes(_stdout(argv))
+    with tempfile.TemporaryDirectory() as tmp:
+        (GOLDEN / "catalog_dump.sha256").write_text(_dump_digest(Path(tmp)) + "\n")
     digests = {"/".join(cell): _run_digest(cell) for cell in CELLS}
     (GOLDEN / "run_digests.json").write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
