@@ -44,12 +44,27 @@ def knowledge(eve_bits, reference) -> Fraction:
     return Fraction(sum(x == y for x, y in zip(e, r)), len(r))
 
 
-def detection_probability(compared_bits: int) -> float:
-    """Chance that comparing this many sifted bits exposes an intercept-resend
-    eavesdropper: 1 - (3/4)^K."""
+def intercept_resend_error(spec) -> Fraction:
+    """Chance that an intercept-resend eavesdropper changes the value of a
+    kept particle: she measures in a wrong basis with probability 1 - 1/k,
+    and then Bob's outcome is uniform over the d_ab values."""
+    return (1 - Fraction(1, spec.basis_count)) * (1 - Fraction(1, spec.d_ab))
+
+
+def detection_probability(spec, compared_bits: int) -> float:
+    """Chance that comparing K sifted bits exposes an intercept-resend
+    eavesdropper: 1 - (1 - e)^(K / bits_per_particle), with e the
+    per-particle :func:`intercept_resend_error`.  That is 1 - (3/4)^K for
+    BB84, 1 - (2/3)^K for SSP and 1 - (5/8)^(K/2) for HD-BB84, whose bit
+    pairs are compared whole."""
     if compared_bits < 0:
         raise ContractError("compared bit count must be non-negative")
-    return 1.0 - 0.75**compared_bits
+    if compared_bits % spec.bits_per_particle:
+        raise ContractError(
+            f"compared bit count must be a multiple of {spec.bits_per_particle}"
+        )
+    particles = compared_bits // spec.bits_per_particle
+    return 1.0 - float(1 - intercept_resend_error(spec)) ** particles
 
 
 def _validate_fraction(name: str, value) -> None:

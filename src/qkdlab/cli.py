@@ -156,16 +156,20 @@ def _csv_cell(value):
     return value
 
 
-def render_csv(doc: dict) -> str:
+def _csv_text(fields, rows) -> str:
+    """A header line and one line per row dict, CRLF-terminated."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\r\n")
-    writer.writerow(_CSV_FIELDS)
-    for row in doc["trials"]:
-        writer.writerow([_csv_cell(row[field]) for field in _CSV_FIELDS])
+    writer.writerow(fields)
+    for row in rows:
+        writer.writerow([_csv_cell(row[field]) for field in fields])
+    return buffer.getvalue()
+
+
+def render_csv(doc: dict) -> str:
     agg = dict(doc["aggregate"])
     agg["trial"] = "mean"
-    writer.writerow([_csv_cell(agg[field]) for field in _CSV_FIELDS])
-    return buffer.getvalue()
+    return _csv_text(_CSV_FIELDS, [*doc["trials"], agg])
 
 
 def render_json(doc: dict) -> str:
@@ -175,11 +179,14 @@ def render_json(doc: dict) -> str:
 _RENDERERS = {"table": render_table, "csv": render_csv, "json": render_json}
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -220,10 +227,7 @@ def cmd_validate_gates(args: argparse.Namespace) -> int:
     lines.append(f"{len(checks) - failures}/{len(checks)} checks passed")
     _emit("\n".join(lines) + "\n", args.out)
     if args.dump is not None:
-        Path(args.dump).write_text(
-            json.dumps(gates.catalog_dump(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        _emit(json.dumps(gates.catalog_dump(), indent=2, sort_keys=True) + "\n", args.dump)
     return EXIT_OK if failures == 0 else EXIT_VALIDATION
 
 
@@ -241,9 +245,11 @@ _TABLE_FIELDS = (
 def cmd_reproduce_paper(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create {out_dir}: {exc.strerror}") from exc
     qber_rows = []
-    written = []
     for name, spec in protocols.PROTOCOLS.items():
         rows = []
         for label, scenario, eve in GRID_ROWS:
@@ -263,21 +269,14 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
                 }
             )
             if eve is not protocols.EveModel.NONE:
-                qber_rows.append((name, label, _round(stats.mean_qber)))
+                qber_rows.append(
+                    {"protocol": name, "scenario": label, "qber": _round(stats.mean_qber)}
+                )
         table_path = out_dir / f"results_{name}.csv"
-        with table_path.open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\r\n")
-            writer.writerow(_TABLE_FIELDS)
-            for row in rows:
-                writer.writerow([_csv_cell(row[field]) for field in _TABLE_FIELDS])
-        written.append(table_path)
+        _emit(_csv_text(_TABLE_FIELDS, rows), table_path)
         sys.stdout.write(f"wrote {table_path}\n")
     figure_path = out_dir / "qber_with_eve.csv"
-    with figure_path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\r\n")
-        writer.writerow(("protocol", "scenario", "qber"))
-        writer.writerows(qber_rows)
-    written.append(figure_path)
+    _emit(_csv_text(("protocol", "scenario", "qber"), qber_rows), figure_path)
     sys.stdout.write(f"wrote {figure_path}\n")
     return EXIT_OK
 

@@ -1,14 +1,24 @@
-"""Gate catalog for the three protocols and their high-dimensional variants.
+"""Protocol bases, the gate catalog and the conversion circuits.
 
-Every unitary used anywhere in the laboratory lives here, each wrapped in a
+Each protocol is held once, as the ordered tuple of its basis matrices in
+``PROTOCOL_BASES``: (I, H) for BB84, (I, Phi) for HD-BB84 and (I, H, J) for
+SSP, where column v of ``bases[a]`` is the state encoding value v in basis a.
+Everything else about a protocol is derived from that tuple: its dimensions,
+encode and decode (``protocols``) and its conversion circuit
+(:func:`conversion_gate`).
+
+The catalog holds every named unitary, each wrapped in a
 :class:`GateCatalogEntry` that carries its intended action table.  Entries are
 validated on construction: the matrix must be unitary and must reproduce every
-action row up to a global phase.
+action row up to a global phase.  The gates transcribed from the paper (the
+Qid gates, the HD-BB84 preparation sequences and the conditional gates) stay
+in the catalog as fixtures; the tests check them against the derived forms.
 
 Index conventions
 -----------------
-High-dimensional ("Qid") gates act on the eavesdropper-side qudit whose basis
-states enumerate (value, basis) pairs as ``index = value * basis_count + basis``:
+The eavesdropper-side qudit of a protocol with k bases in particle dimension
+d_ab has d_e = d_ab * k basis states, which enumerate (value, basis) pairs as
+``index = value * k + basis``:
 
 * BB84, dim 4:    |0> = 0/rect, |1> = 0/diag, |2> = 1/rect, |3> = 1/diag
 * HD-BB84, dim 8: even |2v> = psi_v, odd |2v+1> = phi_v
@@ -78,9 +88,14 @@ class GateCatalogEntry:
         return math.prod(self.dims)
 
 
-def _entry(name, dims, matrix, action) -> GateCatalogEntry:
+def _readonly(matrix) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=np.complex128)
     matrix.setflags(write=False)
+    return matrix
+
+
+def _entry(name, dims, matrix, action) -> GateCatalogEntry:
+    matrix = _readonly(matrix)
     rows = tuple((int(i), np.asarray(v, dtype=np.complex128)) for i, v in action)
     return GateCatalogEntry(name, tuple(dims), matrix, rows)
 
@@ -116,6 +131,40 @@ KET_CIRC_PLUS = _SQRT2 * np.array([1j, 1], dtype=np.complex128)
 KET_CIRC_MINUS = _SQRT2 * np.array([-1, -1j], dtype=np.complex128)
 
 
+# --- Protocol bases -------------------------------------------------------------
+
+# Columns are the four conjugate-basis states, each an equal-magnitude signed
+# superposition of the computational (psi) states.
+_PHI_FIXED = 0.5 * np.array(
+    [
+        [1, 1, 1, 1],
+        [1, 1, -1, -1],
+        [1, -1, 1, -1],
+        [1, -1, -1, 1],
+    ],
+    dtype=np.complex128,
+)
+
+
+def _bases(*matrices) -> tuple[np.ndarray, ...]:
+    return tuple(_readonly(matrix) for matrix in matrices)
+
+
+PROTOCOL_BASES = {
+    "bb84": _bases(np.eye(2), _H2),
+    "hdbb84": _bases(np.eye(4), _PHI_FIXED),
+    "ssp": _bases(np.eye(2), _H2, _J2),
+}
+
+
+def protocol_bases(protocol: str) -> tuple[np.ndarray, ...]:
+    """The ordered basis matrices of 'bb84', 'hdbb84' or 'ssp'."""
+    try:
+        return PROTOCOL_BASES[protocol]
+    except KeyError:
+        raise CatalogError(f"unknown protocol {protocol!r}") from None
+
+
 @lru_cache(maxsize=None)
 def standard_gate(name: str) -> GateCatalogEntry:
     """2-dimensional X, H, or J gate."""
@@ -144,19 +193,7 @@ def qid_gate_bb84(name: str) -> GateCatalogEntry:
     raise CatalogError(f"unknown BB84 qid gate {name!r}")
 
 
-# --- HD-BB84 bases and gates --------------------------------------------------
-
-# Columns are the four conjugate-basis states, each an equal-magnitude signed
-# superposition of the computational (psi) states.
-_PHI_FIXED = 0.5 * np.array(
-    [
-        [1, 1, 1, 1],
-        [1, 1, -1, -1],
-        [1, -1, 1, -1],
-        [1, -1, -1, 1],
-    ],
-    dtype=np.complex128,
-)
+# --- HD-BB84 gates ------------------------------------------------------------
 
 # Uncorrected sign pattern, kept as a negative fixture: applying it twice
 # permutes three of the four basis states instead of restoring them.
@@ -286,11 +323,12 @@ def _block_conditional(name: str, control_dim: int, blocks) -> GateCatalogEntry:
 
 @lru_cache(maxsize=None)
 def conditional_gate(name: str) -> GateCatalogEntry:
-    """Controlled gates used by the conversion circuits.
+    """The paper's controlled gates.
 
     CPhi applies the dim-4 conjugate-basis gate when its control qubit is |1>.
     CHJ is controlled by a qutrit: |1> applies H, |2> applies J to the qubit.
-    CX / CH are the plain controlled qubit gates.
+    CX / CH are the plain controlled qubit gates.  The derived conversion
+    circuits of BB84, HD-BB84 and SSP reproduce CH, CPhi and CHJ.
     """
     eye2 = np.eye(2, dtype=np.complex128)
     if name == "CPhi":
@@ -359,21 +397,38 @@ class ConversionGate:
     """Composite unitary mapping an eavesdropper-dimension qudit to the
     physical low-dimensional state it enumerates.
 
-    ``steps`` are (gate, target slots) pairs applied in order over a register
-    of shape ``slots``; after them the ``output_slot`` holds ``eve_states[k]``
-    whenever the source slot started in |k> with all ancillas in |0>.
+    ``steps`` are (gate, target slots) pairs applied in order over the
+    register (source, basis ancilla, value ancilla); after them the value
+    ancilla, ``output_slot``, holds ``eve_states[k]`` whenever the source slot
+    started in |k> with both ancillas in |0>.
     """
 
     protocol: str
-    slots: tuple[int, ...]
+    bases: tuple[np.ndarray, ...]
     steps: tuple[tuple[GateCatalogEntry, tuple[int, ...]], ...]
-    output_slot: int
-    eve_states: tuple[np.ndarray, ...]
-    decode_gates: tuple[np.ndarray, ...]
+    output_slot = 2
+
+    @property
+    def slots(self) -> tuple[int, ...]:
+        k, d = len(self.bases), self.bases[0].shape[0]
+        return (d * k, k, d)
 
     @property
     def source_dim(self) -> int:
         return self.slots[0]
+
+    @property
+    def eve_states(self) -> tuple[np.ndarray, ...]:
+        """State k is ``bases[basis][:, value]`` for ``k = value * bases + basis``."""
+        k = len(self.bases)
+        return tuple(
+            self.bases[basis][:, value]
+            for value, basis in (divmod(i, k) for i in range(self.source_dim))
+        )
+
+    @property
+    def decode_gates(self) -> tuple[np.ndarray, ...]:
+        return tuple(basis.conj().T for basis in self.bases)
 
     def input_register(self, source: int | np.ndarray) -> Register:
         if isinstance(source, (int, np.integer)):
@@ -399,54 +454,18 @@ class ConversionGate:
 
 @lru_cache(maxsize=None)
 def conversion_gate(protocol: str) -> ConversionGate:
-    """Conversion circuit for 'bb84', 'hdbb84' or 'ssp'."""
-    eye4 = np.eye(4, dtype=np.complex128)
-    eye2 = np.eye(2, dtype=np.complex128)
-    if protocol == "bb84":
-        # Split onto (basis, value) qubits, then prepare a fresh target qubit.
-        steps = (
-            (_split_gate("QidConv1", 4, 2, 2), (0, 1, 2)),
-            (conditional_gate("CX"), (2, 3)),
-            (conditional_gate("CH"), (1, 3)),
-        )
-        eve_states = (
-            basis_state(2, 0),
-            KET_PLUS.copy(),
-            basis_state(2, 1),
-            KET_MINUS.copy(),
-        )
-        return ConversionGate(
-            "bb84", (4, 2, 2, 2), steps, 3, eve_states, (eye2, _H2.copy())
-        )
-    if protocol == "hdbb84":
-        steps = (
-            (_split_gate("QidConv2", 8, 2, 4), (0, 1, 2)),
-            (conditional_gate("CPhi"), (1, 2)),
-        )
-        eve_states = tuple(
-            eye4[:, k // 2].copy() if k % 2 == 0 else _PHI_FIXED[:, k // 2].copy()
-            for k in range(8)
-        )
-        return ConversionGate(
-            "hdbb84", (8, 2, 4), steps, 2, eve_states, (eye4, _PHI_FIXED.copy())
-        )
-    if protocol == "ssp":
-        steps = (
-            (_split_gate("QidConv3", 6, 3, 2), (0, 1, 2)),
-            (conditional_gate("CHJ"), (1, 2)),
-        )
-        eve_states = (
-            basis_state(2, 0),
-            KET_PLUS.copy(),
-            KET_CIRC_PLUS.copy(),
-            basis_state(2, 1),
-            KET_MINUS.copy(),
-            KET_CIRC_MINUS.copy(),
-        )
-        return ConversionGate(
-            "ssp", (6, 3, 2), steps, 2, eve_states, (eye2, _H2.copy(), _J2.copy())
-        )
-    raise CatalogError(f"unknown protocol {protocol!r}")
+    """Conversion circuit for 'bb84', 'hdbb84' or 'ssp': split the source
+    index onto (basis, value) ancillas, then apply ``bases[basis]`` to the
+    value ancilla, which turns |value> into the encoded state."""
+    bases = protocol_bases(protocol)
+    k, d = len(bases), bases[0].shape[0]
+    # The split gates keep the paper's catalog names, numbered in protocol order.
+    number = list(PROTOCOL_BASES).index(protocol) + 1
+    steps = (
+        (_split_gate(f"QidConv{number}", d * k, k, d), (0, 1, 2)),
+        (_block_conditional(f"CBases[{protocol}]", k, bases), (1, 2)),
+    )
+    return ConversionGate(protocol, bases, steps)
 
 
 # --- Circular-basis candidates ---------------------------------------------------
@@ -557,7 +576,7 @@ def catalog() -> tuple[GateCatalogEntry, ...]:
         conditional_gate("CPhi"),
         conditional_gate("CHJ"),
     ]
-    for protocol in ("bb84", "hdbb84", "ssp"):
+    for protocol in PROTOCOL_BASES:
         entries.append(conversion_gate(protocol).steps[0][0])
     return tuple(entries)
 
@@ -642,24 +661,14 @@ def validate_catalog(rng: np.random.Generator, samples: int = 10_000) -> list:
         "PhiOriginal^2 permutes beta->delta, gamma->beta, delta->gamma",
     )
 
-    h2 = standard_gate("H").matrix
-    _check(
-        results,
-        "mub[bb84]",
-        _column_overlaps_ok(np.eye(2, dtype=np.complex128), h2, _SQRT2),
-    )
-    _check(
-        results,
-        "mub[hdbb84]",
-        _column_overlaps_ok(np.eye(4, dtype=np.complex128), _PHI_FIXED, 0.5),
-    )
-    ssp_bases = [np.eye(2, dtype=np.complex128), h2, standard_gate("J").matrix]
-    ssp_ok = all(
-        _column_overlaps_ok(ssp_bases[i], ssp_bases[j], _SQRT2)
-        for i in range(3)
-        for j in range(i + 1, 3)
-    )
-    _check(results, "mub[ssp]", ssp_ok)
+    for protocol, bases in PROTOCOL_BASES.items():
+        magnitude = 1.0 / math.sqrt(bases[0].shape[0])
+        unbiased = all(
+            _column_overlaps_ok(left, right, magnitude)
+            for i, left in enumerate(bases)
+            for right in bases[i + 1 :]
+        )
+        _check(results, f"mub[{protocol}]", unbiased)
 
     qidx2 = qid_gate_ssp("QidX2").matrix
     qidj = qid_gate_ssp("QidJ").matrix
@@ -674,7 +683,7 @@ def validate_catalog(rng: np.random.Generator, samples: int = 10_000) -> list:
         np.max(np.abs(conditional_gate("CHJ").matrix - CHJ_LITERAL)) == 0.0,
     )
 
-    for protocol in ("bb84", "hdbb84", "ssp"):
+    for protocol in PROTOCOL_BASES:
         conv = conversion_gate(protocol)
         _check(results, f"conversion-unitary[{protocol}]", is_unitary(conv.matrix()))
         sound = True

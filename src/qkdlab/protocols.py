@@ -1,15 +1,22 @@
 """Key-exchange orchestration for BB84, its dim-4 variant, and the six-state
 protocol, under three measurement scenarios and three eavesdropper models.
 
+A protocol is its name and the ordered basis matrices ``gates.PROTOCOL_BASES``
+holds for it.  Alice encodes value v in basis a as column v of ``bases[a]``;
+Bob decodes in basis b with ``bases[b]`` conjugate-transposed.  The dimensions
+d_ab = len(column), k = len(bases) and d_e = d_ab * k follow from the matrices.
+
 Scenarios
 ---------
 control     The textbook protocol at the particle dimension d_ab.
 conv        Alice's particle is carried by a qudit of the eavesdropper
             dimension d_e = d_ab * bases; a conversion circuit maps it back to
             a physical d_ab-dimensional state which Bob decodes as usual.
-relabel     Bob measures the d_e qudit directly after his basis gate and
-            relabels outcomes: in-basis outcomes give the deterministic value,
-            off-basis outcomes are replaced by uniformly random bits.
+relabel     Alice's particle is the d_e basis state |v * k + a>.  Bob's gate
+            for basis b permutes the basis digit a to (a - b) mod k, and he
+            measures and relabels: an outcome with digit 0 (in his basis)
+            gives the deterministic value, any other outcome (off-basis) is
+            replaced by uniformly random bits.
 
 Both high-dimensional scenarios are behaviourally equivalent to the control
 run: with a fixed seed they produce identical sifted keys.  The high-
@@ -21,10 +28,11 @@ Outcome tables
 Every channel state is one of at most 12 (value, basis) basis states in at
 most 8 dimensions, so each scenario reduces to an exact table: row
 [value, alice_basis, bob_basis] is the cumulative Born distribution of Bob's
-outcome, computed once per protocol through the state-vector code (basis
-gates, and the conversion circuit via ``apply_to_slot`` for conv).  A trial
-samples all of its particles at once by inverse CDF, which picks the same
-outcome as ``core._sample`` would for the same uniform.
+outcome, computed once per protocol through the state-vector code (the
+encode and decode matrices, the relabel permutations, and the conversion
+circuit via ``apply_to_slot`` for conv).  A trial samples all of its
+particles at once by inverse CDF, which picks the same outcome as
+``core._sample`` would for the same uniform.
 
 Stream layout v2
 ----------------
@@ -48,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -85,21 +93,36 @@ MAX_RAW_BITS = 1_000_000
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """Static description of one protocol.
+    """Static description of one protocol: its key in ``gates.PROTOCOL_BASES``
+    and a name per basis.  The dimensions are read off the basis matrices.
 
     The eavesdropper dimension is ``d_ab * basis_count`` and its basis states
     enumerate (value, basis) pairs as ``index = value * basis_count + basis``.
     """
 
     name: str
-    d_ab: int
-    basis_count: int
-    bits_per_particle: int
     basis_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if len(self.basis_names) != self.basis_count:
             raise ContractError("basis name count != basis count")
+
+    @cached_property
+    def bases(self) -> tuple[np.ndarray, ...]:
+        return gates.protocol_bases(self.name)
+
+    @cached_property
+    def d_ab(self) -> int:
+        return self.bases[0].shape[0]
+
+    @cached_property
+    def basis_count(self) -> int:
+        return len(self.bases)
+
+    @cached_property
+    def bits_per_particle(self) -> int:
+        # Values are keyed as bit strings, so d_ab is a power of two.
+        return self.d_ab.bit_length() - 1
 
     @property
     def d_e(self) -> int:
@@ -119,9 +142,9 @@ class ProtocolSpec:
         return format(value, f"0{self.bits_per_particle}b")
 
 
-BB84 = ProtocolSpec("bb84", 2, 2, 1, ("rectilinear", "diagonal"))
-HDBB84 = ProtocolSpec("hdbb84", 4, 2, 2, ("psi", "phi"))
-SSP = ProtocolSpec("ssp", 2, 3, 1, ("z", "x", "y"))
+BB84 = ProtocolSpec("bb84", ("rectilinear", "diagonal"))
+HDBB84 = ProtocolSpec("hdbb84", ("psi", "phi"))
+SSP = ProtocolSpec("ssp", ("z", "x", "y"))
 
 PROTOCOLS = {spec.name: spec for spec in (BB84, HDBB84, SSP)}
 
@@ -138,65 +161,21 @@ def validate_pairing(scenario: Scenario, eve: EveModel) -> None:
 
 class _Engine:
     """Per-protocol cache of encode states, decode matrices and the
-    cumulative outcome tables sampled by every trial."""
+    cumulative outcome tables sampled by every trial, all derived from the
+    protocol's bases."""
 
     def __init__(self, spec: ProtocolSpec):
         self.spec = spec
-        eye_ab = np.eye(spec.d_ab, dtype=np.complex128)
-        if spec.name == "bb84":
-            basis_mats = [eye_ab, gates.standard_gate("H").matrix]
-            value_seqs = [(), (gates.standard_gate("X").matrix,)]
-            hd_value = [(), (gates.qid_gate_bb84("QidX1").matrix,)]
-            hd_basis = [None, gates.qid_gate_bb84("QidH1").matrix]
-        elif spec.name == "hdbb84":
-            basis_mats = [eye_ab, gates.hdbb84_phi_gate("fixed").matrix]
-            value_seqs = [
-                tuple(entry.matrix for entry in gates.hdbb84_psi_prep(symbol))
-                for symbol in gates.PSI_SYMBOLS
-            ]
-            hd_value = [
-                (gates.qid_gate_hdbb84(f"Qid{symbol.capitalize()}").matrix,)
-                for symbol in gates.PSI_SYMBOLS
-            ]
-            hd_basis = [None, gates.qid_gate_hdbb84("QidPhi").matrix]
-        elif spec.name == "ssp":
-            basis_mats = [
-                eye_ab,
-                gates.standard_gate("H").matrix,
-                gates.standard_gate("J").matrix,
-            ]
-            value_seqs = [(), (gates.standard_gate("X").matrix,)]
-            hd_value = [(), (gates.qid_gate_ssp("QidX2").matrix,)]
-            hd_basis = [
-                None,
-                gates.qid_gate_ssp("QidH2").matrix,
-                gates.qid_gate_ssp("QidJ").matrix,
-            ]
-        else:
-            raise ConfigError(f"unknown protocol {spec.name!r}")
-
-        # Basis gates double as decode gates: all are self-inverse up to a
-        # global phase, which measurement statistics cannot see.
-        self.decode = basis_mats
-        self.encode = {}
-        self.hd_encode = {}
-        for value in range(spec.values_per_particle):
-            for basis in range(spec.basis_count):
-                state = basis_state(spec.d_ab, 0)
-                for gate in value_seqs[value]:
-                    state = gate @ state
-                self.encode[value, basis] = basis_mats[basis] @ state
-
-                hd_state = basis_state(spec.d_e, 0)
-                for gate in hd_value[value]:
-                    hd_state = gate @ hd_state
-                if hd_basis[basis] is not None:
-                    hd_state = hd_basis[basis] @ hd_state
-                self.hd_encode[value, basis] = hd_state
-        self.hd_decode = [
-            np.eye(spec.d_e, dtype=np.complex128) if gate is None else gate
-            for gate in hd_basis
-        ]
+        bases, k, d_e = spec.bases, spec.basis_count, spec.d_e
+        pairs = list(np.ndindex(spec.values_per_particle, k))
+        self.encode = {(v, a): bases[a][:, v] for v, a in pairs}
+        self.decode = [basis.conj().T for basis in bases]
+        self.hd_encode = {(v, a): basis_state(d_e, spec.state_index(v, a)) for v, a in pairs}
+        # Bob's relabel gate for basis b sends |v * k + a> to
+        # |v * k + (a - b) mod k>: digit 0 marks an outcome in his basis.
+        values, digits = np.divmod(np.arange(d_e), k)
+        identity = np.eye(d_e, dtype=np.complex128)
+        self.hd_decode = [identity[:, values * k + (digits - b) % k] for b in range(k)]
         self.conversion = gates.conversion_gate(spec.name)
         self._tables: dict[Scenario, np.ndarray] = {}
 
@@ -261,16 +240,6 @@ def pack_values(spec: ProtocolSpec, bits: np.ndarray) -> np.ndarray:
     chunks = np.asarray(bits).reshape(-1, spec.bits_per_particle)
     weights = 2 ** np.arange(spec.bits_per_particle - 1, -1, -1)
     return chunks @ weights
-
-
-def encode_particle_control(spec: ProtocolSpec, value: int, basis: int) -> np.ndarray:
-    """Alice's d_ab-dimensional state for a (value, basis) choice."""
-    return _engine(spec).encode[int(value), int(basis)]
-
-
-def encode_particle_hd(spec: ProtocolSpec, value: int, basis: int) -> np.ndarray:
-    """Alice's d_e-dimensional state: the basis state indexing (value, basis)."""
-    return _engine(spec).hd_encode[int(value), int(basis)]
 
 
 @dataclass(frozen=True)

@@ -65,3 +65,23 @@ def intercept_resend_oracle(name, bits_per_particle):
                         )
                 combos += 1
     return qber / combos, alice_know / combos, bob_know / combos
+
+
+def intercept_resend_symbol_error(name):
+    """Probability that intercept-resend changes the value Bob reads on a
+    kept particle (Bob measures in Alice's basis)."""
+    bases = BASES[name]
+    dim = bases[0].shape[0]
+    error = 0.0
+    combos = 0
+    for value in range(dim):
+        for alice_basis in range(len(bases)):
+            encoded = bases[alice_basis] @ _basis_vec(dim, value)
+            for eve_basis in range(len(bases)):
+                eve_probs = np.abs(bases[eve_basis].conj().T @ encoded) ** 2
+                for eve_value, p_eve in enumerate(eve_probs):
+                    resent = bases[eve_basis] @ _basis_vec(dim, eve_value)
+                    p_right = abs(bases[alice_basis][:, value].conj() @ resent) ** 2
+                    error += p_eve * (1 - p_right)
+                combos += 1
+    return error / combos

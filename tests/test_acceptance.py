@@ -172,9 +172,9 @@ def test_criterion_7_basis_candidate_validation():
 
 def test_criterion_8_detection_probability():
     with criterion(8, "detection probability"):
-        assert analysis.detection_probability(1) == 0.25
-        assert abs(analysis.detection_probability(10) - 0.943686) < 1e-6
-        values = [analysis.detection_probability(k) for k in range(40)]
+        assert analysis.detection_probability(BB84, 1) == 0.25
+        assert abs(analysis.detection_probability(BB84, 10) - 0.943686) < 1e-6
+        values = [analysis.detection_probability(BB84, k) for k in range(40)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 

@@ -8,11 +8,14 @@ from qkdlab.analysis import (
     TrialResult,
     aggregate,
     detection_probability,
+    intercept_resend_error,
     knowledge,
     qber,
 )
 from qkdlab.core import ContractError
-from qkdlab.protocols import SiftedKey
+from qkdlab.protocols import BB84, HDBB84, SSP, SiftedKey
+
+from oracle import intercept_resend_symbol_error
 
 
 def _key(bits):
@@ -60,20 +63,37 @@ def test_knowledge_empty_reference_warns():
 
 
 def test_detection_probability_spot_values():
-    assert detection_probability(0) == 0
-    assert detection_probability(1) == 0.25
-    assert abs(detection_probability(10) - 0.943686) < 1e-4
+    assert detection_probability(BB84, 0) == 0
+    assert detection_probability(BB84, 1) == 0.25
+    assert abs(detection_probability(BB84, 10) - 0.943686) < 1e-4
+    assert detection_probability(SSP, 1) == pytest.approx(1 / 3, abs=1e-15)
+    assert detection_probability(SSP, 10) == pytest.approx(1 - (2 / 3) ** 10, abs=1e-15)
+    assert detection_probability(HDBB84, 2) == 0.375
+    assert detection_probability(HDBB84, 10) == pytest.approx(1 - (5 / 8) ** 5, abs=1e-15)
+
+
+@pytest.mark.parametrize("spec", [BB84, HDBB84, SSP], ids=lambda s: s.name)
+def test_intercept_resend_error_equals_oracle(spec):
+    expected = {"bb84": Fraction(1, 4), "hdbb84": Fraction(3, 8), "ssp": Fraction(1, 3)}
+    assert intercept_resend_error(spec) == expected[spec.name]
+    oracle = intercept_resend_symbol_error(spec.name)
+    assert float(intercept_resend_error(spec)) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_detection_probability_monotone_to_one():
-    values = [detection_probability(k) for k in range(60)]
+    values = [detection_probability(BB84, k) for k in range(60)]
     assert all(b >= a for a, b in zip(values, values[1:]))
     assert values[-1] > 1 - 1e-7
 
 
 def test_detection_probability_rejects_negative():
     with pytest.raises(ContractError):
-        detection_probability(-1)
+        detection_probability(BB84, -1)
+
+
+def test_detection_probability_rejects_partial_particles():
+    with pytest.raises(ContractError, match="multiple of 2"):
+        detection_probability(HDBB84, 3)
 
 
 def _trial(i, qber_value, matches, sifted=100):

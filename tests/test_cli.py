@@ -188,3 +188,22 @@ def test_hypothesis_table_lists_dimension_rule(capsys):
     assert lines[1].split() == ["bb84", "2", "2", "4"]
     assert lines[2].split() == ["hdbb84", "4", "2", "8"]
     assert lines[3].split() == ["ssp", "2", "3", "6"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--protocol", "bb84", "--trials", "1", "--out", "{missing}/doc.json"],
+        ["validate-gates", "--dump", "{missing}/catalog.json"],
+        ["reproduce-paper", "--out-dir", "{file}"],
+    ],
+    ids=["run-out", "validate-gates-dump", "reproduce-paper-out-dir"],
+)
+def test_unwritable_output_path_is_a_config_error(tmp_path, capsys, argv):
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    paths = {"missing": tmp_path / "no-such-dir", "file": a_file}
+    code, _, err = _run(capsys, [arg.format(**paths) for arg in argv])
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("error: cannot ")
+    assert "Traceback" not in err

@@ -239,6 +239,16 @@ def test_conversion_examples():
     )
 
 
+@pytest.mark.parametrize(
+    "protocol,fixture", [("bb84", "CH"), ("hdbb84", "CPhi"), ("ssp", "CHJ")]
+)
+def test_derived_conversion_steps_equal_paper_fixtures(protocol, fixture):
+    (split, split_targets), (prepare, prepare_targets) = conversion_gate(protocol).steps
+    assert any(entry is split for entry in catalog())
+    assert (split_targets, prepare_targets) == ((0, 1, 2), (1, 2))
+    np.testing.assert_array_equal(prepare.matrix, conditional_gate(fixture).matrix)
+
+
 def test_conversion_rejects_wrong_register():
     conv = conversion_gate("bb84")
     other = conversion_gate("ssp")

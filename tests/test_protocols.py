@@ -1,7 +1,9 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
-from qkdlab import analysis
+from qkdlab import analysis, gates
 from qkdlab.core import (
     ConfigError,
     RandomSource,
@@ -9,6 +11,7 @@ from qkdlab.core import (
     apply_to_slot,
     basis_state,
     equal_up_to_global_phase,
+    product_register,
 )
 from qkdlab.protocols import (
     BB84,
@@ -22,8 +25,6 @@ from qkdlab.protocols import (
     _engine,
     _sample_rows,
     alice_draws,
-    encode_particle_control,
-    encode_particle_hd,
     pack_values,
     run_experiment,
     run_trial,
@@ -31,6 +32,7 @@ from qkdlab.protocols import (
     validate_pairing,
 )
 
+from oracle import BASES as ORACLE_BASES
 from oracle import intercept_resend_oracle
 
 SEED = 2
@@ -50,6 +52,80 @@ def _probs(spec, scenario, value, basis, bob_basis):
 
 def _delta(dim, k):
     return np.eye(dim)[k]
+
+
+class PaperGates(NamedTuple):
+    """A protocol's gates as the paper writes them out by hand.
+
+    ``values[v]`` is the gate sequence preparing value v from |0> and
+    ``bases[a]`` the basis gate applied after it (self-inverse up to a global
+    phase, so it also decodes); ``hd_values`` and ``hd_bases`` are the Qid
+    gates doing the same on the d_e qudit.  ``conv`` is the conversion
+    circuit as (slots, steps, output slot).  The engine derives all of these
+    from ``gates.PROTOCOL_BASES`` instead; the tests compare the two.
+    """
+
+    values: list
+    bases: list
+    hd_values: list
+    hd_bases: list
+    conv: tuple
+
+
+def _paper_gates():
+    entry = {e.name: e for e in gates.catalog()}
+    m = {name: e.matrix for name, e in entry.items()}
+    psi = gates.PSI_SYMBOLS
+    split = (0, 1, 2)
+    return {
+        "bb84": PaperGates(
+            [(), (m["X"],)],
+            [np.eye(2), m["H"]],
+            [(), (m["QidX1"],)],
+            [np.eye(4), m["QidH1"]],
+            # A fresh qubit gets X from the value ancilla, then H from the
+            # basis ancilla.
+            (
+                (4, 2, 2, 2),
+                ((entry["QidConv1"], split), (entry["CX"], (2, 3)), (entry["CH"], (1, 3))),
+                3,
+            ),
+        ),
+        "hdbb84": PaperGates(
+            [tuple(e.matrix for e in gates.hdbb84_psi_prep(symbol)) for symbol in psi],
+            [np.eye(4), m["Phi"]],
+            [(m[f"Qid{symbol.capitalize()}"],) for symbol in psi],
+            [np.eye(8), m["QidPhi"]],
+            ((8, 2, 4), ((entry["QidConv2"], split), (entry["CPhi"], (1, 2))), 2),
+        ),
+        "ssp": PaperGates(
+            [(), (m["X"],)],
+            [np.eye(2), m["H"], m["J"]],
+            [(), (m["QidX2"],)],
+            [np.eye(6), m["QidH2"], m["QidJ"]],
+            ((6, 3, 2), ((entry["QidConv3"], split), (entry["CHJ"], (1, 2))), 2),
+        ),
+    }
+
+
+PAPER = _paper_gates()
+
+
+def _prepare(sequence, basis_gate):
+    state = basis_state(basis_gate.shape[0], 0)
+    for gate in sequence:
+        state = gate @ state
+    return basis_gate @ state
+
+
+def _paper_encode(spec, value, basis):
+    paper = PAPER[spec.name]
+    return _prepare(paper.values[value], paper.bases[basis])
+
+
+def _paper_hd_encode(spec, value, basis):
+    paper = PAPER[spec.name]
+    return _prepare(paper.hd_values[value], paper.hd_bases[basis])
 
 
 # --- protocol specs ----------------------------------------------------------------
@@ -124,49 +200,75 @@ def test_alice_draws_rejects_oversized_length():
 
 
 def test_encode_control_examples():
-    np.testing.assert_allclose(encode_particle_control(BB84, 1, 1), [SQRT2, -SQRT2], atol=1e-12)
-    np.testing.assert_allclose(encode_particle_control(SSP, 0, 2), [1j * SQRT2, SQRT2], atol=1e-12)
-    np.testing.assert_allclose(encode_particle_control(HDBB84, 0, 0), basis_state(4, 0), atol=1e-12)
+    encode = {spec.name: _engine(spec).encode for spec in ALL_SPECS}
+    np.testing.assert_allclose(encode["bb84"][1, 1], [SQRT2, -SQRT2], atol=1e-12)
+    np.testing.assert_allclose(encode["ssp"][0, 2], [1j * SQRT2, SQRT2], atol=1e-12)
+    np.testing.assert_allclose(encode["hdbb84"][0, 0], basis_state(4, 0), atol=1e-12)
     # Conjugate-basis column for value 01.
-    np.testing.assert_allclose(
-        encode_particle_control(HDBB84, 1, 1), [0.5, 0.5, -0.5, -0.5], atol=1e-12
-    )
+    np.testing.assert_allclose(encode["hdbb84"][1, 1], [0.5, 0.5, -0.5, -0.5], atol=1e-12)
+    # Every derived state is the paper's gate-prepared one.
+    for spec in ALL_SPECS:
+        for (value, basis), state in encode[spec.name].items():
+            paper = _paper_encode(spec, value, basis)
+            assert equal_up_to_global_phase(state, paper), (spec.name, value, basis)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
 def test_hd_encoding_lands_on_indexed_basis_state(spec):
+    hd_encode = _engine(spec).hd_encode
     for value in range(spec.values_per_particle):
         for basis in range(spec.basis_count):
-            state = encode_particle_hd(spec, value, basis)
             expected = basis_state(spec.d_e, spec.state_index(value, basis))
-            assert equal_up_to_global_phase(state, expected), (spec.name, value, basis)
+            np.testing.assert_array_equal(hd_encode[value, basis], expected)
+            # The paper's Qid preparation gates land on the same state.
+            paper = _paper_hd_encode(spec, value, basis)
+            assert equal_up_to_global_phase(paper, expected), (spec.name, value, basis)
 
 
 def test_hd_encoding_examples():
-    np.testing.assert_allclose(encode_particle_hd(BB84, 1, 0), basis_state(4, 2), atol=1e-12)
-    np.testing.assert_allclose(encode_particle_hd(HDBB84, 3, 1), basis_state(8, 7), atol=1e-12)
-    np.testing.assert_allclose(encode_particle_hd(SSP, 1, 2), basis_state(6, 5), atol=1e-12)
+    hd_encode = {spec.name: _engine(spec).hd_encode for spec in ALL_SPECS}
+    np.testing.assert_allclose(hd_encode["bb84"][1, 0], basis_state(4, 2), atol=1e-12)
+    np.testing.assert_allclose(hd_encode["hdbb84"][3, 1], basis_state(8, 7), atol=1e-12)
+    np.testing.assert_allclose(hd_encode["ssp"][1, 2], basis_state(6, 5), atol=1e-12)
 
 
 # --- outcome tables ------------------------------------------------------------------
 
 
-def _state_vector_probs(spec, scenario, value, basis, bob_basis):
-    engine = _engine(spec)
+def _paper_probs(spec, scenario, value, basis, bob_basis):
+    """Bob's outcome distribution through the paper's gates."""
+    paper = PAPER[spec.name]
+    decode = paper.bases[bob_basis]
     if scenario is Scenario.CONTROL:
-        return np.abs(engine.decode[bob_basis] @ engine.encode[value, basis]) ** 2
+        return np.abs(decode @ _paper_encode(spec, value, basis)) ** 2
     if scenario is Scenario.RELABEL:
-        return np.abs(engine.hd_decode[bob_basis] @ engine.hd_encode[value, basis]) ** 2
-    conv = engine.conversion
-    reg = conv.apply(conv.input_register(encode_particle_hd(spec, value, basis)))
-    reg = apply_to_slot(engine.decode[bob_basis], reg, conv.output_slot)
-    psi = np.moveaxis(reg.state.reshape(conv.slots), conv.output_slot, 0)
+        hd_decode = paper.hd_bases[bob_basis]
+        return np.abs(hd_decode @ _paper_hd_encode(spec, value, basis)) ** 2
+    slots, steps, output_slot = paper.conv
+    reg = product_register(
+        [_paper_hd_encode(spec, value, basis)] + [basis_state(d, 0) for d in slots[1:]]
+    )
+    for gate, targets in steps:
+        reg = apply_to_slot(gate.matrix, reg, targets)
+    reg = apply_to_slot(decode, reg, output_slot)
+    psi = np.moveaxis(reg.state.reshape(slots), output_slot, 0)
     return np.sum(np.abs(psi) ** 2, axis=tuple(range(1, psi.ndim)))
+
+
+def _relabel_view(spec, probs):
+    """What relabel keeps of an outcome distribution: the value read in Bob's
+    basis (basis digit 0), and the total off-basis mass, whose value is
+    replaced by random bits."""
+    in_basis = probs[:: spec.basis_count]
+    return np.append(in_basis, probs.sum() - in_basis.sum())
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
 @pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
 def test_outcome_table_rows_equal_state_vector_born_probabilities(spec, scenario):
+    # The reference is the paper's hand-written circuit.  Its relabel gates
+    # send off-basis outcomes to other nonzero digits (and values) than the
+    # derived permutation, so relabel rows agree on what relabel keeps.
     dim = spec.d_e if scenario is Scenario.RELABEL else spec.d_ab
     table = _engine(spec).table(scenario)
     assert table.shape == (
@@ -175,11 +277,27 @@ def test_outcome_table_rows_equal_state_vector_born_probabilities(spec, scenario
     for value in range(spec.values_per_particle):
         for basis in range(spec.basis_count):
             for bob_basis in range(spec.basis_count):
-                expected = _state_vector_probs(spec, scenario, value, basis, bob_basis)
-                np.testing.assert_allclose(
-                    _probs(spec, scenario, value, basis, bob_basis), expected, atol=1e-12
-                )
+                got = _probs(spec, scenario, value, basis, bob_basis)
+                expected = _paper_probs(spec, scenario, value, basis, bob_basis)
+                if scenario is Scenario.RELABEL:
+                    got, expected = _relabel_view(spec, got), _relabel_view(spec, expected)
+                np.testing.assert_allclose(got, expected, atol=1e-12)
                 assert table[value, basis, bob_basis, -1] == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
+@pytest.mark.parametrize("scenario", [Scenario.CONTROL, Scenario.CONVERSION], ids=lambda s: s.value)
+def test_outcome_table_rows_equal_oracle_born_rule(spec, scenario):
+    # |B_b^dagger B_a e_v|^2 from the oracle's literal bases, which share no
+    # code with the basis data that drives the engine.
+    bases = ORACLE_BASES[spec.name]
+    for value, basis, bob_basis in np.ndindex(
+        spec.values_per_particle, spec.basis_count, spec.basis_count
+    ):
+        expected = np.abs(bases[bob_basis].conj().T @ bases[basis][:, value]) ** 2
+        np.testing.assert_allclose(
+            _probs(spec, scenario, value, basis, bob_basis), expected, atol=1e-12
+        )
 
 
 class _FixedDraw:
