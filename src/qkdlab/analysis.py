@@ -11,6 +11,8 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .core import ContractError
 
 
@@ -18,30 +20,34 @@ class EmptySiftWarning(UserWarning):
     """Raised when a statistic is computed over an empty sifted key."""
 
 
-def _bits(key) -> str:
-    return key.bits if hasattr(key, "bits") else key
-
-
-def qber(alice, bob) -> Fraction:
-    """Differing-bit fraction between the two sifted keys (0 on empty keys)."""
-    a, b = _bits(alice), _bits(bob)
+def _bit_errors(a, b, bits_per_particle: int, what: str, statistic: str) -> tuple[int, int]:
+    """Differing and total bits of two per-particle value arrays; the
+    differing bits are the popcount of ``a ^ b``.  Warns on empty keys."""
+    if not 1 <= bits_per_particle <= 8:
+        raise ContractError(f"bits per particle must be 1..8, got {bits_per_particle}")
     if len(a) != len(b):
-        raise ContractError(f"sifted key lengths differ: {len(a)} vs {len(b)}")
-    if not a:
-        warnings.warn("QBER of an empty sifted key treated as 0", EmptySiftWarning)
-        return Fraction(0)
-    return Fraction(sum(x != y for x, y in zip(a, b)), len(a))
+        raise ContractError(
+            f"{what} lengths differ: {len(a) * bits_per_particle} vs {len(b) * bits_per_particle}"
+        )
+    if not len(a):
+        warnings.warn(f"{statistic} of an empty sifted key treated as 0", EmptySiftWarning)
+        return 0, 0
+    differing = int(np.count_nonzero(np.unpackbits((a ^ b).astype(np.uint8))))
+    return differing, len(a) * bits_per_particle
 
 
-def knowledge(eve_bits, reference) -> Fraction:
-    """Fraction of sifted positions where the eavesdropper's bit agrees."""
-    e, r = _bits(eve_bits), _bits(reference)
-    if len(e) != len(r):
-        raise ContractError(f"bit string lengths differ: {len(e)} vs {len(r)}")
-    if not r:
-        warnings.warn("knowledge of an empty sifted key treated as 0", EmptySiftWarning)
-        return Fraction(0)
-    return Fraction(sum(x == y for x, y in zip(e, r)), len(r))
+def qber(alice, bob, bits_per_particle: int) -> Fraction:
+    """Differing-bit fraction between the two sifted keys (0 on empty keys)."""
+    errors, total = _bit_errors(alice, bob, bits_per_particle, "sifted key", "QBER")
+    return Fraction(errors, total) if total else Fraction(0)
+
+
+def knowledge(eve_values, reference, bits_per_particle: int) -> Fraction:
+    """Fraction of sifted bits where the eavesdropper's bit agrees."""
+    errors, total = _bit_errors(
+        eve_values, reference, bits_per_particle, "bit string", "knowledge"
+    )
+    return Fraction(total - errors, total) if total else Fraction(0)
 
 
 def intercept_resend_error(spec) -> Fraction:

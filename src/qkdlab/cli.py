@@ -50,13 +50,6 @@ class RunConfig:
     seed: int
     fmt: str
 
-    def validate(self) -> None:
-        if self.protocol not in protocols.PROTOCOLS:
-            raise ConfigError(f"unknown protocol {self.protocol!r}")
-        if self.trials < 1:
-            raise ConfigError("trials must be at least 1")
-        protocols.validate_pairing(self.scenario, self.eve)
-
 
 def _default_seed() -> int:
     raw = os.environ.get(SEED_ENV)
@@ -68,12 +61,20 @@ def _default_seed() -> int:
         raise ConfigError(f"{SEED_ENV} must be an integer, got {raw!r}") from exc
 
 
-def _round(value) -> float:
-    return round(float(value), 4)
+def _round(value) -> float | None:
+    return None if value is None else round(float(value), 4)
 
 
-def _fraction_cell(value) -> float | None:
-    return None if value is None else _round(value)
+def _stats_cells(stats: analysis.AggregateStats) -> dict:
+    """The six rounded statistics columns of an aggregate row."""
+    return {
+        "key_size": _round(stats.mean_sifted_len),
+        "sift_fraction": _round(stats.mean_sift_fraction),
+        "qber": _round(stats.mean_qber),
+        "alice_knowledge": _round(stats.mean_knowledge_alice),
+        "bob_knowledge": _round(stats.mean_knowledge_bob),
+        "matches": _round(stats.match_rate),
+    }
 
 
 def build_document(config: RunConfig, results) -> dict:
@@ -84,8 +85,8 @@ def build_document(config: RunConfig, results) -> dict:
             "key_size": r.sifted_len,
             "sift_fraction": _round(r.sift_fraction),
             "qber": _round(r.qber),
-            "alice_knowledge": _fraction_cell(r.knowledge_alice),
-            "bob_knowledge": _fraction_cell(r.knowledge_bob),
+            "alice_knowledge": _round(r.knowledge_alice),
+            "bob_knowledge": _round(r.knowledge_bob),
             "matches": r.matches_control,
         }
         for r in results
@@ -103,15 +104,7 @@ def build_document(config: RunConfig, results) -> dict:
             "format": config.fmt,
         },
         "trials": trials,
-        "aggregate": {
-            "trials": stats.trials,
-            "key_size": _round(stats.mean_sifted_len),
-            "sift_fraction": _round(stats.mean_sift_fraction),
-            "qber": _round(stats.mean_qber),
-            "alice_knowledge": _fraction_cell(stats.mean_knowledge_alice),
-            "bob_knowledge": _fraction_cell(stats.mean_knowledge_bob),
-            "matches": _round(stats.match_rate),
-        },
+        "aggregate": {"trials": stats.trials, **_stats_cells(stats)},
     }
 
 
@@ -179,6 +172,13 @@ def render_json(doc: dict) -> str:
 _RENDERERS = {"table": render_table, "csv": render_csv, "json": render_json}
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Fail before any work when an output path's directory is missing."""
+    for out in paths:
+        if out is not None and not Path(out).parent.is_dir():
+            raise ConfigError(f"cannot write {out}: {Path(out).parent} is not a directory")
+
+
 def _emit(text: str, out: str | Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -199,7 +199,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         seed=args.seed if args.seed is not None else _default_seed(),
         fmt=args.format,
     )
-    config.validate()
+    _check_writable(args.out)
     results = protocols.run_experiment(
         protocols.PROTOCOLS[config.protocol],
         config.scenario,
@@ -215,6 +215,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_validate_gates(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
+    _check_writable(args.out, args.dump)
     rng = RandomSource(seed).stream(0, "gate-suite")
     checks = gates.validate_catalog(rng)
     failures = 0
@@ -257,17 +258,7 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
                 spec, scenario, eve, DEFAULT_TRIALS, DEFAULT_RAW_BITS, seed
             )
             stats = analysis.aggregate(results)
-            rows.append(
-                {
-                    "scenario": label,
-                    "key_size": _round(stats.mean_sifted_len),
-                    "sift_fraction": _round(stats.mean_sift_fraction),
-                    "qber": _round(stats.mean_qber),
-                    "alice_knowledge": _fraction_cell(stats.mean_knowledge_alice),
-                    "bob_knowledge": _fraction_cell(stats.mean_knowledge_bob),
-                    "matches": _round(stats.match_rate),
-                }
-            )
+            rows.append({"scenario": label, **_stats_cells(stats)})
             if eve is not protocols.EveModel.NONE:
                 qber_rows.append(
                     {"protocol": name, "scenario": label, "qber": _round(stats.mean_qber)}

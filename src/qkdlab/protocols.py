@@ -50,6 +50,13 @@ eve          standard eavesdropper only: ``integers(0, bases, particles)``
 The reference for the cross-scenario "matches" flag, the control run without
 an eavesdropper, reads the same alice, bob-basis and bob-measure uniforms, so
 it is sampled from them instead of being run again.
+
+Sifting and scoring
+-------------------
+A ``Transcript`` keeps the sampled arrays, read-only, one entry per particle.
+Sifting keeps whole particles measured in matching bases and returns their
+values; ``analysis.qber`` and ``analysis.knowledge`` count differing bits of
+those values directly.
 """
 
 from __future__ import annotations
@@ -85,9 +92,9 @@ PARTY_BOB_MEASURE = 2
 PARTY_EVE = 3
 
 # Upper bound on raw bits per trial.  A trial holds a few int64 and float64
-# arrays plus tuples and key strings per particle, so its memory grows
-# linearly with raw bits; at this bound a whole run peaks below 200 MB
-# resident, well under 1 GB.
+# arrays per particle, the largest being the gathered outcome-table rows, so
+# its memory grows linearly with raw bits; at this bound a one-trial run
+# peaks at 100-150 MB resident for the whole process, well under 1 GB.
 MAX_RAW_BITS = 1_000_000
 
 
@@ -121,25 +128,18 @@ class ProtocolSpec:
 
     @cached_property
     def bits_per_particle(self) -> int:
-        # Values are keyed as bit strings, so d_ab is a power of two.
+        # Key errors are counted in bits, so d_ab is a power of two.
         return self.d_ab.bit_length() - 1
 
     @property
     def d_e(self) -> int:
         return self.d_ab * self.basis_count
 
-    @property
-    def values_per_particle(self) -> int:
-        return 2**self.bits_per_particle
-
     def state_index(self, value: int, basis: int) -> int:
         return value * self.basis_count + basis
 
     def value_basis(self, index: int) -> tuple[int, int]:
         return divmod(index, self.basis_count)
-
-    def value_bits(self, value: int) -> str:
-        return format(value, f"0{self.bits_per_particle}b")
 
 
 BB84 = ProtocolSpec("bb84", ("rectilinear", "diagonal"))
@@ -167,7 +167,7 @@ class _Engine:
     def __init__(self, spec: ProtocolSpec):
         self.spec = spec
         bases, k, d_e = spec.bases, spec.basis_count, spec.d_e
-        pairs = list(np.ndindex(spec.values_per_particle, k))
+        pairs = list(np.ndindex(spec.d_ab, k))
         self.encode = {(v, a): bases[a][:, v] for v, a in pairs}
         self.decode = [basis.conj().T for basis in bases]
         self.hd_encode = {(v, a): basis_state(d_e, spec.state_index(v, a)) for v, a in pairs}
@@ -197,7 +197,7 @@ class _Engine:
         eavesdropper, who decodes in her guessed basis."""
         table = self._tables.get(scenario)
         if table is None:
-            values, bases = self.spec.values_per_particle, self.spec.basis_count
+            values, bases = self.spec.d_ab, self.spec.basis_count
             rows = []
             for index in np.ndindex(values, bases, bases):
                 p = self.born(scenario, *index)
@@ -242,51 +242,46 @@ def pack_values(spec: ProtocolSpec, bits: np.ndarray) -> np.ndarray:
     return chunks @ weights
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Transcript:
-    """Every random choice and measurement outcome of one trial.
+    """Every random choice and measurement outcome of one trial, one
+    read-only array entry per particle.
 
-    ``control_values`` are Bob's outcomes for the same draws in the control
-    scenario without an eavesdropper: the reference for cross-scenario
-    matches.
+    ``kept`` is the mask ``alice_bases == bob_bases``.  ``control_values`` are
+    Bob's outcomes for the same draws in the control scenario without an
+    eavesdropper: the reference for cross-scenario matches.
     """
 
     spec: ProtocolSpec
     scenario: Scenario
     eve: EveModel
-    alice_values: tuple[int, ...]
-    alice_bases: tuple[int, ...]
-    eve_values: tuple[int, ...] | None
-    eve_bases: tuple[int, ...] | None
-    bob_bases: tuple[int, ...]
-    bob_values: tuple[int, ...]
-    kept: tuple[bool, ...]
-    control_values: tuple[int, ...]
+    alice_values: np.ndarray
+    alice_bases: np.ndarray
+    eve_values: np.ndarray | None
+    eve_bases: np.ndarray | None
+    bob_bases: np.ndarray
+    bob_values: np.ndarray
+    kept: np.ndarray
+    control_values: np.ndarray
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class SiftedKey:
-    bits: str
-    positions: tuple[int, ...]
-
-
-def sift(spec: ProtocolSpec, transcript: Transcript):
+def sift(transcript: Transcript):
     """Keep whole particles measured in matching bases.
 
-    Returns Alice's and Bob's sifted keys plus the eavesdropper's bits aligned
-    to the kept positions (None without an eavesdropper).  Multi-bit particles
-    are kept or discarded as whole chunks.
+    Returns Alice's, Bob's and the eavesdropper's values at the kept
+    particles (the eavesdropper's is None without one).
     """
-    positions = tuple(i for i, keep in enumerate(transcript.kept) if keep)
-    words = [spec.value_bits(v) for v in range(spec.values_per_particle)]
-
-    def bits(values) -> str:
-        return "".join([words[values[i]] for i in positions])
-
-    alice = bits(transcript.alice_values)
-    bob = bits(transcript.bob_values)
-    eve = None if transcript.eve_values is None else bits(transcript.eve_values)
-    return SiftedKey(alice, positions), SiftedKey(bob, positions), eve
+    kept, eve = transcript.kept, transcript.eve_values
+    return (
+        transcript.alice_values[kept],
+        transcript.bob_values[kept],
+        None if eve is None else eve[kept],
+    )
 
 
 def run_trial(
@@ -341,25 +336,20 @@ def run_trial(
             # off-basis outcome, replaced by random value bits.
             bob_values, flags = np.divmod(bob_values, spec.basis_count)
             off = flags != 0
-            bob_values[off] = bob_rng.integers(
-                spec.values_per_particle, size=int(np.count_nonzero(off))
-            )
-
-    def ints(values):
-        return None if values is None else tuple(values.tolist())
+            bob_values[off] = bob_rng.integers(spec.d_ab, size=int(np.count_nonzero(off)))
 
     return Transcript(
         spec=spec,
         scenario=scenario,
         eve=eve,
-        alice_values=ints(alice_values),
-        alice_bases=ints(alice_bases),
-        eve_values=ints(eve_values),
-        eve_bases=ints(eve_bases),
-        bob_bases=ints(bob_bases),
-        bob_values=ints(bob_values),
-        kept=tuple((alice_bases == bob_bases).tolist()),
-        control_values=ints(control_values),
+        alice_values=alice_values,
+        alice_bases=alice_bases,
+        eve_values=eve_values,
+        eve_bases=eve_bases,
+        bob_bases=bob_bases,
+        bob_values=bob_values,
+        kept=alice_bases == bob_bases,
+        control_values=control_values,
     )
 
 
@@ -378,27 +368,26 @@ def run_experiment(
     each transcript carries it as ``control_values``.
     """
     if trials < 1:
-        raise ConfigError("trial count must be at least 1")
+        raise ConfigError("trials must be at least 1")
+    bits = spec.bits_per_particle
     results = []
     for trial in range(trials):
         transcript = run_trial(spec, scenario, eve, raw_bits, seed, trial)
-        alice_key, bob_key, eve_bits = sift(spec, transcript)
-        positions = alice_key.positions
+        alice, bob, eve_values = sift(transcript)
         results.append(
             analysis.TrialResult(
                 trial=trial,
                 raw_len=raw_bits,
-                sifted_len=len(alice_key.bits),
-                qber=analysis.qber(alice_key, bob_key),
+                sifted_len=len(alice) * bits,
+                qber=analysis.qber(alice, bob, bits),
                 knowledge_alice=(
-                    None if eve_bits is None else analysis.knowledge(eve_bits, alice_key)
+                    None if eve_values is None else analysis.knowledge(eve_values, alice, bits)
                 ),
                 knowledge_bob=(
-                    None if eve_bits is None else analysis.knowledge(eve_bits, bob_key)
+                    None if eve_values is None else analysis.knowledge(eve_values, bob, bits)
                 ),
-                matches_control=all(
-                    transcript.bob_values[i] == transcript.control_values[i]
-                    for i in positions
+                matches_control=np.array_equal(
+                    bob, transcript.control_values[transcript.kept]
                 ),
             )
         )

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qkdlab.analysis import (
@@ -13,53 +14,68 @@ from qkdlab.analysis import (
     qber,
 )
 from qkdlab.core import ContractError
-from qkdlab.protocols import BB84, HDBB84, SSP, SiftedKey
+from qkdlab.protocols import BB84, HDBB84, SSP
 
 from oracle import intercept_resend_symbol_error
 
 
 def _key(bits):
-    return SiftedKey(bits, tuple(range(len(bits))))
+    """One-bit values, one per character of ``bits``."""
+    return np.array([int(bit) for bit in bits], dtype=np.int64)
 
 
 def test_qber_identical_keys():
-    assert qber(_key("010101"), _key("010101")) == 0
+    assert qber(_key("010101"), _key("010101"), 1) == 0
 
 
 def test_qber_complementary_keys():
-    assert qber(_key("0000"), _key("1111")) == 1
+    assert qber(_key("0000"), _key("1111"), 1) == 1
 
 
 def test_qber_counts_hamming_fraction():
-    assert qber(_key("0011"), _key("0010")) == Fraction(1, 4)
+    assert qber(_key("0011"), _key("0010"), 1) == Fraction(1, 4)
+
+
+def test_qber_counts_bits_of_multi_bit_values():
+    # 0b11 vs 0b10 differ in one of two bits; 0b01 vs 0b10 in both.
+    assert qber(np.array([0b11]), np.array([0b10]), 2) == Fraction(1, 2)
+    assert qber(np.array([0b11, 0b01]), np.array([0b10, 0b10]), 2) == Fraction(3, 4)
+    assert knowledge(np.array([0b11]), np.array([0b10]), 2) == Fraction(1, 2)
 
 
 def test_qber_is_symmetric():
     a, b = _key("001101"), _key("101001")
-    assert qber(a, b) == qber(b, a)
+    assert qber(a, b, 1) == qber(b, a, 1)
 
 
 def test_qber_rejects_length_mismatch():
-    with pytest.raises(ContractError):
-        qber(_key("01"), _key("010"))
+    with pytest.raises(ContractError, match="2 vs 3"):
+        qber(_key("01"), _key("010"), 1)
+    with pytest.raises(ContractError, match="4 vs 6"):
+        qber(np.array([0, 1]), np.array([0, 1, 2]), 2)
+
+
+def test_qber_rejects_unsupported_value_width():
+    with pytest.raises(ContractError, match="bits per particle"):
+        qber(_key("01"), _key("01"), 9)
 
 
 def test_qber_empty_keys_warn_and_return_zero():
     with pytest.warns(EmptySiftWarning):
-        assert qber(_key(""), _key("")) == 0
+        assert qber(_key(""), _key(""), 1) == 0
 
 
 def test_knowledge_full_agreement():
-    assert knowledge("0110", _key("0110")) == 1
+    assert knowledge(_key("0110"), _key("0110"), 1) == 1
 
 
 def test_knowledge_no_agreement():
-    assert knowledge("1111", _key("0000")) == 0
+    assert knowledge(_key("1111"), _key("0000"), 1) == 0
 
 
 def test_knowledge_empty_reference_warns():
     with pytest.warns(EmptySiftWarning):
-        assert knowledge("", _key("")) == 0
+        assert knowledge(_key(""), _key(""), 1) == 0
 
 
 def test_detection_probability_spot_values():

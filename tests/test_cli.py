@@ -207,3 +207,27 @@ def test_unwritable_output_path_is_a_config_error(tmp_path, capsys, argv):
     assert code == cli.EXIT_CONFIG
     assert err.startswith("error: cannot ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--protocol", "bb84", "--out", "{missing}/doc.json"],
+        ["validate-gates", "--out", "{missing}/report.txt"],
+        ["validate-gates", "--dump", "{file}/catalog.json"],
+    ],
+    ids=["run-out", "validate-gates-out", "validate-gates-dump"],
+)
+def test_unwritable_output_path_fails_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    monkeypatch.setattr(cli.protocols, "run_experiment", no_work)
+    monkeypatch.setattr(cli.gates, "validate_catalog", no_work)
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    paths = {"missing": tmp_path / "no-such-dir", "file": a_file}
+    code, out, err = _run(capsys, [arg.format(**paths) for arg in argv])
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("error: cannot write ")

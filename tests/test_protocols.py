@@ -1,3 +1,4 @@
+from dataclasses import fields
 from typing import NamedTuple
 
 import numpy as np
@@ -142,7 +143,7 @@ def test_eavesdropper_dimension_rule():
 def test_state_index_round_trips():
     for spec in ALL_SPECS:
         seen = set()
-        for value in range(spec.values_per_particle):
+        for value in range(spec.d_ab):
             for basis in range(spec.basis_count):
                 index = spec.state_index(value, basis)
                 assert spec.value_basis(index) == (value, basis)
@@ -216,7 +217,7 @@ def test_encode_control_examples():
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
 def test_hd_encoding_lands_on_indexed_basis_state(spec):
     hd_encode = _engine(spec).hd_encode
-    for value in range(spec.values_per_particle):
+    for value in range(spec.d_ab):
         for basis in range(spec.basis_count):
             expected = basis_state(spec.d_e, spec.state_index(value, basis))
             np.testing.assert_array_equal(hd_encode[value, basis], expected)
@@ -272,9 +273,9 @@ def test_outcome_table_rows_equal_state_vector_born_probabilities(spec, scenario
     dim = spec.d_e if scenario is Scenario.RELABEL else spec.d_ab
     table = _engine(spec).table(scenario)
     assert table.shape == (
-        spec.values_per_particle, spec.basis_count, spec.basis_count, dim
+        spec.d_ab, spec.basis_count, spec.basis_count, dim
     )
-    for value in range(spec.values_per_particle):
+    for value in range(spec.d_ab):
         for basis in range(spec.basis_count):
             for bob_basis in range(spec.basis_count):
                 got = _probs(spec, scenario, value, basis, bob_basis)
@@ -292,7 +293,7 @@ def test_outcome_table_rows_equal_oracle_born_rule(spec, scenario):
     # code with the basis data that drives the engine.
     bases = ORACLE_BASES[spec.name]
     for value, basis, bob_basis in np.ndindex(
-        spec.values_per_particle, spec.basis_count, spec.basis_count
+        spec.d_ab, spec.basis_count, spec.basis_count
     ):
         expected = np.abs(bases[bob_basis].conj().T @ bases[basis][:, value]) ** 2
         np.testing.assert_allclose(
@@ -335,7 +336,7 @@ def test_standard_eve_is_transparent_when_bases_match():
     # Decoding in Alice's basis reads her value with certainty, and the resent
     # state is the one Alice sent.
     for spec in ALL_SPECS:
-        for value in range(spec.values_per_particle):
+        for value in range(spec.d_ab):
             for basis in range(spec.basis_count):
                 np.testing.assert_allclose(
                     _probs(spec, Scenario.CONTROL, value, basis, basis),
@@ -375,11 +376,11 @@ def test_hd_eve_reads_state_and_resends_it():
         for scenario in (Scenario.CONVERSION, Scenario.RELABEL):
             tapped = run_trial(spec, scenario, EveModel.HD, 200, SEED)
             clean = run_trial(spec, scenario, EveModel.NONE, 200, SEED)
-            assert tapped.eve_values == tapped.alice_values
-            assert tapped.eve_bases == tapped.alice_bases
+            assert np.array_equal(tapped.eve_values, tapped.alice_values)
+            assert np.array_equal(tapped.eve_bases, tapped.alice_bases)
             # The resent state is unchanged, so Bob sees exactly what he sees
             # without the tap, off-basis outcomes included.
-            assert tapped.bob_values == clean.bob_values
+            assert np.array_equal(tapped.bob_values, clean.bob_values)
 
 
 # --- bob --------------------------------------------------------------------------------
@@ -387,7 +388,7 @@ def test_hd_eve_reads_state_and_resends_it():
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
 def test_bob_control_decode_matching_basis_is_exact(spec):
-    for value in range(spec.values_per_particle):
+    for value in range(spec.d_ab):
         for basis in range(spec.basis_count):
             np.testing.assert_allclose(
                 _probs(spec, Scenario.CONTROL, value, basis, basis),
@@ -402,7 +403,7 @@ def test_bob_control_decode_mismatched_basis_is_uniform():
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
 def test_bob_scenario1_matching_basis_is_exact(spec):
-    for value in range(spec.values_per_particle):
+    for value in range(spec.d_ab):
         for basis in range(spec.basis_count):
             np.testing.assert_allclose(
                 _probs(spec, Scenario.CONVERSION, value, basis, basis),
@@ -422,7 +423,7 @@ def test_bob_scenario1_mismatched_basis_is_uniform():
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
 def test_bob_scenario2_matching_basis_is_exact(spec):
     # In Bob's basis the outcome has basis flag 0 and carries the value.
-    for value in range(spec.values_per_particle):
+    for value in range(spec.d_ab):
         for basis in range(spec.basis_count):
             np.testing.assert_allclose(
                 _probs(spec, Scenario.RELABEL, value, basis, basis),
@@ -443,7 +444,7 @@ def test_bob_scenario2_concrete_relabel_rows():
     np.testing.assert_allclose(_probs(SSP, Scenario.RELABEL, 1, 2, 2), _delta(6, 3), atol=1e-12)
     # Off-basis outcomes are always relabelled as random bits.
     for spec in ALL_SPECS:
-        for value in range(spec.values_per_particle):
+        for value in range(spec.d_ab):
             for basis in range(spec.basis_count):
                 for bob_basis in range(spec.basis_count):
                     if bob_basis != basis:
@@ -452,7 +453,7 @@ def test_bob_scenario2_concrete_relabel_rows():
 
 def test_bob_scenario2_off_basis_hdbb84_draws_two_bits():
     transcript = run_trial(HDBB84, Scenario.RELABEL, EveModel.NONE, 8000, SEED)
-    off = [v for v, keep in zip(transcript.bob_values, transcript.kept) if not keep]
+    off = transcript.bob_values[~transcript.kept]
     counts = np.bincount(off, minlength=4) / len(off)
     np.testing.assert_allclose(counts, 0.25, atol=0.03)
 
@@ -462,59 +463,61 @@ def test_bob_scenario2_off_basis_hdbb84_draws_two_bits():
 
 def _forced_transcript(bob_bases):
     n = len(bob_bases)
-    alice_bases = (0,) * n
+    alice_bases = np.zeros(n, dtype=np.int64)
+    bob_bases = np.array(bob_bases, dtype=np.int64)
     return Transcript(
         spec=BB84,
         scenario=Scenario.CONTROL,
         eve=EveModel.NONE,
-        alice_values=(1,) * n,
+        alice_values=np.ones(n, dtype=np.int64),
         alice_bases=alice_bases,
         eve_values=None,
         eve_bases=None,
         bob_bases=bob_bases,
-        bob_values=(1,) * n,
-        kept=tuple(a == b for a, b in zip(alice_bases, bob_bases)),
-        control_values=(1,) * n,
+        bob_values=np.ones(n, dtype=np.int64),
+        kept=alice_bases == bob_bases,
+        control_values=np.ones(n, dtype=np.int64),
     )
 
 
 def test_sift_all_bases_equal_keeps_everything():
-    alice, bob, _ = sift(BB84, _forced_transcript((0,) * 6))
-    assert len(alice.bits) == 6
-    assert alice.positions == tuple(range(6))
-    assert alice.bits == bob.bits == "111111"
+    alice, bob, _ = sift(_forced_transcript((0,) * 6))
+    assert len(alice) == 6
+    assert np.array_equal(alice, [1] * 6)
+    assert np.array_equal(bob, [1] * 6)
 
 
 def test_sift_all_bases_different_keeps_nothing():
-    alice, bob, _ = sift(BB84, _forced_transcript((1,) * 6))
-    assert alice.bits == bob.bits == ""
-    assert alice.positions == ()
+    alice, bob, _ = sift(_forced_transcript((1,) * 6))
+    assert len(alice) == len(bob) == 0
 
 
 def test_sift_keeps_only_matching_bases():
     transcript = run_trial(BB84, Scenario.CONTROL, EveModel.NONE, 200, SEED)
-    alice, bob, eve = sift(BB84, transcript)
+    alice, bob, eve = sift(transcript)
     assert eve is None
-    kept = [i for i, k in enumerate(transcript.kept) if k]
-    assert list(alice.positions) == kept
-    assert len(alice.bits) == len(kept)
-    assert alice.bits == bob.bits
+    pairs = zip(transcript.alice_bases, transcript.bob_bases)
+    kept = [i for i, (a, b) in enumerate(pairs) if a == b]
+    assert np.array_equal(transcript.kept.nonzero()[0], kept)
+    assert np.array_equal(alice, transcript.alice_values[kept])
+    assert np.array_equal(alice, bob)
 
 
 def test_sift_discards_two_bit_chunks():
     transcript = run_trial(HDBB84, Scenario.CONTROL, EveModel.NONE, 200, SEED)
-    alice, bob, _ = sift(HDBB84, transcript)
-    kept = sum(transcript.kept)
-    assert len(alice.bits) == 2 * kept
-    assert alice.bits == bob.bits
+    alice, bob, _ = sift(transcript)
+    # Whole two-bit values are kept or dropped together.
+    assert len(alice) == np.count_nonzero(transcript.kept)
+    assert set(alice.tolist()) == {0, 1, 2, 3}
+    assert np.array_equal(alice, bob)
 
 
 def test_mean_sifted_length_near_half_raw():
     lengths = []
     for trial in range(25):
         transcript = run_trial(BB84, Scenario.CONTROL, EveModel.NONE, 200, SEED, trial)
-        alice, _, _ = sift(BB84, transcript)
-        lengths.append(len(alice.bits))
+        alice, _, _ = sift(transcript)
+        lengths.append(len(alice))
     assert abs(np.mean(lengths) - 100) <= 10
 
 
@@ -523,16 +526,16 @@ def test_mean_sifted_length_near_half_raw():
 
 def test_run_trial_control_without_eve_is_error_free():
     transcript = run_trial(BB84, Scenario.CONTROL, EveModel.NONE, 200, SEED)
-    alice, bob, _ = sift(BB84, transcript)
-    assert analysis.qber(alice, bob) == 0
+    alice, bob, _ = sift(transcript)
+    assert analysis.qber(alice, bob, 1) == 0
 
 
 def test_run_trial_relabel_with_hd_eve_is_invisible_and_fully_known():
     transcript = run_trial(SSP, Scenario.RELABEL, EveModel.HD, 200, SEED)
-    alice, bob, eve = sift(SSP, transcript)
-    assert analysis.qber(alice, bob) == 0
-    assert analysis.knowledge(eve, alice) == 1
-    assert analysis.knowledge(eve, bob) == 1
+    alice, bob, eve = sift(transcript)
+    assert analysis.qber(alice, bob, 1) == 0
+    assert analysis.knowledge(eve, alice, 1) == 1
+    assert analysis.knowledge(eve, bob, 1) == 1
 
 
 def test_run_trial_rejects_invalid_pairing():
@@ -543,7 +546,23 @@ def test_run_trial_rejects_invalid_pairing():
 def test_run_trial_is_deterministic():
     first = run_trial(SSP, Scenario.CONTROL, EveModel.STANDARD, 200, SEED)
     second = run_trial(SSP, Scenario.CONTROL, EveModel.STANDARD, 200, SEED)
-    assert first == second
+    for field in fields(Transcript):
+        a, b = getattr(first, field.name), getattr(second, field.name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+@pytest.mark.parametrize("eve", [EveModel.NONE, EveModel.HD], ids=lambda e: e.value)
+def test_transcript_arrays_are_read_only(eve):
+    transcript = run_trial(HDBB84, Scenario.RELABEL, eve, 200, SEED)
+    arrays = [getattr(transcript, f.name) for f in fields(Transcript)]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert len(arrays) == (8 if eve is EveModel.HD else 6)
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
@@ -551,9 +570,10 @@ def test_scenarios_share_sifted_keys_without_eve(spec):
     keys = []
     for scenario in Scenario:
         transcript = run_trial(spec, scenario, EveModel.NONE, 200, SEED, trial=3)
-        _, bob, _ = sift(spec, transcript)
-        keys.append(bob.bits)
-    assert keys[0] == keys[1] == keys[2]
+        _, bob, _ = sift(transcript)
+        keys.append(bob)
+    assert np.array_equal(keys[0], keys[1])
+    assert np.array_equal(keys[0], keys[2])
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
@@ -565,15 +585,15 @@ def test_control_reference_equals_separate_control_run(spec):
         (Scenario.RELABEL, EveModel.HD),
     ):
         transcript = run_trial(spec, scenario, eve, 200, SEED, trial=4)
-        assert transcript.control_values == reference.bob_values
+        assert np.array_equal(transcript.control_values, reference.bob_values)
 
 
 def test_alice_randomness_is_scenario_independent():
     control = run_trial(BB84, Scenario.CONTROL, EveModel.STANDARD, 200, SEED)
     relabel = run_trial(BB84, Scenario.RELABEL, EveModel.HD, 200, SEED)
-    assert control.alice_values == relabel.alice_values
-    assert control.alice_bases == relabel.alice_bases
-    assert control.bob_bases == relabel.bob_bases
+    assert np.array_equal(control.alice_values, relabel.alice_values)
+    assert np.array_equal(control.alice_bases, relabel.alice_bases)
+    assert np.array_equal(control.bob_bases, relabel.bob_bases)
 
 
 # --- experiment-level statistics ----------------------------------------------------------
