@@ -12,7 +12,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, analysis, gates, protocols
@@ -40,25 +39,17 @@ GRID_ROWS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    protocol: str
-    scenario: protocols.Scenario
-    eve: protocols.EveModel
-    trials: int
-    raw_bits: int
-    seed: int
-    fmt: str
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV)
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{SEED_ENV} must be an integer, got {raw!r}") from exc
+def _resolve_seed(seed: int | None) -> int:
+    """The ``--seed`` value, else ``QKDLAB_SEED``, else ``DEFAULT_SEED``;
+    a negative seed is a ``ConfigError``."""
+    if seed is None:
+        raw = os.environ.get(SEED_ENV)
+        try:
+            seed = DEFAULT_SEED if raw is None else int(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{SEED_ENV} must be an integer, got {raw!r}") from exc
+    RandomSource(seed)  # raises ConfigError for a negative seed
+    return seed
 
 
 def _round(value) -> float | None:
@@ -77,7 +68,7 @@ def _stats_cells(stats: analysis.AggregateStats) -> dict:
     }
 
 
-def build_document(config: RunConfig, results) -> dict:
+def build_document(config: dict, results) -> dict:
     stats = analysis.aggregate(results)
     trials = [
         {
@@ -94,15 +85,7 @@ def build_document(config: RunConfig, results) -> dict:
     return {
         "artifact_version": __version__,
         "catalog_fingerprint": gates.catalog_fingerprint(),
-        "config": {
-            "protocol": config.protocol,
-            "scenario": config.scenario.value,
-            "eve": config.eve.value,
-            "trials": config.trials,
-            "raw_bits": config.raw_bits,
-            "seed": config.seed,
-            "format": config.fmt,
-        },
+        "config": config,
         "trials": trials,
         "aggregate": {"trials": stats.trials, **_stats_cells(stats)},
     }
@@ -190,33 +173,32 @@ def _emit(text: str, out: str | Path | None) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        protocol=args.protocol,
-        scenario=protocols.Scenario(args.scenario),
-        eve=protocols.EveModel(args.eve),
-        trials=args.trials,
-        raw_bits=args.raw_bits,
-        seed=args.seed if args.seed is not None else _default_seed(),
-        fmt=args.format,
-    )
     _check_writable(args.out)
     results = protocols.run_experiment(
-        protocols.PROTOCOLS[config.protocol],
-        config.scenario,
-        config.eve,
-        config.trials,
-        config.raw_bits,
-        config.seed,
+        protocols.PROTOCOLS[args.protocol],
+        protocols.Scenario(args.scenario),
+        protocols.EveModel(args.eve),
+        args.trials,
+        args.raw_bits,
+        args.seed,
     )
+    config = {
+        "protocol": args.protocol,
+        "scenario": args.scenario,
+        "eve": args.eve,
+        "trials": args.trials,
+        "raw_bits": args.raw_bits,
+        "seed": args.seed,
+        "format": args.format,
+    }
     doc = build_document(config, results)
-    _emit(_RENDERERS[config.fmt](doc), args.out)
+    _emit(_RENDERERS[args.format](doc), args.out)
     return EXIT_OK
 
 
 def cmd_validate_gates(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     _check_writable(args.out, args.dump)
-    rng = RandomSource(seed).stream(0, "gate-suite")
+    rng = RandomSource(args.seed).stream(0, "gate-suite")
     checks = gates.validate_catalog(rng)
     failures = 0
     lines = []
@@ -244,7 +226,6 @@ _TABLE_FIELDS = (
 
 
 def cmd_reproduce_paper(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -255,7 +236,7 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
         rows = []
         for label, scenario, eve in GRID_ROWS:
             results = protocols.run_experiment(
-                spec, scenario, eve, DEFAULT_TRIALS, DEFAULT_RAW_BITS, seed
+                spec, scenario, eve, DEFAULT_TRIALS, DEFAULT_RAW_BITS, args.seed
             )
             stats = analysis.aggregate(results)
             rows.append({"scenario": label, **_stats_cells(stats)})
@@ -325,6 +306,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Resolved and checked before any command writes or creates anything.
+        if "seed" in vars(args):
+            args.seed = _resolve_seed(args.seed)
         return args.func(args)
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -48,10 +48,6 @@ def basis_state(dim: int, k: int) -> np.ndarray:
     return state
 
 
-def is_normalized(state: np.ndarray, tol: float = ATOL) -> bool:
-    return abs(float(np.sum(np.abs(state) ** 2)) - 1.0) <= tol
-
-
 def is_unitary(matrix: np.ndarray, tol: float = ATOL) -> bool:
     """Check U†U = I elementwise within tol."""
     matrix = np.asarray(matrix)
@@ -59,25 +55,6 @@ def is_unitary(matrix: np.ndarray, tol: float = ATOL) -> bool:
         return False
     gram = matrix.conj().T @ matrix
     return bool(np.max(np.abs(gram - np.eye(matrix.shape[0]))) <= tol)
-
-
-def apply(gate: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Apply a unitary to a state vector of matching dimension.
-
-    Raises ContractError on a dimension mismatch and ValidationError if the
-    matrix is not unitary within 1e-9.
-    """
-    gate = np.asarray(gate, dtype=np.complex128)
-    state = np.asarray(state, dtype=np.complex128)
-    if gate.ndim != 2 or gate.shape[0] != gate.shape[1]:
-        raise ContractError(f"gate must be square, got shape {gate.shape}")
-    if gate.shape[0] != state.shape[0]:
-        raise ContractError(
-            f"gate dimension {gate.shape[0]} != state dimension {state.shape[0]}"
-        )
-    if not is_unitary(gate):
-        raise ValidationError("gate failed the unitarity check")
-    return gate @ state
 
 
 def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = ATOL) -> bool:
@@ -113,10 +90,6 @@ class Register:
             raise ContractError(
                 f"state dimension {self.state.shape} != product of slots {expected}"
             )
-
-    @property
-    def dim(self) -> int:
-        return math.prod(self.slots)
 
 
 def product_register(slot_states: list[np.ndarray] | tuple[np.ndarray, ...]) -> Register:
@@ -172,52 +145,6 @@ def embed(
         reg = Register(tuple(slot_dims), basis_state(dim, k))
         columns[:, k] = apply_to_slot(gate, reg, slots).state
     return columns
-
-
-def _sample(probabilities: np.ndarray, rng: np.random.Generator) -> int:
-    total = float(probabilities.sum())
-    # Renormalizing keeps deterministic outcomes exact despite float residue.
-    cumulative = np.cumsum(probabilities / total)
-    outcome = int(np.searchsorted(cumulative, rng.random(), side="right"))
-    return min(outcome, len(probabilities) - 1)
-
-
-def measure(
-    state: np.ndarray, rng: np.random.Generator
-) -> tuple[int, np.ndarray]:
-    """Projective computational-basis measurement of a full state vector.
-
-    Samples outcome k with probability |amplitude_k|^2 and returns the
-    outcome together with the collapsed basis state.
-    """
-    state = np.asarray(state, dtype=np.complex128)
-    if not is_normalized(state):
-        raise ValidationError("state is not normalized")
-    probabilities = np.abs(state) ** 2
-    outcome = _sample(probabilities, rng)
-    return outcome, basis_state(len(state), outcome)
-
-
-def measure_slot(
-    reg: Register, slot: int, rng: np.random.Generator
-) -> tuple[int, Register]:
-    """Measure a single slot of a register in its computational basis.
-
-    The outcome distribution is the marginal over all other slots; the
-    register collapses onto the measured outcome and is renormalized.
-    """
-    if not 0 <= slot < len(reg.slots):
-        raise ContractError(f"slot {slot} out of range for {reg.slots}")
-    if not is_normalized(reg.state):
-        raise ValidationError("register state is not normalized")
-    psi = np.moveaxis(reg.state.reshape(reg.slots), slot, 0)
-    marginals = np.sum(np.abs(psi) ** 2, axis=tuple(range(1, psi.ndim)))
-    outcome = _sample(marginals, rng)
-    collapsed = np.zeros_like(psi)
-    collapsed[outcome] = psi[outcome]
-    collapsed /= np.linalg.norm(collapsed)
-    collapsed = np.moveaxis(collapsed, 0, slot).reshape(-1)
-    return outcome, Register(reg.slots, np.ascontiguousarray(collapsed))
 
 
 def _party_code(party: int | str) -> int:

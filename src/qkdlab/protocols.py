@@ -31,8 +31,8 @@ most 8 dimensions, so each scenario reduces to an exact table: row
 outcome, computed once per protocol through the state-vector code (the
 encode and decode matrices, the relabel permutations, and the conversion
 circuit via ``apply_to_slot`` for conv).  A trial samples all of its
-particles at once by inverse CDF, which picks the same outcome as
-``core._sample`` would for the same uniform.
+particles at once by inverse CDF: a uniform draw u picks the first outcome
+whose cumulative probability exceeds u.
 
 Stream layout v2
 ----------------
@@ -159,65 +159,44 @@ def validate_pairing(scenario: Scenario, eve: EveModel) -> None:
         raise ConfigError("a high-dimensional eavesdropper needs the conv or relabel scenario")
 
 
-class _Engine:
-    """Per-protocol cache of encode states, decode matrices and the
-    cumulative outcome tables sampled by every trial, all derived from the
-    protocol's bases."""
-
-    def __init__(self, spec: ProtocolSpec):
-        self.spec = spec
-        bases, k, d_e = spec.bases, spec.basis_count, spec.d_e
-        pairs = list(np.ndindex(spec.d_ab, k))
-        self.encode = {(v, a): bases[a][:, v] for v, a in pairs}
-        self.decode = [basis.conj().T for basis in bases]
-        self.hd_encode = {(v, a): basis_state(d_e, spec.state_index(v, a)) for v, a in pairs}
-        # Bob's relabel gate for basis b sends |v * k + a> to
-        # |v * k + (a - b) mod k>: digit 0 marks an outcome in his basis.
-        values, digits = np.divmod(np.arange(d_e), k)
-        identity = np.eye(d_e, dtype=np.complex128)
-        self.hd_decode = [identity[:, values * k + (digits - b) % k] for b in range(k)]
-        self.conversion = gates.conversion_gate(spec.name)
-        self._tables: dict[Scenario, np.ndarray] = {}
-
-    def born(self, scenario: Scenario, value: int, basis: int, bob_basis: int) -> np.ndarray:
-        """Bob's outcome probabilities for one (value, basis) channel state."""
+@lru_cache(maxsize=None)
+def outcome_table(spec: ProtocolSpec, scenario: Scenario) -> np.ndarray:
+    """Cumulative outcome table [value, alice_basis, bob_basis, outcome],
+    read-only: each row is the Born distribution of Bob's outcome for one
+    (value, basis) channel state.  The control table also serves the standard
+    eavesdropper, who decodes in her guessed basis."""
+    scenario = Scenario(scenario)
+    bases, k, d_e = spec.bases, spec.basis_count, spec.d_e
+    rows = []
+    for value, basis, bob_basis in np.ndindex(spec.d_ab, k, k):
+        decode = bases[bob_basis].conj().T
         if scenario is Scenario.CONTROL:
-            return np.abs(self.decode[bob_basis] @ self.encode[value, basis]) ** 2
-        if scenario is Scenario.RELABEL:
-            return np.abs(self.hd_decode[bob_basis] @ self.hd_encode[value, basis]) ** 2
-        conv = self.conversion
-        reg = conv.apply(conv.input_register(self.spec.state_index(value, basis)))
-        reg = apply_to_slot(self.decode[bob_basis], reg, conv.output_slot)
-        psi = np.moveaxis(reg.state.reshape(conv.slots), conv.output_slot, 0)
-        return np.sum(np.abs(psi) ** 2, axis=tuple(range(1, psi.ndim)))
-
-    def table(self, scenario: Scenario) -> np.ndarray:
-        """Cumulative outcome table [value, alice_basis, bob_basis, outcome],
-        built on first use.  The control table also serves the standard
-        eavesdropper, who decodes in her guessed basis."""
-        table = self._tables.get(scenario)
-        if table is None:
-            values, bases = self.spec.d_ab, self.spec.basis_count
-            rows = []
-            for index in np.ndindex(values, bases, bases):
-                p = self.born(scenario, *index)
-                # Renormalizing keeps deterministic outcomes exact despite
-                # float residue, as core._sample does.
-                rows.append(np.cumsum(p / float(p.sum())))
-            table = np.array(rows).reshape(values, bases, bases, -1)
-            self._tables[scenario] = table
-        return table
+            p = np.abs(decode @ bases[basis][:, value]) ** 2
+        elif scenario is Scenario.RELABEL:
+            # Bob's relabel gate for basis b sends |v * k + a> to
+            # |v * k + (a - b) mod k>: digit 0 marks an outcome in his basis.
+            pairs = np.ndindex(spec.d_ab, k)
+            targets = [spec.state_index(v, (a - bob_basis) % k) for v, a in pairs]
+            relabel = np.eye(d_e, dtype=np.complex128)[:, targets]
+            p = np.abs(relabel @ basis_state(d_e, spec.state_index(value, basis))) ** 2
+        else:
+            conv = gates.conversion_gate(spec.name)
+            reg = conv.apply(conv.input_register(spec.state_index(value, basis)))
+            reg = apply_to_slot(decode, reg, conv.output_slot)
+            psi = np.moveaxis(reg.state.reshape(conv.slots), conv.output_slot, 0)
+            p = np.sum(np.abs(psi) ** 2, axis=tuple(range(1, psi.ndim)))
+        # Renormalizing keeps deterministic outcomes exact despite float residue.
+        rows.append(np.cumsum(p / float(p.sum())))
+    table = np.array(rows).reshape(spec.d_ab, k, k, -1)
+    table.setflags(write=False)
+    return table
 
 
 def _sample_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF sample of one outcome per row of ``cdf`` from uniforms
-    ``u``; for each row it picks what ``core._sample`` picks for that draw."""
+    ``u``: the number of cumulative entries at or below each draw, clamped
+    to the last outcome."""
     return np.minimum((u[:, None] >= cdf).sum(-1), cdf.shape[-1] - 1)
-
-
-@lru_cache(maxsize=None)
-def _engine(spec: ProtocolSpec) -> _Engine:
-    return _Engine(spec)
 
 
 def alice_draws(
@@ -299,7 +278,6 @@ def run_trial(
     """
     scenario, eve = Scenario(scenario), EveModel(eve)
     validate_pairing(scenario, eve)
-    engine = _engine(spec)
     source = RandomSource(seed)
     bits, alice_bases = alice_draws(spec, raw_bits, source.stream(trial, PARTY_ALICE))
     alice_values = pack_values(spec, bits)
@@ -310,7 +288,7 @@ def run_trial(
     bob_rng = source.stream(trial, PARTY_BOB_MEASURE)
     u = bob_rng.random(particles)
 
-    control = engine.table(Scenario.CONTROL)
+    control = outcome_table(spec, Scenario.CONTROL)
     control_values = _sample_rows(control[alice_values, alice_bases, bob_bases], u)
     eve_values = eve_bases = None
     if eve is EveModel.STANDARD:
@@ -329,7 +307,7 @@ def run_trial(
             # The channel holds the basis state indexing (value, basis): the
             # measurement reads it deterministically and resends it unchanged.
             eve_values, eve_bases = alice_values, alice_bases
-        table = engine.table(scenario)
+        table = outcome_table(spec, scenario)
         bob_values = _sample_rows(table[alice_values, alice_bases, bob_bases], u)
         if scenario is Scenario.RELABEL:
             # Outcome index = value * bases + basis flag; a nonzero flag is an

@@ -85,3 +85,13 @@ def intercept_resend_symbol_error(name):
                     error += p_eve * (1 - p_right)
                 combos += 1
     return error / combos
+
+
+# The per-particle sampler of the original state-vector engine, kept as the
+# reference that the vectorised trial sampler must match draw for draw.
+def _sample(probabilities: np.ndarray, rng: np.random.Generator) -> int:
+    total = float(probabilities.sum())
+    # Renormalizing keeps deterministic outcomes exact despite float residue.
+    cumulative = np.cumsum(probabilities / total)
+    outcome = int(np.searchsorted(cumulative, rng.random(), side="right"))
+    return min(outcome, len(probabilities) - 1)

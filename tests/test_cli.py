@@ -117,6 +117,28 @@ def test_seed_env_var_must_be_integer(capsys, monkeypatch):
     assert cli.SEED_ENV in err
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_negative_seed_fails_before_any_side_effect(tmp_path, capsys, monkeypatch, source):
+    out_dir = tmp_path / "new"
+    argv = ["reproduce-paper", "--out-dir", str(out_dir)]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv(cli.SEED_ENV, "-1")
+    code, out, err = _run(capsys, argv)
+    assert code == cli.EXIT_CONFIG
+    assert "seed" in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
+def test_seed_env_var_is_ignored_without_a_seed_option(capsys, monkeypatch):
+    monkeypatch.setenv(cli.SEED_ENV, "abc")
+    code, out, _ = _run(capsys, ["hypothesis-table"])
+    assert code == cli.EXIT_OK
+    assert out.startswith("protocol")
+
+
 def test_validate_gates_passes_and_reports(capsys):
     code, out, _ = _run(capsys, ["validate-gates", "--seed", "7"])
     assert code == cli.EXIT_OK

@@ -1,22 +1,23 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdlab.core import (
     ConfigError,
     ContractError,
     RandomSource,
     Register,
-    ValidationError,
-    apply,
     apply_to_slot,
     basis_state,
     embed,
     equal_up_to_global_phase,
-    measure,
-    measure_slot,
     product_register,
 )
 from qkdlab.gates import catalog, hdbb84_phi_gate, standard_gate
+from qkdlab.protocols import _sample_rows
 
 RNG = RandomSource(1234)
 
@@ -24,6 +25,19 @@ RNG = RandomSource(1234)
 def _random_state(dim, rng):
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return amps / np.linalg.norm(amps)
+
+
+def _apply(gate, state):
+    """A gate on a one-slot register holding the whole state."""
+    return apply_to_slot(gate, Register((len(state),), state), 0).state
+
+
+def _measure(state, rng, shots):
+    """Computational-basis outcomes of ``shots`` copies of a state, drawn by
+    the trial sampler from the state's cumulative Born distribution."""
+    probabilities = np.abs(state) ** 2
+    cdf = np.cumsum(probabilities / float(probabilities.sum()))
+    return _sample_rows(np.broadcast_to(cdf, (shots, len(cdf))), rng.random(shots))
 
 
 def test_basis_state_examples():
@@ -43,30 +57,25 @@ def test_basis_state_out_of_range():
 
 
 def test_apply_hadamard_prepares_plus():
-    plus = apply(standard_gate("H").matrix, basis_state(2, 0))
+    plus = _apply(standard_gate("H").matrix, basis_state(2, 0))
     np.testing.assert_allclose(plus, [2**-0.5, 2**-0.5], atol=1e-9)
 
 
 def test_apply_identity_is_noop():
     rng = RNG.stream(0, "core")
     state = _random_state(6, rng)
-    np.testing.assert_allclose(apply(np.eye(6), state), state, atol=1e-12)
+    np.testing.assert_allclose(_apply(np.eye(6), state), state, atol=1e-12)
 
 
 def test_apply_fixed_phi_twice_restores_state():
     phi = hdbb84_phi_gate("fixed").matrix
     gamma = basis_state(4, 2)
-    np.testing.assert_allclose(apply(phi, apply(phi, gamma)), gamma, atol=1e-9)
+    np.testing.assert_allclose(_apply(phi, _apply(phi, gamma)), gamma, atol=1e-9)
 
 
 def test_apply_rejects_dimension_mismatch():
     with pytest.raises(ContractError):
-        apply(np.eye(2), basis_state(4, 0))
-
-
-def test_apply_rejects_non_unitary():
-    with pytest.raises(ValidationError):
-        apply(np.ones((2, 2)), basis_state(2, 0))
+        _apply(np.eye(2), basis_state(4, 0))
 
 
 def test_apply_preserves_norm_for_all_catalog_gates():
@@ -74,7 +83,7 @@ def test_apply_preserves_norm_for_all_catalog_gates():
     for entry in catalog():
         for _ in range(5):
             state = _random_state(entry.dim, rng)
-            out = apply(entry.matrix, state)
+            out = _apply(entry.matrix, state)
             assert abs(np.linalg.norm(out) - 1.0) <= 1e-9, entry.name
 
 
@@ -119,6 +128,34 @@ def test_apply_to_slot_rejects_mismatched_gate():
         apply_to_slot(np.eye(2), reg, 1)
 
 
+@st.composite
+def _slot_layouts(draw):
+    """Slot dims, ordered distinct target slots and a numpy seed."""
+    slots = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=4)))
+    order = draw(st.permutations(range(len(slots))))
+    targets = tuple(order[: draw(st.integers(1, len(slots)))])
+    return slots, targets, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(_slot_layouts())
+def test_apply_to_slot_equals_kron_on_permuted_register(case):
+    slots, targets, seed = case
+    rng = np.random.default_rng(seed)
+    block = math.prod(slots[t] for t in targets)
+    gate = rng.normal(size=(block, block)) + 1j * rng.normal(size=(block, block))
+    reg = Register(slots, _random_state(math.prod(slots), rng))
+    # Reference: bring the targets to the front in gate order, act with
+    # gate (x) identity on the rest, and put the slots back.
+    order = list(targets) + [s for s in range(len(slots)) if s not in targets]
+    front = reg.state.reshape(slots).transpose(order).reshape(-1)
+    front = np.kron(gate, np.eye(len(front) // block)) @ front
+    expected = front.reshape([slots[s] for s in order]).transpose(np.argsort(order))
+    got = apply_to_slot(gate, reg, targets)
+    assert got.slots == slots
+    np.testing.assert_allclose(got.state, expected.reshape(-1), atol=1e-12)
+
+
 def test_embed_matches_slotwise_application():
     rng = RNG.stream(0, "embed")
     gate = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
@@ -136,62 +173,29 @@ def test_register_slot_product_invariant():
 
 def test_measure_basis_state_is_deterministic():
     rng = RNG.stream(0, "det")
-    for _ in range(50):
-        outcome, collapsed = measure(basis_state(4, 3), rng)
-        assert outcome == 3
-        np.testing.assert_array_equal(collapsed, basis_state(4, 3))
+    assert _measure(basis_state(4, 3), rng, 50).tolist() == [3] * 50
 
 
 def test_measure_plus_state_statistics():
     rng = RNG.stream(0, "plus")
     plus = np.array([2**-0.5, 2**-0.5])
-    zeros = sum(measure(plus, rng)[0] == 0 for _ in range(10_000))
+    zeros = np.count_nonzero(_measure(plus, rng, 10_000) == 0)
     assert 0.48 <= zeros / 10_000 <= 0.52
 
 
 def test_measure_circular_state_statistics():
     rng = RNG.stream(0, "circ")
     encoded = standard_gate("J").matrix @ basis_state(2, 0)
-    zeros = sum(measure(encoded, rng)[0] == 0 for _ in range(10_000))
+    zeros = np.count_nonzero(_measure(encoded, rng, 10_000) == 0)
     assert abs(zeros / 10_000 - 0.5) <= 0.02
-
-
-def test_measure_rejects_unnormalized_state():
-    with pytest.raises(ValidationError):
-        measure(np.array([1.0, 1.0]), RNG.stream(0, "bad"))
 
 
 def test_measure_frequencies_match_born_rule():
     rng = RNG.stream(0, "born")
     state = _random_state(5, rng)
-    counts = np.zeros(5)
     samples = 100_000
-    for _ in range(samples):
-        counts[measure(state, rng)[0]] += 1
+    counts = np.bincount(_measure(state, rng, samples), minlength=5)
     np.testing.assert_allclose(counts / samples, np.abs(state) ** 2, atol=0.01)
-
-
-def test_measure_slot_marginal_and_collapse():
-    rng = RNG.stream(0, "slot")
-    # Slot 1 in |+>-like superposition, others definite.
-    reg = product_register(
-        [basis_state(3, 2), np.array([2**-0.5, 2**-0.5]), basis_state(2, 1)]
-    )
-    outcomes = set()
-    for _ in range(200):
-        outcome, collapsed = measure_slot(reg, 1, rng)
-        outcomes.add(outcome)
-        expected = product_register(
-            [basis_state(3, 2), basis_state(2, outcome), basis_state(2, 1)]
-        )
-        np.testing.assert_allclose(collapsed.state, expected.state, atol=1e-9)
-    assert outcomes == {0, 1}
-
-
-def test_measure_slot_rejects_bad_slot():
-    reg = product_register([basis_state(2, 0)])
-    with pytest.raises(ContractError):
-        measure_slot(reg, 1, RNG.stream(0, "oob"))
 
 
 def test_equal_up_to_global_phase():
@@ -237,10 +241,7 @@ def test_random_source_rejects_negative_seed():
 
 def test_measurement_sequence_is_bit_for_bit_reproducible():
     state = np.array([0.5, 0.5, 0.5, 0.5])
-    first = [measure(state, RandomSource(7).stream(2, 3))[0] for _ in range(1)]
-    runs = []
-    for _ in range(2):
-        rng = RandomSource(7).stream(2, 3)
-        runs.append([measure(state, rng)[0] for _ in range(100)])
-    assert runs[0] == runs[1]
+    first = _measure(state, RandomSource(7).stream(2, 3), 1)
+    runs = [_measure(state, RandomSource(7).stream(2, 3), 100) for _ in range(2)]
+    assert np.array_equal(runs[0], runs[1])
     assert first[0] == runs[0][0]

@@ -8,7 +8,6 @@ from qkdlab import analysis, gates
 from qkdlab.core import (
     ConfigError,
     RandomSource,
-    _sample,
     apply_to_slot,
     basis_state,
     equal_up_to_global_phase,
@@ -23,9 +22,9 @@ from qkdlab.protocols import (
     EveModel,
     Scenario,
     Transcript,
-    _engine,
     _sample_rows,
     alice_draws,
+    outcome_table,
     pack_values,
     run_experiment,
     run_trial,
@@ -34,7 +33,7 @@ from qkdlab.protocols import (
 )
 
 from oracle import BASES as ORACLE_BASES
-from oracle import intercept_resend_oracle
+from oracle import _sample, intercept_resend_oracle
 
 SEED = 2
 SQRT2 = 2**-0.5
@@ -47,7 +46,7 @@ def _rng(tag, seed=SEED):
 
 def _probs(spec, scenario, value, basis, bob_basis):
     """Outcome probabilities of one row of the protocol's outcome table."""
-    cdf = _engine(spec).table(scenario)[value, basis, bob_basis]
+    cdf = outcome_table(spec, scenario)[value, basis, bob_basis]
     return np.diff(cdf, prepend=0.0)
 
 
@@ -200,8 +199,17 @@ def test_alice_draws_rejects_oversized_length():
 # --- encoding ---------------------------------------------------------------------------
 
 
+def _encode(spec):
+    """Alice's control states as the outcome tables read them: column v of
+    ``bases[a]``."""
+    return {
+        (value, basis): spec.bases[basis][:, value]
+        for value, basis in np.ndindex(spec.d_ab, spec.basis_count)
+    }
+
+
 def test_encode_control_examples():
-    encode = {spec.name: _engine(spec).encode for spec in ALL_SPECS}
+    encode = {spec.name: _encode(spec) for spec in ALL_SPECS}
     np.testing.assert_allclose(encode["bb84"][1, 1], [SQRT2, -SQRT2], atol=1e-12)
     np.testing.assert_allclose(encode["ssp"][0, 2], [1j * SQRT2, SQRT2], atol=1e-12)
     np.testing.assert_allclose(encode["hdbb84"][0, 0], basis_state(4, 0), atol=1e-12)
@@ -216,21 +224,21 @@ def test_encode_control_examples():
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
 def test_hd_encoding_lands_on_indexed_basis_state(spec):
-    hd_encode = _engine(spec).hd_encode
     for value in range(spec.d_ab):
         for basis in range(spec.basis_count):
-            expected = basis_state(spec.d_e, spec.state_index(value, basis))
-            np.testing.assert_array_equal(hd_encode[value, basis], expected)
+            # The d_e channel state is |value * bases + basis>.
+            index = spec.state_index(value, basis)
+            assert index == value * spec.basis_count + basis
+            expected = basis_state(spec.d_e, index)
             # The paper's Qid preparation gates land on the same state.
             paper = _paper_hd_encode(spec, value, basis)
             assert equal_up_to_global_phase(paper, expected), (spec.name, value, basis)
 
 
 def test_hd_encoding_examples():
-    hd_encode = {spec.name: _engine(spec).hd_encode for spec in ALL_SPECS}
-    np.testing.assert_allclose(hd_encode["bb84"][1, 0], basis_state(4, 2), atol=1e-12)
-    np.testing.assert_allclose(hd_encode["hdbb84"][3, 1], basis_state(8, 7), atol=1e-12)
-    np.testing.assert_allclose(hd_encode["ssp"][1, 2], basis_state(6, 5), atol=1e-12)
+    assert BB84.state_index(1, 0) == 2
+    assert HDBB84.state_index(3, 1) == 7
+    assert SSP.state_index(1, 2) == 5
 
 
 # --- outcome tables ------------------------------------------------------------------
@@ -271,7 +279,7 @@ def test_outcome_table_rows_equal_state_vector_born_probabilities(spec, scenario
     # send off-basis outcomes to other nonzero digits (and values) than the
     # derived permutation, so relabel rows agree on what relabel keeps.
     dim = spec.d_e if scenario is Scenario.RELABEL else spec.d_ab
-    table = _engine(spec).table(scenario)
+    table = outcome_table(spec, scenario)
     assert table.shape == (
         spec.d_ab, spec.basis_count, spec.basis_count, dim
     )
@@ -301,6 +309,15 @@ def test_outcome_table_rows_equal_oracle_born_rule(spec, scenario):
         )
 
 
+def test_outcome_tables_are_cached_and_read_only():
+    for spec in ALL_SPECS:
+        for scenario in Scenario:
+            table = outcome_table(spec, scenario)
+            assert outcome_table(spec, scenario) is table
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0, 0, 0] = 0.5
+
+
 class _FixedDraw:
     def __init__(self, u):
         self.u = u
@@ -310,6 +327,7 @@ class _FixedDraw:
 
 
 def test_sample_rows_matches_core_sample():
+    # The reference is the original per-particle sampler, now in the oracle.
     # Rows with float residue, uniforms on and next to every cumulative edge,
     # and 1 - 2**-53 past a last entry below 1 (the clamp: ten 0.1 steps sum
     # to 0.9999999999999999).
