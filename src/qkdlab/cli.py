@@ -198,7 +198,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_validate_gates(args: argparse.Namespace) -> int:
     _check_writable(args.out, args.dump)
-    rng = RandomSource(args.seed).stream(0, "gate-suite")
+    rng = RandomSource(args.seed).stream("gate-suite")
     checks = gates.validate_catalog(rng)
     failures = 0
     lines = []

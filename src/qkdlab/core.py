@@ -6,9 +6,10 @@ dimensions; its joint index is row-major with slot 0 most significant, so for
 slots ``[d0, d1]`` the basis state ``|a, b>`` sits at index ``a * d1 + b``.
 
 All randomness flows through :class:`RandomSource`, which hands out disjoint,
-reproducible generator streams addressed by ``(trial, party)`` coordinates.
-Repeating a run with the same seed therefore reproduces every draw, and the
-streams of different parties never interact.
+reproducible generator streams, one per role (a named consumer of random draws,
+such as Alice's values or Bob's bases).  Repeating a run with the same seed
+therefore reproduces every draw, and the streams of different roles never
+interact.
 """
 
 from __future__ import annotations
@@ -147,19 +148,13 @@ def embed(
     return columns
 
 
-def _party_code(party: int | str) -> int:
-    if isinstance(party, str):
-        return int.from_bytes(party.encode("utf-8"), "big")
-    return int(party)
-
-
 @dataclass(frozen=True)
 class RandomSource:
-    """Counter-addressed randomness: one independent stream per (trial, party).
+    """Role-addressed randomness: one independent stream per (seed, role).
 
-    The k-th draw of a stream is a pure function of (seed, trial, party, k),
-    so separate runs that share a seed consume identical Alice/Bob randomness
-    regardless of what other parties draw in between.
+    The k-th draw of a stream is a pure function of (seed, role, k), so
+    separate runs that share a seed consume identical randomness for a role
+    regardless of what other roles draw.
     """
 
     seed: int
@@ -168,10 +163,7 @@ class RandomSource:
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
 
-    def stream(self, trial: int, party: int | str) -> np.random.Generator:
-        if trial < 0:
-            raise ContractError("trial index must be non-negative")
-        key = np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(int(trial), _party_code(party))
-        )
+    def stream(self, role: str) -> np.random.Generator:
+        code = int.from_bytes(role.encode("utf-8"), "big")
+        key = np.random.SeedSequence(entropy=self.seed, spawn_key=(code,))
         return np.random.default_rng(key)

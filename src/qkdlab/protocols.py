@@ -16,7 +16,7 @@ relabel     Alice's particle is the d_e basis state |v * k + a>.  Bob's gate
             for basis b permutes the basis digit a to (a - b) mod k, and he
             measures and relabels: an outcome with digit 0 (in his basis)
             gives the deterministic value, any other outcome (off-basis) is
-            replaced by uniformly random bits.
+            replaced by a uniformly random value.
 
 Both high-dimensional scenarios are behaviourally equivalent to the control
 run: with a fixed seed they produce identical sifted keys.  The high-
@@ -34,22 +34,32 @@ circuit via ``apply_to_slot`` for conv).  A trial samples all of its
 particles at once by inverse CDF: a uniform draw u picks the first outcome
 whose cumulative probability exceeds u.
 
-Stream layout v2
+Stream layout v3
 ----------------
-Each trial reads the streams ``(seed, trial, party)`` in this order:
+A run opens one stream per (seed, role) once (``role_streams``).  Each trial
+reads the next block of exactly ``particles`` draws from every role its cell
+uses, and from no other:
 
-alice        ``integers(0, 2, raw_bits)`` key bits, then
-             ``integers(0, bases, particles)`` encoding bases;
-bob-basis    ``integers(0, bases, particles)``;
-bob-measure  ``random(particles)``, one uniform per particle; relabel then
-             draws ``integers(values, off_count)`` replacement values for its
-             off-basis outcomes, in particle order;
-eve          standard eavesdropper only: ``integers(0, bases, particles)``
-             guessed bases, then ``random(particles)``.
+alice-values  ``integers(0, d_ab, particles)``, one value per particle;
+alice-bases   ``integers(0, bases, particles)`` encoding bases;
+bob-bases     ``integers(0, bases, particles)``;
+bob-measure   ``random(particles)``, one uniform per particle;
+relabel       relabel scenario only: ``integers(0, d_ab, particles)``
+              replacement values, used where the outcome is off-basis;
+eve-bases     standard eavesdropper only: ``integers(0, bases, particles)``
+              guessed bases;
+eve-measure   standard eavesdropper only: ``random(particles)``.
+
+The block size is fixed, so trial t reads elements [t * particles,
+(t + 1) * particles) of each role's sequence.  Its draws do not depend on the
+number of trials (the first T' trials of a T-trial run are a T'-trial run),
+and one ``(trials, particles)`` draw per role gives the same arrays as the
+trial-by-trial reads.  Alice's and Bob's roles are read the same way in every
+scenario and under every eavesdropper.
 
 The reference for the cross-scenario "matches" flag, the control run without
-an eavesdropper, reads the same alice, bob-basis and bob-measure uniforms, so
-it is sampled from them instead of being run again.
+an eavesdropper, reads the same alice, bob-bases and bob-measure draws, so it
+is sampled from them instead of being run again.
 
 Sifting and scoring
 -------------------
@@ -83,18 +93,11 @@ class EveModel(str, Enum):
     HD = "hd"
 
 
-# Stream coordinates; Alice's and Bob's draws depend only on (seed, trial,
-# party), never on the scenario or eavesdropper, so cross-scenario key
-# comparisons are meaningful.
-PARTY_ALICE = 0
-PARTY_BOB_BASIS = 1
-PARTY_BOB_MEASURE = 2
-PARTY_EVE = 3
-
 # Upper bound on raw bits per trial.  A trial holds a few int64 and float64
 # arrays per particle, the largest being the gathered outcome-table rows, so
 # its memory grows linearly with raw bits; at this bound a one-trial run
-# peaks at 100-150 MB resident for the whole process, well under 1 GB.
+# peaks at 93-141 MB resident for the whole process (measured on numpy 2.4,
+# bb84 control to ssp relabel/hd), well under 1 GB.
 MAX_RAW_BITS = 1_000_000
 
 
@@ -113,6 +116,9 @@ class ProtocolSpec:
     def __post_init__(self) -> None:
         if len(self.basis_names) != self.basis_count:
             raise ContractError("basis name count != basis count")
+        if self.d_ab & (self.d_ab - 1):
+            # Keys are scored in bits, bits_per_particle per value.
+            raise ContractError(f"particle dimension must be a power of two, got {self.d_ab}")
 
     @cached_property
     def bases(self) -> tuple[np.ndarray, ...]:
@@ -128,7 +134,6 @@ class ProtocolSpec:
 
     @cached_property
     def bits_per_particle(self) -> int:
-        # Key errors are counted in bits, so d_ab is a power of two.
         return self.d_ab.bit_length() - 1
 
     @property
@@ -138,7 +143,8 @@ class ProtocolSpec:
     def state_index(self, value: int, basis: int) -> int:
         return value * self.basis_count + basis
 
-    def value_basis(self, index: int) -> tuple[int, int]:
+    def value_basis(self, index):
+        """(value, basis) of an index or an index array."""
         return divmod(index, self.basis_count)
 
 
@@ -199,26 +205,30 @@ def _sample_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum((u[:, None] >= cdf).sum(-1), cdf.shape[-1] - 1)
 
 
+def role_streams(seed: int) -> dict[str, np.random.Generator]:
+    """One generator per role of stream layout v3, opened once per run."""
+    source = RandomSource(seed)
+    roles = (
+        "alice-values", "alice-bases", "bob-bases", "bob-measure",
+        "relabel", "eve-bases", "eve-measure",
+    )
+    return {role: source.stream(role) for role in roles}
+
+
 def alice_draws(
-    spec: ProtocolSpec, raw_bits: int, rng: np.random.Generator
+    spec: ProtocolSpec, raw_bits: int, streams: dict[str, np.random.Generator]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the raw key bits and one encoding basis per particle."""
+    """Draw one value and one encoding basis per particle."""
     if raw_bits <= 0 or raw_bits % spec.bits_per_particle:
         raise ConfigError(
             f"raw_bits must be a positive multiple of {spec.bits_per_particle}"
         )
     if raw_bits > MAX_RAW_BITS:
         raise ConfigError(f"raw_bits must be at most {MAX_RAW_BITS}, got {raw_bits}")
-    bits = rng.integers(0, 2, size=raw_bits)
-    bases = rng.integers(0, spec.basis_count, size=raw_bits // spec.bits_per_particle)
-    return bits, bases
-
-
-def pack_values(spec: ProtocolSpec, bits: np.ndarray) -> np.ndarray:
-    """Group raw bits into per-particle values, first bit most significant."""
-    chunks = np.asarray(bits).reshape(-1, spec.bits_per_particle)
-    weights = 2 ** np.arange(spec.bits_per_particle - 1, -1, -1)
-    return chunks @ weights
+    particles = raw_bits // spec.bits_per_particle
+    values = streams["alice-values"].integers(0, spec.d_ab, size=particles)
+    bases = streams["alice-bases"].integers(0, spec.basis_count, size=particles)
+    return values, bases
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,25 +278,21 @@ def run_trial(
     scenario: Scenario,
     eve: EveModel,
     raw_bits: int,
-    seed: int,
-    trial: int = 0,
+    streams: dict[str, np.random.Generator],
 ) -> Transcript:
-    """Execute one full trial: draw, encode, optional intercept, decode.
+    """Execute the next trial of a run: draw, encode, optional intercept,
+    decode.
 
-    All particles are sampled at once from the protocol's outcome tables; the
-    streams are read in the order of stream layout v2 (module docstring).
+    ``streams`` come from ``role_streams``; the trial reads the next block of
+    each role its cell uses (stream layout v3, module docstring).  All
+    particles are sampled at once from the protocol's outcome tables.
     """
     scenario, eve = Scenario(scenario), EveModel(eve)
     validate_pairing(scenario, eve)
-    source = RandomSource(seed)
-    bits, alice_bases = alice_draws(spec, raw_bits, source.stream(trial, PARTY_ALICE))
-    alice_values = pack_values(spec, bits)
+    alice_values, alice_bases = alice_draws(spec, raw_bits, streams)
     particles = len(alice_bases)
-    bob_bases = source.stream(trial, PARTY_BOB_BASIS).integers(
-        0, spec.basis_count, size=particles
-    )
-    bob_rng = source.stream(trial, PARTY_BOB_MEASURE)
-    u = bob_rng.random(particles)
+    bob_bases = streams["bob-bases"].integers(0, spec.basis_count, size=particles)
+    u = streams["bob-measure"].random(particles)
 
     control = outcome_table(spec, Scenario.CONTROL)
     control_values = _sample_rows(control[alice_values, alice_bases, bob_bases], u)
@@ -294,10 +300,10 @@ def run_trial(
     if eve is EveModel.STANDARD:
         # Intercept-resend: Eve decodes in a guessed basis, then resends the
         # value she measured encoded in that basis.
-        eve_rng = source.stream(trial, PARTY_EVE)
-        eve_bases = eve_rng.integers(0, spec.basis_count, size=particles)
+        eve_bases = streams["eve-bases"].integers(0, spec.basis_count, size=particles)
         eve_values = _sample_rows(
-            control[alice_values, alice_bases, eve_bases], eve_rng.random(particles)
+            control[alice_values, alice_bases, eve_bases],
+            streams["eve-measure"].random(particles),
         )
         bob_values = _sample_rows(control[eve_values, eve_bases, bob_bases], u)
     elif scenario is Scenario.CONTROL:
@@ -310,11 +316,11 @@ def run_trial(
         table = outcome_table(spec, scenario)
         bob_values = _sample_rows(table[alice_values, alice_bases, bob_bases], u)
         if scenario is Scenario.RELABEL:
-            # Outcome index = value * bases + basis flag; a nonzero flag is an
-            # off-basis outcome, replaced by random value bits.
-            bob_values, flags = np.divmod(bob_values, spec.basis_count)
-            off = flags != 0
-            bob_values[off] = bob_rng.integers(spec.d_ab, size=int(np.count_nonzero(off)))
+            # A nonzero basis flag is an off-basis outcome, replaced by a
+            # random value.
+            bob_values, flags = spec.value_basis(bob_values)
+            replacements = streams["relabel"].integers(0, spec.d_ab, size=particles)
+            bob_values = np.where(flags != 0, replacements, bob_values)
 
     return Transcript(
         spec=spec,
@@ -339,7 +345,8 @@ def run_experiment(
     raw_bits: int,
     seed: int,
 ) -> list[analysis.TrialResult]:
-    """Run several trials and score each against its same-seed control run.
+    """Run several trials on one set of role streams and score each against
+    its same-seed control run.
 
     The reference for the "matches" flag is the control-scenario trial without
     an eavesdropper, which shares Alice's and Bob's randomness by construction;
@@ -348,9 +355,10 @@ def run_experiment(
     if trials < 1:
         raise ConfigError("trials must be at least 1")
     bits = spec.bits_per_particle
+    streams = role_streams(seed)
     results = []
     for trial in range(trials):
-        transcript = run_trial(spec, scenario, eve, raw_bits, seed, trial)
+        transcript = run_trial(spec, scenario, eve, raw_bits, streams)
         alice, bob, eve_values = sift(transcript)
         results.append(
             analysis.TrialResult(

@@ -154,7 +154,7 @@ def test_criterion_6_gate_property_suite():
 
 def test_criterion_7_basis_candidate_validation():
     with criterion(7, "circular-basis candidate validation"):
-        rng = RandomSource(SEED).stream(0, "candidates")
+        rng = RandomSource(SEED).stream("candidates")
         jgate = gates.validate_basis_candidate(gates.basis_candidate("jgate"), 10_000, rng)
         assert jgate.randomness_pass == {"X": True, "H": True}
         assert jgate.double_application_pass

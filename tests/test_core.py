@@ -62,7 +62,7 @@ def test_apply_hadamard_prepares_plus():
 
 
 def test_apply_identity_is_noop():
-    rng = RNG.stream(0, "core")
+    rng = RNG.stream("core")
     state = _random_state(6, rng)
     np.testing.assert_allclose(_apply(np.eye(6), state), state, atol=1e-12)
 
@@ -79,7 +79,7 @@ def test_apply_rejects_dimension_mismatch():
 
 
 def test_apply_preserves_norm_for_all_catalog_gates():
-    rng = RNG.stream(0, "norms")
+    rng = RNG.stream("norms")
     for entry in catalog():
         for _ in range(5):
             state = _random_state(entry.dim, rng)
@@ -105,7 +105,7 @@ def test_apply_to_slot_chj_on_middle_slots():
 
 
 def test_apply_to_slot_then_inverse_roundtrips():
-    rng = RNG.stream(0, "roundtrip")
+    rng = RNG.stream("roundtrip")
     reg = Register((2, 3, 4), _random_state(24, rng))
     gate = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
     back = apply_to_slot(gate.conj().T, apply_to_slot(gate, reg, 1), 1)
@@ -113,7 +113,7 @@ def test_apply_to_slot_then_inverse_roundtrips():
 
 
 def test_apply_to_slot_disjoint_slots_commute():
-    rng = RNG.stream(0, "commute")
+    rng = RNG.stream("commute")
     reg = Register((2, 3, 2), _random_state(12, rng))
     u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
     v = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
@@ -157,7 +157,7 @@ def test_apply_to_slot_equals_kron_on_permuted_register(case):
 
 
 def test_embed_matches_slotwise_application():
-    rng = RNG.stream(0, "embed")
+    rng = RNG.stream("embed")
     gate = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
     full = embed(gate, (2, 3), 1)
     reg = Register((2, 3), _random_state(6, rng))
@@ -172,26 +172,26 @@ def test_register_slot_product_invariant():
 
 
 def test_measure_basis_state_is_deterministic():
-    rng = RNG.stream(0, "det")
+    rng = RNG.stream("det")
     assert _measure(basis_state(4, 3), rng, 50).tolist() == [3] * 50
 
 
 def test_measure_plus_state_statistics():
-    rng = RNG.stream(0, "plus")
+    rng = RNG.stream("plus")
     plus = np.array([2**-0.5, 2**-0.5])
     zeros = np.count_nonzero(_measure(plus, rng, 10_000) == 0)
     assert 0.48 <= zeros / 10_000 <= 0.52
 
 
 def test_measure_circular_state_statistics():
-    rng = RNG.stream(0, "circ")
+    rng = RNG.stream("circ")
     encoded = standard_gate("J").matrix @ basis_state(2, 0)
     zeros = np.count_nonzero(_measure(encoded, rng, 10_000) == 0)
     assert abs(zeros / 10_000 - 0.5) <= 0.02
 
 
 def test_measure_frequencies_match_born_rule():
-    rng = RNG.stream(0, "born")
+    rng = RNG.stream("born")
     state = _random_state(5, rng)
     samples = 100_000
     counts = np.bincount(_measure(state, rng, samples), minlength=5)
@@ -210,26 +210,25 @@ def test_equal_up_to_global_phase():
 
 
 def test_random_source_is_reproducible():
-    a = RandomSource(99).stream(3, 1).random(10)
-    b = RandomSource(99).stream(3, 1).random(10)
+    a = RandomSource(99).stream("bob-measure").random(10)
+    b = RandomSource(99).stream("bob-measure").random(10)
     np.testing.assert_array_equal(a, b)
 
 
 def test_random_source_streams_are_disjoint():
     base = RandomSource(99)
-    trial = base.stream(0, 0).random(8)
-    other_party = base.stream(0, 1).random(8)
-    other_trial = base.stream(1, 0).random(8)
-    other_seed = RandomSource(100).stream(0, 0).random(8)
-    assert not np.array_equal(trial, other_party)
-    assert not np.array_equal(trial, other_trial)
-    assert not np.array_equal(trial, other_seed)
+    role = base.stream("alice-values").random(8)
+    other_role = base.stream("alice-bases").random(8)
+    other_seed = RandomSource(100).stream("alice-values").random(8)
+    assert not np.array_equal(role, other_role)
+    assert not np.array_equal(role, other_seed)
 
 
 def test_random_source_string_party_tags():
-    a = RandomSource(5).stream(0, "alice").random(4)
-    b = RandomSource(5).stream(0, "alice").random(4)
-    c = RandomSource(5).stream(0, "bob").random(4)
+    # A role is any string; equal strings name the same stream.
+    a = RandomSource(5).stream("alice").random(4)
+    b = RandomSource(5).stream("alice").random(4)
+    c = RandomSource(5).stream("bob").random(4)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -241,7 +240,7 @@ def test_random_source_rejects_negative_seed():
 
 def test_measurement_sequence_is_bit_for_bit_reproducible():
     state = np.array([0.5, 0.5, 0.5, 0.5])
-    first = _measure(state, RandomSource(7).stream(2, 3), 1)
-    runs = [_measure(state, RandomSource(7).stream(2, 3), 100) for _ in range(2)]
+    first = _measure(state, RandomSource(7).stream("sequence"), 1)
+    runs = [_measure(state, RandomSource(7).stream("sequence"), 100) for _ in range(2)]
     assert np.array_equal(runs[0], runs[1])
     assert first[0] == runs[0][0]

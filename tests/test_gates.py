@@ -285,7 +285,7 @@ def test_ssp_bases_are_pairwise_unbiased():
 
 
 def _candidate_rng():
-    return RandomSource(42).stream(0, "candidates")
+    return RandomSource(42).stream("candidates")
 
 
 def test_jgate_candidate_passes_both_criteria():
@@ -356,7 +356,7 @@ def test_catalog_dump_round_trips():
 
 
 def test_validate_catalog_all_pass():
-    rng = RandomSource(7).stream(0, "gate-suite")
+    rng = RandomSource(7).stream("gate-suite")
     checks = validate_catalog(rng)
     failed = [c.name for c in checks if not c.passed]
     assert not failed

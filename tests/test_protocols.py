@@ -7,6 +7,7 @@ import pytest
 from qkdlab import analysis, gates
 from qkdlab.core import (
     ConfigError,
+    ContractError,
     RandomSource,
     apply_to_slot,
     basis_state,
@@ -20,12 +21,13 @@ from qkdlab.protocols import (
     PROTOCOLS,
     SSP,
     EveModel,
+    ProtocolSpec,
     Scenario,
     Transcript,
     _sample_rows,
     alice_draws,
     outcome_table,
-    pack_values,
+    role_streams,
     run_experiment,
     run_trial,
     sift,
@@ -36,12 +38,30 @@ from oracle import BASES as ORACLE_BASES
 from oracle import _sample, intercept_resend_oracle
 
 SEED = 2
+TRIAL_COUNTS = (1, 7, 25)
 SQRT2 = 2**-0.5
 ALL_SPECS = (BB84, HDBB84, SSP)
 
 
 def _rng(tag, seed=SEED):
-    return RandomSource(seed).stream(0, tag)
+    return RandomSource(seed).stream(tag)
+
+
+def _trial(spec, scenario, eve, raw_bits, trial=0, seed=SEED):
+    """Trial ``trial`` of a run: the earlier trials read their blocks first."""
+    streams = role_streams(seed)
+    for _ in range(trial):
+        run_trial(spec, scenario, eve, raw_bits, streams)
+    return run_trial(spec, scenario, eve, raw_bits, streams)
+
+
+def _assert_same_transcript(first, second):
+    for field in fields(Transcript):
+        a, b = getattr(first, field.name), getattr(second, field.name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
 
 
 def _probs(spec, scenario, value, basis, bob_basis):
@@ -150,6 +170,16 @@ def test_state_index_round_trips():
         assert seen == set(range(spec.d_e))
 
 
+def test_protocol_spec_rejects_non_power_of_two_dimension(monkeypatch):
+    # Keys are scored in bits, so a qutrit basis list (identity and the
+    # 3-point Fourier matrix) must be refused rather than run with values
+    # that do not fit bits_per_particle.
+    fourier = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
+    monkeypatch.setitem(gates.PROTOCOL_BASES, "qutrit", (np.eye(3), fourier))
+    with pytest.raises(ContractError, match="power of two"):
+        ProtocolSpec("qutrit", ("z", "fourier"))
+
+
 def test_pairing_rules():
     validate_pairing(Scenario.CONTROL, EveModel.STANDARD)
     validate_pairing(Scenario.CONVERSION, EveModel.HD)
@@ -164,36 +194,34 @@ def test_pairing_rules():
 
 
 def test_alice_draws_is_deterministic():
-    bits_a, bases_a = alice_draws(BB84, 200, _rng("alice"))
-    bits_b, bases_b = alice_draws(BB84, 200, _rng("alice"))
-    np.testing.assert_array_equal(bits_a, bits_b)
+    values_a, bases_a = alice_draws(BB84, 200, role_streams(SEED))
+    values_b, bases_b = alice_draws(BB84, 200, role_streams(SEED))
+    np.testing.assert_array_equal(values_a, values_b)
     np.testing.assert_array_equal(bases_a, bases_b)
 
 
 def test_alice_draws_ssp_uses_three_bases():
-    _, bases = alice_draws(SSP, 200, _rng("alice"))
+    _, bases = alice_draws(SSP, 200, role_streams(SEED))
     assert set(bases) == {0, 1, 2}
 
 
 def test_alice_draws_hdbb84_packs_two_bits_per_particle():
-    bits, bases = alice_draws(HDBB84, 200, _rng("alice"))
-    assert len(bits) == 200
-    assert len(bases) == 100
-    values = pack_values(HDBB84, bits)
-    assert len(values) == 100
-    assert values[0] == 2 * bits[0] + bits[1]
+    # Two raw bits per particle: 100 values, each one of the four 2-bit values.
+    values, bases = alice_draws(HDBB84, 200, role_streams(SEED))
+    assert len(values) == len(bases) == 100
+    assert set(values.tolist()) == {0, 1, 2, 3}
 
 
 def test_alice_draws_rejects_indivisible_length():
     with pytest.raises(ConfigError):
-        alice_draws(HDBB84, 201, _rng("alice"))
+        alice_draws(HDBB84, 201, role_streams(SEED))
     with pytest.raises(ConfigError):
-        alice_draws(BB84, 0, _rng("alice"))
+        alice_draws(BB84, 0, role_streams(SEED))
 
 
 def test_alice_draws_rejects_oversized_length():
     with pytest.raises(ConfigError, match="at most"):
-        alice_draws(BB84, MAX_RAW_BITS + 1, _rng("alice"))
+        alice_draws(BB84, MAX_RAW_BITS + 1, role_streams(SEED))
 
 
 # --- encoding ---------------------------------------------------------------------------
@@ -361,7 +389,7 @@ def test_standard_eve_is_transparent_when_bases_match():
                     _delta(spec.d_ab, value),
                     atol=1e-12,
                 )
-        transcript = run_trial(spec, Scenario.CONTROL, EveModel.STANDARD, 200, SEED)
+        transcript = _trial(spec, Scenario.CONTROL, EveModel.STANDARD, 200)
         hits = [
             i for i, (a, e) in enumerate(zip(transcript.alice_bases, transcript.eve_bases))
             if a == e
@@ -374,7 +402,7 @@ def test_standard_eve_is_transparent_when_bases_match():
 
 def test_standard_eve_wrong_basis_fraction():
     for spec, expect in ((BB84, 0.5), (SSP, 2 / 3)):
-        transcript = run_trial(spec, Scenario.CONTROL, EveModel.STANDARD, 3000, SEED)
+        transcript = _trial(spec, Scenario.CONTROL, EveModel.STANDARD, 3000)
         wrong = np.mean(np.array(transcript.eve_bases) != np.array(transcript.alice_bases))
         assert abs(wrong - expect) < 0.05
 
@@ -392,8 +420,8 @@ def test_hd_eve_reads_state_and_resends_it():
     assert HDBB84.value_basis(4) == (2, 0)
     for spec in ALL_SPECS:
         for scenario in (Scenario.CONVERSION, Scenario.RELABEL):
-            tapped = run_trial(spec, scenario, EveModel.HD, 200, SEED)
-            clean = run_trial(spec, scenario, EveModel.NONE, 200, SEED)
+            tapped = _trial(spec, scenario, EveModel.HD, 200)
+            clean = _trial(spec, scenario, EveModel.NONE, 200)
             assert np.array_equal(tapped.eve_values, tapped.alice_values)
             assert np.array_equal(tapped.eve_bases, tapped.alice_bases)
             # The resent state is unchanged, so Bob sees exactly what he sees
@@ -470,7 +498,7 @@ def test_bob_scenario2_concrete_relabel_rows():
 
 
 def test_bob_scenario2_off_basis_hdbb84_draws_two_bits():
-    transcript = run_trial(HDBB84, Scenario.RELABEL, EveModel.NONE, 8000, SEED)
+    transcript = _trial(HDBB84, Scenario.RELABEL, EveModel.NONE, 8000)
     off = transcript.bob_values[~transcript.kept]
     counts = np.bincount(off, minlength=4) / len(off)
     np.testing.assert_allclose(counts, 0.25, atol=0.03)
@@ -511,7 +539,7 @@ def test_sift_all_bases_different_keeps_nothing():
 
 
 def test_sift_keeps_only_matching_bases():
-    transcript = run_trial(BB84, Scenario.CONTROL, EveModel.NONE, 200, SEED)
+    transcript = _trial(BB84, Scenario.CONTROL, EveModel.NONE, 200)
     alice, bob, eve = sift(transcript)
     assert eve is None
     pairs = zip(transcript.alice_bases, transcript.bob_bases)
@@ -522,7 +550,7 @@ def test_sift_keeps_only_matching_bases():
 
 
 def test_sift_discards_two_bit_chunks():
-    transcript = run_trial(HDBB84, Scenario.CONTROL, EveModel.NONE, 200, SEED)
+    transcript = _trial(HDBB84, Scenario.CONTROL, EveModel.NONE, 200)
     alice, bob, _ = sift(transcript)
     # Whole two-bit values are kept or dropped together.
     assert len(alice) == np.count_nonzero(transcript.kept)
@@ -532,8 +560,9 @@ def test_sift_discards_two_bit_chunks():
 
 def test_mean_sifted_length_near_half_raw():
     lengths = []
-    for trial in range(25):
-        transcript = run_trial(BB84, Scenario.CONTROL, EveModel.NONE, 200, SEED, trial)
+    streams = role_streams(SEED)
+    for _ in range(25):
+        transcript = run_trial(BB84, Scenario.CONTROL, EveModel.NONE, 200, streams)
         alice, _, _ = sift(transcript)
         lengths.append(len(alice))
     assert abs(np.mean(lengths) - 100) <= 10
@@ -543,13 +572,13 @@ def test_mean_sifted_length_near_half_raw():
 
 
 def test_run_trial_control_without_eve_is_error_free():
-    transcript = run_trial(BB84, Scenario.CONTROL, EveModel.NONE, 200, SEED)
+    transcript = _trial(BB84, Scenario.CONTROL, EveModel.NONE, 200)
     alice, bob, _ = sift(transcript)
     assert analysis.qber(alice, bob, 1) == 0
 
 
 def test_run_trial_relabel_with_hd_eve_is_invisible_and_fully_known():
-    transcript = run_trial(SSP, Scenario.RELABEL, EveModel.HD, 200, SEED)
+    transcript = _trial(SSP, Scenario.RELABEL, EveModel.HD, 200)
     alice, bob, eve = sift(transcript)
     assert analysis.qber(alice, bob, 1) == 0
     assert analysis.knowledge(eve, alice, 1) == 1
@@ -558,23 +587,18 @@ def test_run_trial_relabel_with_hd_eve_is_invisible_and_fully_known():
 
 def test_run_trial_rejects_invalid_pairing():
     with pytest.raises(ConfigError):
-        run_trial(BB84, Scenario.RELABEL, EveModel.STANDARD, 200, SEED)
+        run_trial(BB84, Scenario.RELABEL, EveModel.STANDARD, 200, role_streams(SEED))
 
 
 def test_run_trial_is_deterministic():
-    first = run_trial(SSP, Scenario.CONTROL, EveModel.STANDARD, 200, SEED)
-    second = run_trial(SSP, Scenario.CONTROL, EveModel.STANDARD, 200, SEED)
-    for field in fields(Transcript):
-        a, b = getattr(first, field.name), getattr(second, field.name)
-        if isinstance(a, np.ndarray):
-            assert np.array_equal(a, b), field.name
-        else:
-            assert a == b, field.name
+    first = _trial(SSP, Scenario.CONTROL, EveModel.STANDARD, 200)
+    second = _trial(SSP, Scenario.CONTROL, EveModel.STANDARD, 200)
+    _assert_same_transcript(first, second)
 
 
 @pytest.mark.parametrize("eve", [EveModel.NONE, EveModel.HD], ids=lambda e: e.value)
 def test_transcript_arrays_are_read_only(eve):
-    transcript = run_trial(HDBB84, Scenario.RELABEL, eve, 200, SEED)
+    transcript = _trial(HDBB84, Scenario.RELABEL, eve, 200)
     arrays = [getattr(transcript, f.name) for f in fields(Transcript)]
     arrays = [a for a in arrays if isinstance(a, np.ndarray)]
     assert len(arrays) == (8 if eve is EveModel.HD else 6)
@@ -585,33 +609,128 @@ def test_transcript_arrays_are_read_only(eve):
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
 def test_scenarios_share_sifted_keys_without_eve(spec):
-    keys = []
-    for scenario in Scenario:
-        transcript = run_trial(spec, scenario, EveModel.NONE, 200, SEED, trial=3)
-        _, bob, _ = sift(transcript)
-        keys.append(bob)
-    assert np.array_equal(keys[0], keys[1])
-    assert np.array_equal(keys[0], keys[2])
+    for trials in TRIAL_COUNTS:
+        keys = []
+        for scenario in Scenario:
+            streams = role_streams(SEED)
+            keys.append([
+                sift(run_trial(spec, scenario, EveModel.NONE, 200, streams))[1]
+                for _ in range(trials)
+            ])
+        for control, conv, relabel in zip(*keys):
+            assert np.array_equal(control, conv)
+            assert np.array_equal(control, relabel)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
 def test_control_reference_equals_separate_control_run(spec):
-    reference = run_trial(spec, Scenario.CONTROL, EveModel.NONE, 200, SEED, trial=4)
+    reference = _trial(spec, Scenario.CONTROL, EveModel.NONE, 200, trial=4)
     for scenario, eve in (
         (Scenario.CONTROL, EveModel.STANDARD),
         (Scenario.CONVERSION, EveModel.NONE),
         (Scenario.RELABEL, EveModel.HD),
     ):
-        transcript = run_trial(spec, scenario, eve, 200, SEED, trial=4)
+        transcript = _trial(spec, scenario, eve, 200, trial=4)
         assert np.array_equal(transcript.control_values, reference.bob_values)
 
 
 def test_alice_randomness_is_scenario_independent():
-    control = run_trial(BB84, Scenario.CONTROL, EveModel.STANDARD, 200, SEED)
-    relabel = run_trial(BB84, Scenario.RELABEL, EveModel.HD, 200, SEED)
+    control = _trial(BB84, Scenario.CONTROL, EveModel.STANDARD, 200)
+    relabel = _trial(BB84, Scenario.RELABEL, EveModel.HD, 200)
     assert np.array_equal(control.alice_values, relabel.alice_values)
     assert np.array_equal(control.alice_bases, relabel.alice_bases)
     assert np.array_equal(control.bob_bases, relabel.bob_bases)
+
+
+# --- stream layout v3 ---------------------------------------------------------------------
+
+ZERO_QBER_CELLS = [(scenario, EveModel.NONE) for scenario in Scenario] + [
+    (Scenario.CONVERSION, EveModel.HD),
+    (Scenario.RELABEL, EveModel.HD),
+]
+
+
+def _role_bounds(spec):
+    """Each role's draw: ``integers(0, bound, n)``, or ``random(n)`` for None."""
+    k = spec.basis_count
+    return {
+        "alice-values": spec.d_ab,
+        "alice-bases": k,
+        "bob-bases": k,
+        "bob-measure": None,
+        "relabel": spec.d_ab,
+        "eve-bases": k,
+        "eve-measure": None,
+    }
+
+
+class _BatchRows:
+    """Stands in for one role's generator: hands out the rows of a single
+    ``(trials, particles)`` draw, one row per call, and checks that each call
+    asks for exactly that draw."""
+
+    def __init__(self, batch, bound):
+        self.rows, self.bound = iter(batch), bound
+
+    def integers(self, low, high, size):
+        assert (low, high) == (0, self.bound)
+        return self._next(size)
+
+    def random(self, size):
+        assert self.bound is None
+        return self._next(size)
+
+    def _next(self, size):
+        row = next(self.rows)
+        assert len(row) == size
+        return row
+
+
+@pytest.mark.parametrize(
+    "spec,scenario,eve,raw_bits",
+    [
+        (SSP, Scenario.CONTROL, EveModel.STANDARD, 13),
+        (BB84, Scenario.CONTROL, EveModel.STANDARD, 200),
+        (HDBB84, Scenario.RELABEL, EveModel.HD, 14),
+        (SSP, Scenario.RELABEL, EveModel.NONE, 200),
+    ],
+    ids=lambda p: getattr(p, "value", getattr(p, "name", p)),
+)
+def test_batched_role_draws_reproduce_trial_transcripts(spec, scenario, eve, raw_bits):
+    trials, particles = 7, raw_bits // spec.bits_per_particle
+    batched = {}
+    for role, rng in role_streams(SEED).items():
+        bound = _role_bounds(spec)[role]
+        shape = (trials, particles)
+        batch = rng.random(shape) if bound is None else rng.integers(0, bound, shape)
+        batched[role] = _BatchRows(batch, bound)
+    streams = role_streams(SEED)
+    for _ in range(trials):
+        _assert_same_transcript(
+            run_trial(spec, scenario, eve, raw_bits, streams),
+            run_trial(spec, scenario, eve, raw_bits, batched),
+        )
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
+def test_first_trials_of_a_longer_run_equal_a_shorter_run(spec):
+    for scenario, eve in ZERO_QBER_CELLS + [(Scenario.CONTROL, EveModel.STANDARD)]:
+        longer = run_experiment(spec, scenario, eve, 25, 16, SEED)
+        for count in TRIAL_COUNTS:
+            assert run_experiment(spec, scenario, eve, count, 16, SEED) == longer[:count]
+
+
+@pytest.mark.parametrize("trials", TRIAL_COUNTS)
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
+def test_zero_qber_without_eve_and_under_hd_at_every_trial_count(spec, trials):
+    for scenario, eve in ZERO_QBER_CELLS:
+        results = run_experiment(spec, scenario, eve, trials, 200, SEED)
+        assert len(results) == trials
+        for result in results:
+            assert result.qber == 0
+            assert result.matches_control
+            if eve is EveModel.HD:
+                assert result.knowledge_alice == result.knowledge_bob == 1
 
 
 # --- experiment-level statistics ----------------------------------------------------------
