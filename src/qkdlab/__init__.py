@@ -33,13 +33,8 @@ from .gates import (
     basis_candidate,
     catalog,
     catalog_fingerprint,
-    conditional_gate,
     conversion_gate,
-    hdbb84_phi_gate,
-    qid_gate_bb84,
-    qid_gate_hdbb84,
-    qid_gate_ssp,
-    standard_gate,
+    gate,
     validate_basis_candidate,
     validate_catalog,
 )
@@ -82,20 +77,15 @@ __all__ = [
     "basis_state",
     "catalog",
     "catalog_fingerprint",
-    "conditional_gate",
     "conversion_gate",
     "detection_probability",
     "equal_up_to_global_phase",
-    "hdbb84_phi_gate",
+    "gate",
     "knowledge",
     "qber",
-    "qid_gate_bb84",
-    "qid_gate_hdbb84",
-    "qid_gate_ssp",
     "run_experiment",
     "run_trial",
     "sift",
-    "standard_gate",
     "validate_basis_candidate",
     "validate_catalog",
 ]

@@ -8,11 +8,14 @@ encode and decode (``protocols``) and its conversion circuit
 (:func:`conversion_gate`).
 
 The catalog holds every named unitary, each wrapped in a
-:class:`GateCatalogEntry` that carries its intended action table.  Entries are
-validated on construction: the matrix must be unitary and must reproduce every
-action row up to a global phase.  The gates transcribed from the paper (the
-Qid gates, the HD-BB84 preparation sequences and the conditional gates) stay
-in the catalog as fixtures; the tests check them against the derived forms.
+:class:`GateCatalogEntry` that carries its intended action table.
+:func:`catalog` is the one list that builds them, in the order the catalog
+fingerprint hashes them, and :func:`gate` looks an entry up by name.  Entries
+are validated on construction: the matrix must be unitary and must reproduce
+every action row up to a global phase.  The gates transcribed from the paper
+(the Qid gates, the HD-BB84 preparation sequences and the conditional gates)
+stay in the catalog as fixtures; the tests check them against the derived
+forms.
 
 Index conventions
 -----------------
@@ -109,13 +112,25 @@ def _permutation(dim: int, mapping: dict[int, int | tuple[int, float]]) -> np.nd
     return matrix
 
 
-def _perm_action(dim: int, mapping: dict[int, int | tuple[int, float]]):
-    rows = []
-    for src in range(dim):
-        dst = mapping[src]
-        row, sign = dst if isinstance(dst, tuple) else (dst, 1.0)
-        rows.append((src, sign * basis_state(dim, row)))
-    return tuple(rows)
+def _perm_entry(name, dim, mapping) -> GateCatalogEntry:
+    """Signed-permutation gate whose matrix and action both follow ``mapping``."""
+    matrix = _permutation(dim, mapping)
+    return _entry(name, (dim,), matrix, enumerate(matrix.T))
+
+
+def _block_conditional(name: str, control_dim: int, blocks) -> GateCatalogEntry:
+    """Block-diagonal gate applying blocks[c] to the target when control = |c>."""
+    target_dim = blocks[0].shape[0]
+    dim = control_dim * target_dim
+    matrix = np.zeros((dim, dim), dtype=np.complex128)
+    action = []
+    for c, block in enumerate(blocks):
+        lo = c * target_dim
+        matrix[lo : lo + target_dim, lo : lo + target_dim] = block
+        for t in range(target_dim):
+            expected = np.kron(basis_state(control_dim, c), block[:, t])
+            action.append((lo + t, expected))
+    return _entry(name, (control_dim, target_dim), matrix, action)
 
 
 # --- 2-dimensional building blocks ------------------------------------------
@@ -165,35 +180,7 @@ def protocol_bases(protocol: str) -> tuple[np.ndarray, ...]:
         raise CatalogError(f"unknown protocol {protocol!r}") from None
 
 
-@lru_cache(maxsize=None)
-def standard_gate(name: str) -> GateCatalogEntry:
-    """2-dimensional X, H, or J gate."""
-    if name == "X":
-        return _entry("X", (2,), _X2, [(0, basis_state(2, 1)), (1, basis_state(2, 0))])
-    if name == "H":
-        return _entry("H", (2,), _H2, [(0, KET_PLUS), (1, KET_MINUS)])
-    if name == "J":
-        return _entry("J", (2,), _J2, [(0, KET_CIRC_PLUS), (1, KET_CIRC_MINUS)])
-    raise CatalogError(f"unknown standard gate {name!r}")
-
-
-# --- BB84 high-dimensional gates (dim 4) -------------------------------------
-
-_QIDX1_MAP = {0: 2, 1: 1, 2: 0, 3: (3, -1.0)}
-_QIDH1_MAP = {0: 1, 1: 0, 2: 3, 3: 2}
-
-
-@lru_cache(maxsize=None)
-def qid_gate_bb84(name: str) -> GateCatalogEntry:
-    """Dim-4 analogues of X and H acting on (value, basis) index pairs."""
-    if name == "QidX1":
-        return _entry("QidX1", (4,), _permutation(4, _QIDX1_MAP), _perm_action(4, _QIDX1_MAP))
-    if name == "QidH1":
-        return _entry("QidH1", (4,), _permutation(4, _QIDH1_MAP), _perm_action(4, _QIDH1_MAP))
-    raise CatalogError(f"unknown BB84 qid gate {name!r}")
-
-
-# --- HD-BB84 gates ------------------------------------------------------------
+# --- Matrices transcribed from the paper -------------------------------------------
 
 # Uncorrected sign pattern, kept as a negative fixture: applying it twice
 # permutes three of the four basis states instead of restoring them.
@@ -206,61 +193,6 @@ _PHI_ORIGINAL = 0.5 * np.array(
     ],
     dtype=np.complex128,
 )
-
-
-@lru_cache(maxsize=None)
-def hdbb84_phi_gate(variant: str = "fixed") -> GateCatalogEntry:
-    """Dim-4 conjugate-basis gate; 'fixed' is the self-inverse production one."""
-    if variant == "fixed":
-        matrix = _PHI_FIXED
-        name = "Phi"
-    elif variant == "original":
-        matrix = _PHI_ORIGINAL
-        name = "PhiOriginal"
-    else:
-        raise CatalogError(f"unknown phi variant {variant!r}")
-    action = tuple((k, matrix[:, k].copy()) for k in range(4))
-    return _entry(name, (4,), matrix, action)
-
-
-PSI_SYMBOLS = ("alpha", "beta", "gamma", "delta")
-
-
-def hdbb84_psi_prep(symbol: str) -> tuple[GateCatalogEntry, ...]:
-    """Gate sequence preparing |psi_symbol> from |0> on a dim-4 qudit.
-
-    alpha: nothing, beta: QidH1, gamma: QidX1, delta: QidX1 then QidH1.
-    """
-    if symbol not in PSI_SYMBOLS:
-        raise CatalogError(f"unknown psi symbol {symbol!r}")
-    x1, h1 = qid_gate_bb84("QidX1"), qid_gate_bb84("QidH1")
-    return {
-        "alpha": (),
-        "beta": (h1,),
-        "gamma": (x1,),
-        "delta": (x1, h1),
-    }[symbol]
-
-
-_QID_HD_MAPS = {
-    "QidAlpha": {k: k for k in range(8)},
-    "QidBeta": {0: 2, 1: 3, 2: 0, 3: 1, 4: 6, 5: 7, 6: 4, 7: 5},
-    "QidGamma": {0: 4, 1: 5, 2: 6, 3: 7, 4: 0, 5: 1, 6: 2, 7: 3},
-    "QidDelta": {0: 6, 1: 7, 2: 4, 3: 5, 4: 2, 5: 3, 6: 0, 7: 1},
-    "QidPhi": {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6},
-}
-
-
-@lru_cache(maxsize=None)
-def qid_gate_hdbb84(name: str) -> GateCatalogEntry:
-    """Dim-8 permutation gates acting on the HD-BB84 (value, basis) index."""
-    if name not in _QID_HD_MAPS:
-        raise CatalogError(f"unknown HD-BB84 qid gate {name!r}")
-    mapping = _QID_HD_MAPS[name]
-    return _entry(name, (8,), _permutation(8, mapping), _perm_action(8, mapping))
-
-
-# --- SSP gates (dim 6) --------------------------------------------------------
 
 _QIDX2 = np.array(
     [
@@ -285,62 +217,6 @@ _QIDJ = np.array(
     ],
     dtype=np.complex128,
 )
-
-_QIDX2_ACTION = {0: 3, 1: 1, 2: (5, -1.0), 3: 0, 4: (4, -1.0), 5: (2, -1.0)}
-_QIDJ_ACTION = {0: 2, 1: 4, 2: (0, -1.0), 3: 5, 4: (1, -1.0), 5: (3, -1.0)}
-# z and x states swap under H while the circular pair is held fixed.
-_QIDH2_MAP = {0: 1, 1: 0, 2: 2, 3: 4, 4: 3, 5: 5}
-
-
-@lru_cache(maxsize=None)
-def qid_gate_ssp(name: str) -> GateCatalogEntry:
-    """Dim-6 analogues of X, H and J on the SSP (value, basis) index."""
-    if name == "QidX2":
-        return _entry("QidX2", (6,), _QIDX2, _perm_action(6, _QIDX2_ACTION))
-    if name == "QidH2":
-        return _entry("QidH2", (6,), _permutation(6, _QIDH2_MAP), _perm_action(6, _QIDH2_MAP))
-    if name == "QidJ":
-        return _entry("QidJ", (6,), _QIDJ, _perm_action(6, _QIDJ_ACTION))
-    raise CatalogError(f"unknown SSP qid gate {name!r}")
-
-
-# --- Conditional gates ---------------------------------------------------------
-
-def _block_conditional(name: str, control_dim: int, blocks) -> GateCatalogEntry:
-    """Block-diagonal gate applying blocks[c] to the target when control = |c>."""
-    target_dim = blocks[0].shape[0]
-    dim = control_dim * target_dim
-    matrix = np.zeros((dim, dim), dtype=np.complex128)
-    action = []
-    for c, block in enumerate(blocks):
-        lo = c * target_dim
-        matrix[lo : lo + target_dim, lo : lo + target_dim] = block
-        for t in range(target_dim):
-            expected = np.kron(basis_state(control_dim, c), block[:, t])
-            action.append((lo + t, expected))
-    return _entry(name, (control_dim, target_dim), matrix, action)
-
-
-@lru_cache(maxsize=None)
-def conditional_gate(name: str) -> GateCatalogEntry:
-    """The paper's controlled gates.
-
-    CPhi applies the dim-4 conjugate-basis gate when its control qubit is |1>.
-    CHJ is controlled by a qutrit: |1> applies H, |2> applies J to the qubit.
-    CX / CH are the plain controlled qubit gates.  The derived conversion
-    circuits of BB84, HD-BB84 and SSP reproduce CH, CPhi and CHJ.
-    """
-    eye2 = np.eye(2, dtype=np.complex128)
-    if name == "CPhi":
-        return _block_conditional("CPhi", 2, [np.eye(4, dtype=np.complex128), _PHI_FIXED])
-    if name == "CHJ":
-        return _block_conditional("CHJ", 3, [eye2, _H2, _J2])
-    if name == "CX":
-        return _block_conditional("CX", 2, [eye2, _X2])
-    if name == "CH":
-        return _block_conditional("CH", 2, [eye2, _H2])
-    raise CatalogError(f"unknown conditional gate {name!r}")
-
 
 # The CHJ matrix written out, kept for entrywise regression checks.
 CHJ_LITERAL = np.array(
@@ -537,7 +413,7 @@ def validate_basis_candidate(
     randomness_pass = {}
     sigma = math.sqrt(0.25 / samples)
     for probe_name in ("X", "H"):
-        probed = standard_gate(probe_name).matrix @ encoded
+        probed = gate(probe_name).matrix @ encoded
         p_zero = float(abs(probed[0]) ** 2)
         frac = float(np.mean(rng.random(samples) < p_zero))
         zero_fraction[probe_name] = frac
@@ -554,31 +430,70 @@ def validate_basis_candidate(
 
 @lru_cache(maxsize=None)
 def catalog() -> tuple[GateCatalogEntry, ...]:
-    """Every named unitary, in a fixed order."""
-    entries = [
-        standard_gate("X"),
-        standard_gate("H"),
-        standard_gate("J"),
-        qid_gate_bb84("QidX1"),
-        qid_gate_bb84("QidH1"),
-        hdbb84_phi_gate("fixed"),
-        hdbb84_phi_gate("original"),
-        qid_gate_hdbb84("QidAlpha"),
-        qid_gate_hdbb84("QidBeta"),
-        qid_gate_hdbb84("QidGamma"),
-        qid_gate_hdbb84("QidDelta"),
-        qid_gate_hdbb84("QidPhi"),
-        qid_gate_ssp("QidX2"),
-        qid_gate_ssp("QidH2"),
-        qid_gate_ssp("QidJ"),
-        conditional_gate("CX"),
-        conditional_gate("CH"),
-        conditional_gate("CPhi"),
-        conditional_gate("CHJ"),
-    ]
-    for protocol in PROTOCOL_BASES:
-        entries.append(conversion_gate(protocol).steps[0][0])
-    return tuple(entries)
+    """Every named unitary, built here once, in fingerprint order."""
+    eye2, eye4 = np.eye(2), np.eye(4)
+    # QidX2 and QidJ are checked against action maps written apart from
+    # their matrices.
+    qidx2_action = _permutation(6, {0: 3, 1: 1, 2: (5, -1.0), 3: 0, 4: (4, -1.0), 5: (2, -1.0)})
+    qidj_action = _permutation(6, {0: 2, 1: 4, 2: (0, -1.0), 3: 5, 4: (1, -1.0), 5: (3, -1.0)})
+    return (
+        _entry("X", (2,), _X2, [(0, basis_state(2, 1)), (1, basis_state(2, 0))]),
+        _entry("H", (2,), _H2, [(0, KET_PLUS), (1, KET_MINUS)]),
+        _entry("J", (2,), _J2, [(0, KET_CIRC_PLUS), (1, KET_CIRC_MINUS)]),
+        # Dim-4 analogues of X and H on the BB84 (value, basis) index.
+        _perm_entry("QidX1", 4, {0: 2, 1: 1, 2: 0, 3: (3, -1.0)}),
+        _perm_entry("QidH1", 4, {0: 1, 1: 0, 2: 3, 3: 2}),
+        # HD-BB84 conjugate basis: the self-inverse production one and the
+        # uncorrected negative fixture.
+        _entry("Phi", (4,), _PHI_FIXED, enumerate(_PHI_FIXED.T)),
+        _entry("PhiOriginal", (4,), _PHI_ORIGINAL, enumerate(_PHI_ORIGINAL.T)),
+        # Dim-8 permutations of the HD-BB84 (value, basis) index.
+        _perm_entry("QidAlpha", 8, {k: k for k in range(8)}),
+        _perm_entry("QidBeta", 8, {0: 2, 1: 3, 2: 0, 3: 1, 4: 6, 5: 7, 6: 4, 7: 5}),
+        _perm_entry("QidGamma", 8, {0: 4, 1: 5, 2: 6, 3: 7, 4: 0, 5: 1, 6: 2, 7: 3}),
+        _perm_entry("QidDelta", 8, {0: 6, 1: 7, 2: 4, 3: 5, 4: 2, 5: 3, 6: 0, 7: 1}),
+        _perm_entry("QidPhi", 8, {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6}),
+        # Dim-6 analogues of X, H and J on the SSP (value, basis) index; QidH2
+        # swaps the z and x states and holds the circular pair fixed.
+        _entry("QidX2", (6,), _QIDX2, enumerate(qidx2_action.T)),
+        _perm_entry("QidH2", 6, {0: 1, 1: 0, 2: 2, 3: 4, 4: 3, 5: 5}),
+        _entry("QidJ", (6,), _QIDJ, enumerate(qidj_action.T)),
+        # The paper's controlled gates.  CHJ is controlled by a qutrit: |1>
+        # applies H, |2> applies J.  The derived conversion circuits of BB84,
+        # HD-BB84 and SSP reproduce CH, CPhi and CHJ.
+        _block_conditional("CX", 2, [eye2, _X2]),
+        _block_conditional("CH", 2, [eye2, _H2]),
+        _block_conditional("CPhi", 2, [eye4, _PHI_FIXED]),
+        _block_conditional("CHJ", 3, [eye2, _H2, _J2]),
+        *(conversion_gate(protocol).steps[0][0] for protocol in PROTOCOL_BASES),
+    )
+
+
+def gate(name: str) -> GateCatalogEntry:
+    """The catalog entry called ``name``."""
+    for entry in catalog():
+        if entry.name == name:
+            return entry
+    raise CatalogError(f"unknown gate {name!r}")
+
+
+PSI_SYMBOLS = ("alpha", "beta", "gamma", "delta")
+
+
+def hdbb84_psi_prep(symbol: str) -> tuple[GateCatalogEntry, ...]:
+    """Gate sequence preparing |psi_symbol> from |0> on a dim-4 qudit.
+
+    alpha: nothing, beta: QidH1, gamma: QidX1, delta: QidX1 then QidH1.
+    """
+    if symbol not in PSI_SYMBOLS:
+        raise CatalogError(f"unknown psi symbol {symbol!r}")
+    x1, h1 = gate("QidX1"), gate("QidH1")
+    return {
+        "alpha": (),
+        "beta": (h1,),
+        "gamma": (x1,),
+        "delta": (x1, h1),
+    }[symbol]
 
 
 @lru_cache(maxsize=None)
@@ -632,16 +547,8 @@ def validate_catalog(rng: np.random.Generator, samples: int = 10_000) -> list:
         _check(results, f"action[{entry.name}]", action_ok)
 
     eye = {d: np.eye(d) for d in (2, 4, 8)}
-    involutions = [
-        standard_gate("H"),
-        qid_gate_bb84("QidH1"),
-        hdbb84_phi_gate("fixed"),
-        qid_gate_hdbb84("QidBeta"),
-        qid_gate_hdbb84("QidGamma"),
-        qid_gate_hdbb84("QidDelta"),
-        qid_gate_hdbb84("QidPhi"),
-    ]
-    for entry in involutions:
+    involutions = ("H", "QidH1", "Phi", "QidBeta", "QidGamma", "QidDelta", "QidPhi")
+    for entry in map(gate, involutions):
         squared = entry.matrix @ entry.matrix
         _check(
             results,
@@ -651,7 +558,7 @@ def validate_catalog(rng: np.random.Generator, samples: int = 10_000) -> list:
 
     # Negative fixture: the uncorrected conjugate basis must 3-cycle the
     # computational states when applied twice (beta -> delta -> gamma -> beta).
-    original = hdbb84_phi_gate("original").matrix
+    original = gate("PhiOriginal").matrix
     squared = original @ original
     cycle = _permutation(4, {0: 0, 1: 3, 2: 1, 3: 2})
     _check(
@@ -670,8 +577,8 @@ def validate_catalog(rng: np.random.Generator, samples: int = 10_000) -> list:
         )
         _check(results, f"mub[{protocol}]", unbiased)
 
-    qidx2 = qid_gate_ssp("QidX2").matrix
-    qidj = qid_gate_ssp("QidJ").matrix
+    qidx2 = gate("QidX2").matrix
+    qidj = gate("QidJ").matrix
     _check(
         results,
         "qidj-is-reversed-negative-qidx2",
@@ -680,7 +587,7 @@ def validate_catalog(rng: np.random.Generator, samples: int = 10_000) -> list:
     _check(
         results,
         "chj-matrix-literal",
-        np.max(np.abs(conditional_gate("CHJ").matrix - CHJ_LITERAL)) == 0.0,
+        np.max(np.abs(gate("CHJ").matrix - CHJ_LITERAL)) == 0.0,
     )
 
     for protocol in PROTOCOL_BASES:

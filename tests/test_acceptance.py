@@ -133,23 +133,23 @@ def test_criterion_6_gate_property_suite():
                     entry.matrix[:, idx], expected, tol=1e-9
                 ), entry.name
 
-        phi = gates.hdbb84_phi_gate("fixed").matrix
+        phi = gates.gate("Phi").matrix
         assert np.max(np.abs(phi @ phi - np.eye(4))) <= 1e-9
         assert np.max(np.abs(np.abs(phi) ** 2 - 0.25)) <= 1e-9
 
-        original = gates.hdbb84_phi_gate("original").matrix
+        original = gates.gate("PhiOriginal").matrix
         squared = original @ original
         cycle = np.zeros((4, 4))
         for src, dst in {0: 0, 1: 3, 2: 1, 3: 2}.items():
             cycle[dst, src] = 1.0
         assert np.max(np.abs(squared - cycle)) <= 1e-9
 
-        qidx2 = gates.qid_gate_ssp("QidX2").matrix
-        qidj = gates.qid_gate_ssp("QidJ").matrix
+        qidx2 = gates.gate("QidX2").matrix
+        qidj = gates.gate("QidJ").matrix
         assert np.array_equal(qidj, -qidx2[:, ::-1])
         assert np.array_equal(qidx2, -qidj[:, ::-1])
 
-        assert np.array_equal(gates.conditional_gate("CHJ").matrix, gates.CHJ_LITERAL)
+        assert np.array_equal(gates.gate("CHJ").matrix, gates.CHJ_LITERAL)
 
 
 def test_criterion_7_basis_candidate_validation():

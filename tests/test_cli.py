@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from qkdlab import cli, gates
+from qkdlab import cli, gates, protocols
 
 
 def _run(capsys, argv):
@@ -73,6 +73,21 @@ def test_run_rejects_oversized_raw_bits(capsys):
     )
     assert code == cli.EXIT_CONFIG
     assert "raw_bits" in err
+
+
+def test_run_rejects_oversized_trials(capsys, monkeypatch):
+    # Fails on the bound before any trial runs.
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(protocols, "run_trial", no_trial)
+    code, out, err = _run(
+        capsys,
+        ["run", "--protocol", "bb84", "--trials", str(protocols.MAX_TRIALS + 1)],
+    )
+    assert code == cli.EXIT_CONFIG
+    assert "trials" in err
+    assert out == ""
 
 
 def test_run_rejects_invalid_pairing(capsys):

@@ -16,7 +16,7 @@ from qkdlab.core import (
     equal_up_to_global_phase,
     product_register,
 )
-from qkdlab.gates import catalog, hdbb84_phi_gate, standard_gate
+from qkdlab.gates import catalog, gate
 from qkdlab.protocols import _sample_rows
 
 RNG = RandomSource(1234)
@@ -57,7 +57,7 @@ def test_basis_state_out_of_range():
 
 
 def test_apply_hadamard_prepares_plus():
-    plus = _apply(standard_gate("H").matrix, basis_state(2, 0))
+    plus = _apply(gate("H").matrix, basis_state(2, 0))
     np.testing.assert_allclose(plus, [2**-0.5, 2**-0.5], atol=1e-9)
 
 
@@ -68,7 +68,7 @@ def test_apply_identity_is_noop():
 
 
 def test_apply_fixed_phi_twice_restores_state():
-    phi = hdbb84_phi_gate("fixed").matrix
+    phi = gate("Phi").matrix
     gamma = basis_state(4, 2)
     np.testing.assert_allclose(_apply(phi, _apply(phi, gamma)), gamma, atol=1e-9)
 
@@ -94,10 +94,8 @@ def test_apply_to_slot_bit_flip():
 
 
 def test_apply_to_slot_chj_on_middle_slots():
-    from qkdlab.gates import conditional_gate
-
     reg = product_register([basis_state(6, 0), basis_state(3, 1), basis_state(2, 0)])
-    out = apply_to_slot(conditional_gate("CHJ").matrix, reg, (1, 2))
+    out = apply_to_slot(gate("CHJ").matrix, reg, (1, 2))
     expected = product_register(
         [basis_state(6, 0), basis_state(3, 1), np.array([2**-0.5, 2**-0.5])]
     )
@@ -185,7 +183,7 @@ def test_measure_plus_state_statistics():
 
 def test_measure_circular_state_statistics():
     rng = RNG.stream("circ")
-    encoded = standard_gate("J").matrix @ basis_state(2, 0)
+    encoded = gate("J").matrix @ basis_state(2, 0)
     zeros = np.count_nonzero(_measure(encoded, rng, 10_000) == 0)
     assert abs(zeros / 10_000 - 0.5) <= 0.02
 
@@ -203,7 +201,7 @@ def test_equal_up_to_global_phase():
     assert equal_up_to_global_phase(three, -three)
     assert equal_up_to_global_phase(1j * three, three)
     assert not equal_up_to_global_phase(basis_state(2, 0), basis_state(2, 1))
-    j = standard_gate("J").matrix
+    j = gate("J").matrix
     assert equal_up_to_global_phase(j @ j @ basis_state(2, 1), basis_state(2, 1))
     with pytest.raises(ContractError):
         equal_up_to_global_phase(basis_state(2, 0), basis_state(3, 0))

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import qkdlab
 from qkdlab.core import (
     ConfigError,
     ContractError,
     RandomSource,
+    ValidationError,
     basis_state,
     equal_up_to_global_phase,
     is_unitary,
@@ -14,18 +16,14 @@ from qkdlab.core import (
 from qkdlab.gates import (
     CHJ_LITERAL,
     CatalogError,
+    _entry,
     basis_candidate,
     catalog,
     catalog_dump,
     catalog_fingerprint,
-    conditional_gate,
     conversion_gate,
-    hdbb84_phi_gate,
+    gate,
     hdbb84_psi_prep,
-    qid_gate_bb84,
-    qid_gate_hdbb84,
-    qid_gate_ssp,
-    standard_gate,
     validate_basis_candidate,
     validate_catalog,
 )
@@ -44,43 +42,34 @@ def _chain(entries, start):
 
 
 def test_hadamard_is_self_inverse_on_one():
-    h = standard_gate("H").matrix
+    h = gate("H").matrix
     np.testing.assert_allclose(h @ h @ basis_state(2, 1), basis_state(2, 1), atol=1e-9)
 
 
 def test_j_gate_squares_to_negative_identity():
-    j = standard_gate("J").matrix
+    j = gate("J").matrix
     np.testing.assert_allclose(j @ j, -np.eye(2), atol=1e-12)
     assert equal_up_to_global_phase(j @ j @ basis_state(2, 0), basis_state(2, 0))
 
 
 def test_j_gate_prepares_circular_states():
-    j = standard_gate("J").matrix
+    j = gate("J").matrix
     np.testing.assert_allclose(j @ basis_state(2, 0), [1j * SQRT2, SQRT2], atol=1e-12)
     np.testing.assert_allclose(j @ basis_state(2, 1), [-SQRT2, -1j * SQRT2], atol=1e-12)
 
 
 def test_x_fixes_plus_up_to_phase():
-    x = standard_gate("X").matrix
+    x = gate("X").matrix
     plus = np.array([SQRT2, SQRT2])
     assert equal_up_to_global_phase(x @ plus, plus)
 
 
 def test_unknown_gate_names_raise():
-    with pytest.raises(CatalogError):
-        standard_gate("Y")
-    with pytest.raises(CatalogError):
-        qid_gate_bb84("QidZ1")
-    with pytest.raises(CatalogError):
-        qid_gate_hdbb84("QidEpsilon")
-    with pytest.raises(CatalogError):
-        qid_gate_ssp("QidH1")
-    with pytest.raises(CatalogError):
-        conditional_gate("CZ")
+    for name in ("Y", "QidZ1", "QidEpsilon", "CZ", "fixed2", "original", "phi", ""):
+        with pytest.raises(CatalogError):
+            gate(name)
     with pytest.raises(CatalogError):
         conversion_gate("e91")
-    with pytest.raises(CatalogError):
-        hdbb84_phi_gate("fixed2")
     with pytest.raises(CatalogError):
         hdbb84_psi_prep("epsilon")
     with pytest.raises(CatalogError):
@@ -95,18 +84,18 @@ def test_unknown_gate_names_raise():
     [(0, 2, 1), (1, 1, 1), (2, 0, 1), (3, 3, -1)],
 )
 def test_qidx1_action(src, dst, sign):
-    x1 = qid_gate_bb84("QidX1").matrix
+    x1 = gate("QidX1").matrix
     np.testing.assert_allclose(x1 @ basis_state(4, src), sign * basis_state(4, dst), atol=1e-12)
 
 
 @pytest.mark.parametrize("src,dst", [(0, 1), (1, 0), (2, 3), (3, 2)])
 def test_qidh1_action(src, dst):
-    h1 = qid_gate_bb84("QidH1").matrix
+    h1 = gate("QidH1").matrix
     np.testing.assert_allclose(h1 @ basis_state(4, src), basis_state(4, dst), atol=1e-12)
 
 
 def test_qidh1_is_involution():
-    h1 = qid_gate_bb84("QidH1").matrix
+    h1 = gate("QidH1").matrix
     np.testing.assert_allclose(h1 @ h1, np.eye(4), atol=1e-12)
 
 
@@ -119,12 +108,12 @@ def test_psi_prep_lands_on_indexed_state(symbol, target):
 
 
 def test_fixed_phi_is_involution():
-    phi = hdbb84_phi_gate("fixed").matrix
+    phi = gate("Phi").matrix
     np.testing.assert_allclose(phi @ phi, np.eye(4), atol=1e-12)
 
 
 def test_original_phi_double_application_permutes():
-    phi = hdbb84_phi_gate("original").matrix
+    phi = gate("PhiOriginal").matrix
     squared = phi @ phi
     expected = {0: 0, 1: 3, 2: 1, 3: 2}
     for src, dst in expected.items():
@@ -134,8 +123,8 @@ def test_original_phi_double_application_permutes():
 
 
 def test_phi_overlap_criterion():
-    for variant in ("fixed", "original"):
-        phi = hdbb84_phi_gate(variant).matrix
+    for name in ("Phi", "PhiOriginal"):
+        phi = gate(name).matrix
         np.testing.assert_allclose(np.abs(phi), 0.5, atol=1e-12)
 
 
@@ -143,41 +132,41 @@ def test_phi_overlap_criterion():
 
 
 def test_qid_hd_table_rows():
-    assert np.argmax(np.abs(qid_gate_hdbb84("QidBeta").matrix[:, 4])) == 6
-    np.testing.assert_allclose(qid_gate_hdbb84("QidAlpha").matrix, np.eye(8), atol=0)
-    phi8 = qid_gate_hdbb84("QidPhi").matrix
+    assert np.argmax(np.abs(gate("QidBeta").matrix[:, 4])) == 6
+    np.testing.assert_allclose(gate("QidAlpha").matrix, np.eye(8), atol=0)
+    phi8 = gate("QidPhi").matrix
     np.testing.assert_allclose(phi8 @ basis_state(8, 0), basis_state(8, 1), atol=0)
     np.testing.assert_allclose(phi8 @ basis_state(8, 1), basis_state(8, 0), atol=0)
 
 
 @pytest.mark.parametrize("name", ["QidBeta", "QidGamma", "QidDelta", "QidPhi"])
 def test_qid_hd_gates_are_involutions(name):
-    gate = qid_gate_hdbb84(name).matrix
-    np.testing.assert_allclose(gate @ gate, np.eye(8), atol=0)
+    matrix = gate(name).matrix
+    np.testing.assert_allclose(matrix @ matrix, np.eye(8), atol=0)
 
 
 # --- dim-6 gates -----------------------------------------------------------------
 
 
 def test_qidx2_action_on_circular_state():
-    x2 = qid_gate_ssp("QidX2").matrix
+    x2 = gate("QidX2").matrix
     np.testing.assert_allclose(x2 @ basis_state(6, 2), -basis_state(6, 5), atol=0)
 
 
 def test_qidj_maps_plus_to_minus():
-    qidj = qid_gate_ssp("QidJ").matrix
+    qidj = gate("QidJ").matrix
     np.testing.assert_allclose(qidj @ basis_state(6, 1), basis_state(6, 4), atol=0)
 
 
 def test_qidj_is_reversed_negated_qidx2_and_vice_versa():
-    x2 = qid_gate_ssp("QidX2").matrix
-    qidj = qid_gate_ssp("QidJ").matrix
+    x2 = gate("QidX2").matrix
+    qidj = gate("QidJ").matrix
     np.testing.assert_array_equal(qidj, -x2[:, ::-1])
     np.testing.assert_array_equal(x2, -qidj[:, ::-1])
 
 
 def test_qidh2_swaps_rectilinear_and_diagonal_states():
-    h2 = qid_gate_ssp("QidH2").matrix
+    h2 = gate("QidH2").matrix
     mapping = {0: 1, 1: 0, 2: 2, 3: 4, 4: 3, 5: 5}
     for src, dst in mapping.items():
         np.testing.assert_allclose(h2 @ basis_state(6, src), basis_state(6, dst), atol=0)
@@ -187,17 +176,17 @@ def test_qidh2_swaps_rectilinear_and_diagonal_states():
 
 
 def test_chj_matches_literal_matrix():
-    np.testing.assert_array_equal(conditional_gate("CHJ").matrix, CHJ_LITERAL)
+    np.testing.assert_array_equal(gate("CHJ").matrix, CHJ_LITERAL)
 
 
 def test_chj_blocks():
-    chj = conditional_gate("CHJ").matrix
+    chj = gate("CHJ").matrix
     np.testing.assert_allclose(chj[:2, :2], np.eye(2), atol=0)
-    np.testing.assert_allclose(chj[4:, 4:], standard_gate("J").matrix, atol=1e-12)
+    np.testing.assert_allclose(chj[4:, 4:], gate("J").matrix, atol=1e-12)
 
 
 def test_cphi_applies_phi_only_when_control_set():
-    cphi = conditional_gate("CPhi").matrix
+    cphi = gate("CPhi").matrix
     ctrl_off = np.kron(basis_state(2, 0), basis_state(4, 0))
     np.testing.assert_allclose(cphi @ ctrl_off, ctrl_off, atol=0)
     ctrl_on = np.kron(basis_state(2, 1), basis_state(4, 0))
@@ -231,7 +220,7 @@ def test_conversion_examples():
     np.testing.assert_allclose(bb84.eve_states[1], [SQRT2, SQRT2], atol=1e-12)
     hd = conversion_gate("hdbb84")
     np.testing.assert_allclose(
-        hd.eve_states[7], hdbb84_phi_gate("fixed").matrix[:, 3], atol=1e-12
+        hd.eve_states[7], gate("Phi").matrix[:, 3], atol=1e-12
     )
     ssp = conversion_gate("ssp")
     assert equal_up_to_global_phase(
@@ -246,7 +235,7 @@ def test_derived_conversion_steps_equal_paper_fixtures(protocol, fixture):
     (split, split_targets), (prepare, prepare_targets) = conversion_gate(protocol).steps
     assert any(entry is split for entry in catalog())
     assert (split_targets, prepare_targets) == ((0, 1, 2), (1, 2))
-    np.testing.assert_array_equal(prepare.matrix, conditional_gate(fixture).matrix)
+    np.testing.assert_array_equal(prepare.matrix, gate(fixture).matrix)
 
 
 def test_conversion_rejects_wrong_register():
@@ -260,20 +249,20 @@ def test_conversion_rejects_wrong_register():
 
 
 def test_bb84_bases_are_mutually_unbiased():
-    h = standard_gate("H").matrix
+    h = gate("H").matrix
     np.testing.assert_allclose(np.abs(h) ** 2, 0.5, atol=1e-12)
 
 
 def test_hdbb84_bases_are_mutually_unbiased():
-    phi = hdbb84_phi_gate("fixed").matrix
+    phi = gate("Phi").matrix
     np.testing.assert_allclose(np.abs(phi) ** 2, 0.25, atol=1e-12)
 
 
 def test_ssp_bases_are_pairwise_unbiased():
     bases = [
         np.eye(2, dtype=complex),
-        standard_gate("H").matrix,
-        standard_gate("J").matrix,
+        gate("H").matrix,
+        gate("J").matrix,
     ]
     for i in range(3):
         for j in range(i + 1, 3):
@@ -333,6 +322,35 @@ def test_every_action_row_holds_up_to_phase():
     for entry in catalog():
         for idx, expected in entry.action:
             assert equal_up_to_global_phase(entry.matrix[:, idx], expected), entry.name
+
+
+def test_catalog_names_are_unique():
+    names = [entry.name for entry in catalog()]
+    assert len(names) == len(set(names))
+
+
+def test_gate_returns_the_catalog_entry_of_each_name():
+    for entry in catalog():
+        assert gate(entry.name) is entry
+
+
+@pytest.mark.parametrize(
+    "matrix,action,message",
+    [
+        (np.eye(3), [], "shape"),
+        (np.array([[1, 1], [0, 1]]), [], "not unitary"),
+        (np.eye(2), [(0, basis_state(2, 1))], "not realized"),
+    ],
+)
+def test_catalog_entry_rejects_bad_construction(matrix, action, message):
+    with pytest.raises(ValidationError, match=message):
+        _entry("Bad", (2,), matrix, action)
+
+
+def test_package_exports_resolve():
+    assert "gate" in qkdlab.__all__
+    for name in qkdlab.__all__:
+        assert hasattr(qkdlab, name), name
 
 
 def test_catalog_fingerprint_is_stable():
