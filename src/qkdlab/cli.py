@@ -155,10 +155,15 @@ def render_json(doc: dict) -> str:
 _RENDERERS = {"table": render_table, "csv": render_csv, "json": render_json}
 
 
-def _check_writable(*paths: str | None) -> None:
-    """Fail before any work when an output path's directory is missing."""
+def _check_writable(*paths: str | Path | None) -> None:
+    """Fail before any work when an output path is a directory or its
+    directory is missing."""
     for out in paths:
-        if out is not None and not Path(out).parent.is_dir():
+        if out is None:
+            continue
+        if Path(out).is_dir():
+            raise ConfigError(f"cannot write {out}: it is a directory")
+        if not Path(out).parent.is_dir():
             raise ConfigError(f"cannot write {out}: {Path(out).parent} is not a directory")
 
 
@@ -231,8 +236,12 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create {out_dir}: {exc.strerror}") from exc
+    table_paths = {name: out_dir / f"results_{name}.csv" for name in gates.PAPER_PROTOCOLS}
+    figure_path = out_dir / "qber_with_eve.csv"
+    _check_writable(*table_paths.values(), figure_path)
     qber_rows = []
-    for name, spec in protocols.PROTOCOLS.items():
+    for name, table_path in table_paths.items():
+        spec = protocols.PROTOCOLS[name]
         rows = []
         for label, scenario, eve in GRID_ROWS:
             results = protocols.run_experiment(
@@ -244,16 +253,15 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
                 qber_rows.append(
                     {"protocol": name, "scenario": label, "qber": _round(stats.mean_qber)}
                 )
-        table_path = out_dir / f"results_{name}.csv"
         _emit(_csv_text(_TABLE_FIELDS, rows), table_path)
         sys.stdout.write(f"wrote {table_path}\n")
-    figure_path = out_dir / "qber_with_eve.csv"
     _emit(_csv_text(("protocol", "scenario", "qber"), qber_rows), figure_path)
     sys.stdout.write(f"wrote {figure_path}\n")
     return EXIT_OK
 
 
 def cmd_hypothesis_table(args: argparse.Namespace) -> int:
+    _check_writable(args.out)
     lines = [f"{'protocol':10}{'d_ab':>6}{'bases':>7}{'d_e':>5}"]
     for name, spec in protocols.PROTOCOLS.items():
         lines.append(f"{name:10}{spec.d_ab:>6}{spec.basis_count:>7}{spec.d_e:>5}")

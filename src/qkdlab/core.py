@@ -136,18 +136,6 @@ def apply_to_slot(
     return Register(reg.slots, np.ascontiguousarray(psi.reshape(-1)))
 
 
-def embed(
-    gate: np.ndarray, slot_dims: tuple[int, ...], slots: int | tuple[int, ...] | list[int]
-) -> np.ndarray:
-    """Return the full-register matrix of a gate acting on the given slots."""
-    dim = math.prod(slot_dims)
-    columns = np.empty((dim, dim), dtype=np.complex128)
-    for k in range(dim):
-        reg = Register(tuple(slot_dims), basis_state(dim, k))
-        columns[:, k] = apply_to_slot(gate, reg, slots).state
-    return columns
-
-
 @dataclass(frozen=True)
 class RandomSource:
     """Role-addressed randomness: one independent stream per (seed, role).

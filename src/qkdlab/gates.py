@@ -1,11 +1,13 @@
-"""Protocol bases, the gate catalog and the conversion circuits.
+"""Protocol specs, the gate catalog and the conversion circuits.
 
-Each protocol is held once, as the ordered tuple of its basis matrices in
-``PROTOCOL_BASES``: (I, H) for BB84, (I, Phi) for HD-BB84 and (I, H, J) for
-SSP, where column v of ``bases[a]`` is the state encoding value v in basis a.
-Everything else about a protocol is derived from that tuple: its dimensions,
-encode and decode (``protocols``) and its conversion circuit
-(:func:`conversion_gate`).
+Each protocol is held once, as a :class:`ProtocolSpec` in ``PROTOCOLS``: its
+name and the ordered tuple of its basis matrices, (I, H) for BB84, (I, Phi)
+for HD-BB84 and (I, H, J) for SSP, where column v of ``bases[a]`` is the
+state encoding value v in basis a.  Everything else about a protocol is read
+from the spec: its dimensions, encode and decode, the (value, basis) index
+and its conversion circuit (:func:`conversion_gate`).  Registering a protocol
+is one more ``PROTOCOLS`` entry; ``PAPER_PROTOCOLS`` names the three the paper
+studies, and only they enter the catalog and the paper's grid.
 
 The catalog holds every named unitary, each wrapped in a
 :class:`GateCatalogEntry` that carries its intended action table.
@@ -33,8 +35,8 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -47,7 +49,6 @@ from .core import (
     ValidationError,
     apply_to_slot,
     basis_state,
-    embed,
     equal_up_to_global_phase,
     is_unitary,
     product_register,
@@ -146,7 +147,7 @@ KET_CIRC_PLUS = _SQRT2 * np.array([1j, 1], dtype=np.complex128)
 KET_CIRC_MINUS = _SQRT2 * np.array([-1, -1j], dtype=np.complex128)
 
 
-# --- Protocol bases -------------------------------------------------------------
+# --- Protocol specs -------------------------------------------------------------
 
 # Columns are the four conjugate-basis states, each an equal-magnitude signed
 # superposition of the computational (psi) states.
@@ -161,23 +162,71 @@ _PHI_FIXED = 0.5 * np.array(
 )
 
 
-def _bases(*matrices) -> tuple[np.ndarray, ...]:
-    return tuple(_readonly(matrix) for matrix in matrices)
+@dataclass(frozen=True)
+class ProtocolSpec:
+    """One protocol: its name and its ordered basis matrices, stored
+    read-only.  Column v of ``bases[a]`` encodes value v in basis a.  Specs
+    compare and hash by name.
+
+    The eavesdropper dimension is ``d_ab * basis_count`` and its basis states
+    enumerate (value, basis) pairs as ``index = value * basis_count + basis``.
+    """
+
+    name: str
+    bases: tuple[np.ndarray, ...] = field(compare=False)
+
+    def __post_init__(self) -> None:
+        # Copies, so that freezing them leaves the caller's arrays writable.
+        bases = tuple(_readonly(np.array(basis, dtype=np.complex128)) for basis in self.bases)
+        object.__setattr__(self, "bases", bases)
+        if self.d_ab & (self.d_ab - 1):
+            # Keys are scored in bits, bits_per_particle per value.
+            raise ContractError(f"particle dimension must be a power of two, got {self.d_ab}")
+
+    @cached_property
+    def d_ab(self) -> int:
+        return self.bases[0].shape[0]
+
+    @cached_property
+    def basis_count(self) -> int:
+        return len(self.bases)
+
+    @cached_property
+    def bits_per_particle(self) -> int:
+        return self.d_ab.bit_length() - 1
+
+    @property
+    def d_e(self) -> int:
+        return self.d_ab * self.basis_count
+
+    def state_index(self, value: int, basis: int) -> int:
+        return value * self.basis_count + basis
+
+    def value_basis(self, index):
+        """(value, basis) of an index or an index array."""
+        return divmod(index, self.basis_count)
+
+    def encode(self, value: int, basis: int) -> np.ndarray:
+        """The state carrying ``value`` in ``basis``."""
+        return self.bases[basis][:, value]
+
+    def decode(self, basis: int) -> np.ndarray:
+        """The gate whose computational outcome reads a value in ``basis``."""
+        return self.bases[basis].conj().T
 
 
-PROTOCOL_BASES = {
-    "bb84": _bases(np.eye(2), _H2),
-    "hdbb84": _bases(np.eye(4), _PHI_FIXED),
-    "ssp": _bases(np.eye(2), _H2, _J2),
+PROTOCOLS = {
+    spec.name: spec
+    for spec in (
+        ProtocolSpec("bb84", (np.eye(2), _H2)),
+        ProtocolSpec("hdbb84", (np.eye(4), _PHI_FIXED)),
+        ProtocolSpec("ssp", (np.eye(2), _H2, _J2)),
+    )
 }
 
-
-def protocol_bases(protocol: str) -> tuple[np.ndarray, ...]:
-    """The ordered basis matrices of 'bb84', 'hdbb84' or 'ssp'."""
-    try:
-        return PROTOCOL_BASES[protocol]
-    except KeyError:
-        raise CatalogError(f"unknown protocol {protocol!r}") from None
+# The protocols the paper studies: the catalog's split gates and the
+# reproduce-paper grid are these, whatever else is registered.
+PAPER_PROTOCOLS = ("bb84", "hdbb84", "ssp")
 
 
 # --- Matrices transcribed from the paper -------------------------------------------
@@ -234,9 +283,7 @@ CHJ_LITERAL = np.array(
 
 # --- Conversion gates -----------------------------------------------------------
 
-def _split_gate(
-    name: str, source_dim: int, basis_count: int, value_dim: int
-) -> GateCatalogEntry:
+def _split_gate(name: str, spec: ProtocolSpec) -> GateCatalogEntry:
     """Unpack a (value, basis) source index onto two ancilla digits.
 
     Acts on slots (source, basis ancilla, value ancilla): the source digit is
@@ -244,28 +291,21 @@ def _split_gate(
     modulo their dimensions, which makes the whole map a permutation.  On the
     contract inputs (both ancillas |0>) this writes the split directly.
     """
-    dims = (source_dim, basis_count, value_dim)
-    dim = source_dim * basis_count * value_dim
+    k, d = spec.basis_count, spec.d_ab
+    dim = spec.d_e * k * d
     mapping = {}
-    for k in range(source_dim):
-        value, basis = divmod(k, basis_count)
-        for b in range(basis_count):
-            for v in range(value_dim):
-                src = (k * basis_count + b) * value_dim + v
-                dst = (k * basis_count + (b + basis) % basis_count) * value_dim + (
-                    v + value
-                ) % value_dim
-                mapping[src] = dst
+    for source in range(spec.d_e):
+        value, basis = spec.value_basis(source)
+        for b in range(k):
+            for v in range(d):
+                src = (source * k + b) * d + v
+                mapping[src] = (source * k + (b + basis) % k) * d + (v + value) % d
     matrix = _permutation(dim, mapping)
     contract_rows = tuple(
-        (
-            (k * basis_count) * value_dim,
-            basis_state(dim, mapping[(k * basis_count) * value_dim]),
-        )
-        for k in range(source_dim)
+        (source * k * d, basis_state(dim, mapping[source * k * d]))
+        for source in range(spec.d_e)
     )
-    entry = _entry(name, dims, matrix, contract_rows)
-    return entry
+    return _entry(name, (spec.d_e, k, d), matrix, contract_rows)
 
 
 @dataclass(frozen=True)
@@ -275,42 +315,23 @@ class ConversionGate:
 
     ``steps`` are (gate, target slots) pairs applied in order over the
     register (source, basis ancilla, value ancilla); after them the value
-    ancilla, ``output_slot``, holds ``eve_states[k]`` whenever the source slot
-    started in |k> with both ancillas in |0>.
+    ancilla, ``output_slot``, holds ``spec.encode(value, basis)`` whenever the
+    source slot started in |spec.state_index(value, basis)> with both
+    ancillas in |0>.
     """
 
-    protocol: str
-    bases: tuple[np.ndarray, ...]
+    spec: ProtocolSpec
     steps: tuple[tuple[GateCatalogEntry, tuple[int, ...]], ...]
     output_slot = 2
 
     @property
     def slots(self) -> tuple[int, ...]:
-        k, d = len(self.bases), self.bases[0].shape[0]
-        return (d * k, k, d)
+        return (self.spec.d_e, self.spec.basis_count, self.spec.d_ab)
 
-    @property
-    def source_dim(self) -> int:
-        return self.slots[0]
-
-    @property
-    def eve_states(self) -> tuple[np.ndarray, ...]:
-        """State k is ``bases[basis][:, value]`` for ``k = value * bases + basis``."""
-        k = len(self.bases)
-        return tuple(
-            self.bases[basis][:, value]
-            for value, basis in (divmod(i, k) for i in range(self.source_dim))
-        )
-
-    @property
-    def decode_gates(self) -> tuple[np.ndarray, ...]:
-        return tuple(basis.conj().T for basis in self.bases)
-
-    def input_register(self, source: int | np.ndarray) -> Register:
-        if isinstance(source, (int, np.integer)):
-            source = basis_state(self.source_dim, int(source))
-        parts = [np.asarray(source, dtype=np.complex128)]
-        parts += [basis_state(d, 0) for d in self.slots[1:]]
+    def input_register(self, source: int) -> Register:
+        """|source> on the source slot, both ancillas in |0>."""
+        dim, *ancillas = self.slots
+        parts = [basis_state(dim, source), *(basis_state(d, 0) for d in ancillas)]
         return product_register(parts)
 
     def apply(self, reg: Register) -> Register:
@@ -321,27 +342,29 @@ class ConversionGate:
         return reg
 
     def matrix(self) -> np.ndarray:
-        """Materialize the composite as one full-register matrix."""
-        full = np.eye(math.prod(self.slots), dtype=np.complex128)
-        for gate, targets in self.steps:
-            full = embed(gate.matrix, self.slots, targets) @ full
-        return full
+        """Materialize the composite as one full-register matrix, column by
+        column."""
+        dim = math.prod(self.slots)
+        columns = [self.apply(Register(self.slots, basis_state(dim, k))).state for k in range(dim)]
+        return np.stack(columns, axis=1)
 
 
 @lru_cache(maxsize=None)
 def conversion_gate(protocol: str) -> ConversionGate:
-    """Conversion circuit for 'bb84', 'hdbb84' or 'ssp': split the source
-    index onto (basis, value) ancillas, then apply ``bases[basis]`` to the
-    value ancilla, which turns |value> into the encoded state."""
-    bases = protocol_bases(protocol)
-    k, d = len(bases), bases[0].shape[0]
+    """Conversion circuit of a registered protocol: split the source index
+    onto (basis, value) ancillas, then apply ``bases[basis]`` to the value
+    ancilla, which turns |value> into the encoded state."""
+    try:
+        spec = PROTOCOLS[protocol]
+    except KeyError:
+        raise CatalogError(f"unknown protocol {protocol!r}") from None
     # The split gates keep the paper's catalog names, numbered in protocol order.
-    number = list(PROTOCOL_BASES).index(protocol) + 1
+    number = list(PROTOCOLS).index(protocol) + 1
     steps = (
-        (_split_gate(f"QidConv{number}", d * k, k, d), (0, 1, 2)),
-        (_block_conditional(f"CBases[{protocol}]", k, bases), (1, 2)),
+        (_split_gate(f"QidConv{number}", spec), (0, 1, 2)),
+        (_block_conditional(f"CBases[{protocol}]", spec.basis_count, spec.bases), (1, 2)),
     )
-    return ConversionGate(protocol, bases, steps)
+    return ConversionGate(spec, steps)
 
 
 # --- Circular-basis candidates ---------------------------------------------------
@@ -465,7 +488,7 @@ def catalog() -> tuple[GateCatalogEntry, ...]:
         _block_conditional("CH", 2, [eye2, _H2]),
         _block_conditional("CPhi", 2, [eye4, _PHI_FIXED]),
         _block_conditional("CHJ", 3, [eye2, _H2, _J2]),
-        *(conversion_gate(protocol).steps[0][0] for protocol in PROTOCOL_BASES),
+        *(conversion_gate(protocol).steps[0][0] for protocol in PAPER_PROTOCOLS),
     )
 
 
@@ -530,11 +553,6 @@ def _check(results: list, name: str, passed: bool, detail: str = "") -> None:
     results.append(CheckResult(name, bool(passed), detail))
 
 
-def _column_overlaps_ok(left: np.ndarray, right: np.ndarray, magnitude: float) -> bool:
-    overlaps = np.abs(left.conj().T @ right)
-    return bool(np.max(np.abs(overlaps - magnitude)) <= 1e-9)
-
-
 def validate_catalog(rng: np.random.Generator, samples: int = 10_000) -> list:
     """Run the full gate property suite and return one result per check."""
     results: list[CheckResult] = []
@@ -568,12 +586,13 @@ def validate_catalog(rng: np.random.Generator, samples: int = 10_000) -> list:
         "PhiOriginal^2 permutes beta->delta, gamma->beta, delta->gamma",
     )
 
-    for protocol, bases in PROTOCOL_BASES.items():
-        magnitude = 1.0 / math.sqrt(bases[0].shape[0])
+    for protocol, spec in PROTOCOLS.items():
+        # Every overlap between columns of two different bases is 1/sqrt(d).
+        magnitude = 1.0 / math.sqrt(spec.d_ab)
         unbiased = all(
-            _column_overlaps_ok(left, right, magnitude)
-            for i, left in enumerate(bases)
-            for right in bases[i + 1 :]
+            np.max(np.abs(np.abs(spec.decode(i) @ right) - magnitude)) <= 1e-9
+            for i in range(spec.basis_count)
+            for right in spec.bases[i + 1 :]
         )
         _check(results, f"mub[{protocol}]", unbiased)
 
@@ -590,21 +609,21 @@ def validate_catalog(rng: np.random.Generator, samples: int = 10_000) -> list:
         np.max(np.abs(gate("CHJ").matrix - CHJ_LITERAL)) == 0.0,
     )
 
-    for protocol in PROTOCOL_BASES:
+    for protocol, spec in PROTOCOLS.items():
         conv = conversion_gate(protocol)
         _check(results, f"conversion-unitary[{protocol}]", is_unitary(conv.matrix()))
         sound = True
         decodable = True
-        for k in range(conv.source_dim):
+        for k in range(spec.d_e):
             out = conv.apply(conv.input_register(k))
             slot_state = _slot_state(out, conv.output_slot)
+            value, basis = spec.value_basis(k)
             if slot_state is None or not equal_up_to_global_phase(
-                slot_state, conv.eve_states[k]
+                slot_state, spec.encode(value, basis)
             ):
                 sound = False
                 continue
-            value, basis = divmod(k, len(conv.decode_gates))
-            decoded = conv.decode_gates[basis] @ slot_state
+            decoded = spec.decode(basis) @ slot_state
             if abs(abs(decoded[value]) ** 2 - 1.0) > 1e-9:
                 decodable = False
         _check(results, f"conversion-states[{protocol}]", sound)

@@ -1,9 +1,10 @@
 """Key-exchange orchestration for BB84, its dim-4 variant, and the six-state
 protocol, under three measurement scenarios and three eavesdropper models.
 
-A protocol is its name and the ordered basis matrices ``gates.PROTOCOL_BASES``
-holds for it.  Alice encodes value v in basis a as column v of ``bases[a]``;
-Bob decodes in basis b with ``bases[b]`` conjugate-transposed.  The dimensions
+A protocol is a ``gates.ProtocolSpec``, its name and ordered basis matrices,
+registered in ``gates.PROTOCOLS``.  Alice encodes value v in basis a as
+``spec.encode(v, a)``, column v of ``bases[a]``; Bob decodes in basis b with
+``spec.decode(b)``, ``bases[b]`` conjugate-transposed.  The dimensions
 d_ab = len(column), k = len(bases) and d_e = d_ab * k follow from the matrices.
 
 Scenarios
@@ -73,12 +74,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from . import analysis, gates
-from .core import ConfigError, ContractError, RandomSource, apply_to_slot, basis_state
+from .core import ConfigError, RandomSource, apply_to_slot, basis_state
+from .gates import PROTOCOLS, ProtocolSpec
 
 
 class Scenario(str, Enum):
@@ -107,58 +109,9 @@ MAX_RAW_BITS = 1_000_000
 MAX_TRIALS = 100_000
 
 
-@dataclass(frozen=True)
-class ProtocolSpec:
-    """Static description of one protocol: its key in ``gates.PROTOCOL_BASES``
-    and a name per basis.  The dimensions are read off the basis matrices.
-
-    The eavesdropper dimension is ``d_ab * basis_count`` and its basis states
-    enumerate (value, basis) pairs as ``index = value * basis_count + basis``.
-    """
-
-    name: str
-    basis_names: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.basis_names) != self.basis_count:
-            raise ContractError("basis name count != basis count")
-        if self.d_ab & (self.d_ab - 1):
-            # Keys are scored in bits, bits_per_particle per value.
-            raise ContractError(f"particle dimension must be a power of two, got {self.d_ab}")
-
-    @cached_property
-    def bases(self) -> tuple[np.ndarray, ...]:
-        return gates.protocol_bases(self.name)
-
-    @cached_property
-    def d_ab(self) -> int:
-        return self.bases[0].shape[0]
-
-    @cached_property
-    def basis_count(self) -> int:
-        return len(self.bases)
-
-    @cached_property
-    def bits_per_particle(self) -> int:
-        return self.d_ab.bit_length() - 1
-
-    @property
-    def d_e(self) -> int:
-        return self.d_ab * self.basis_count
-
-    def state_index(self, value: int, basis: int) -> int:
-        return value * self.basis_count + basis
-
-    def value_basis(self, index):
-        """(value, basis) of an index or an index array."""
-        return divmod(index, self.basis_count)
-
-
-BB84 = ProtocolSpec("bb84", ("rectilinear", "diagonal"))
-HDBB84 = ProtocolSpec("hdbb84", ("psi", "phi"))
-SSP = ProtocolSpec("ssp", ("z", "x", "y"))
-
-PROTOCOLS = {spec.name: spec for spec in (BB84, HDBB84, SSP)}
+BB84 = PROTOCOLS["bb84"]
+HDBB84 = PROTOCOLS["hdbb84"]
+SSP = PROTOCOLS["ssp"]
 
 
 def validate_pairing(scenario: Scenario, eve: EveModel) -> None:
@@ -178,12 +131,11 @@ def outcome_table(spec: ProtocolSpec, scenario: Scenario) -> np.ndarray:
     (value, basis) channel state.  The control table also serves the standard
     eavesdropper, who decodes in her guessed basis."""
     scenario = Scenario(scenario)
-    bases, k, d_e = spec.bases, spec.basis_count, spec.d_e
+    k, d_e = spec.basis_count, spec.d_e
     rows = []
     for value, basis, bob_basis in np.ndindex(spec.d_ab, k, k):
-        decode = bases[bob_basis].conj().T
         if scenario is Scenario.CONTROL:
-            p = np.abs(decode @ bases[basis][:, value]) ** 2
+            p = np.abs(spec.decode(bob_basis) @ spec.encode(value, basis)) ** 2
         elif scenario is Scenario.RELABEL:
             # Bob's relabel gate for basis b sends |v * k + a> to
             # |v * k + (a - b) mod k>: digit 0 marks an outcome in his basis.
@@ -194,7 +146,7 @@ def outcome_table(spec: ProtocolSpec, scenario: Scenario) -> np.ndarray:
         else:
             conv = gates.conversion_gate(spec.name)
             reg = conv.apply(conv.input_register(spec.state_index(value, basis)))
-            reg = apply_to_slot(decode, reg, conv.output_slot)
+            reg = apply_to_slot(spec.decode(bob_basis), reg, conv.output_slot)
             psi = np.moveaxis(reg.state.reshape(conv.slots), conv.output_slot, 0)
             p = np.sum(np.abs(psi) ** 2, axis=tuple(range(1, psi.ndim)))
         # Renormalizing keeps deterministic outcomes exact despite float residue.

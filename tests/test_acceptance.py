@@ -183,16 +183,16 @@ def test_criterion_9_conversion_soundness():
         for spec in ALL_SPECS:
             conv = gates.conversion_gate(spec.name)
             assert is_unitary(conv.matrix(), tol=1e-9)
-            for k in range(conv.source_dim):
+            for k in range(spec.d_e):
                 out = conv.apply(conv.input_register(k))
                 psi = np.moveaxis(out.state.reshape(conv.slots), conv.output_slot, 0)
                 flat = psi.reshape(psi.shape[0], -1)
                 populated = np.flatnonzero(np.linalg.norm(flat, axis=0) > 1e-9)
                 assert len(populated) == 1, (spec.name, k)
                 slot_state = flat[:, populated[0]]
-                assert equal_up_to_global_phase(
-                    slot_state, conv.eve_states[k], tol=1e-9
-                ), (spec.name, k)
                 value, basis = spec.value_basis(k)
-                decoded = conv.decode_gates[basis] @ slot_state
+                assert equal_up_to_global_phase(
+                    slot_state, spec.encode(value, basis), tol=1e-9
+                ), (spec.name, k)
+                decoded = spec.decode(basis) @ slot_state
                 assert abs(abs(decoded[value]) ** 2 - 1.0) <= 1e-9, (spec.name, k)

@@ -252,8 +252,15 @@ def test_unwritable_output_path_is_a_config_error(tmp_path, capsys, argv):
         ["run", "--protocol", "bb84", "--out", "{missing}/doc.json"],
         ["validate-gates", "--out", "{missing}/report.txt"],
         ["validate-gates", "--dump", "{file}/catalog.json"],
+        ["run", "--protocol", "bb84", "--out", "{dir}"],
+        ["validate-gates", "--dump", "{dir}"],
+        ["reproduce-paper", "--out-dir", "{paper}"],
+        ["hypothesis-table", "--out", "{dir}"],
     ],
-    ids=["run-out", "validate-gates-out", "validate-gates-dump"],
+    ids=[
+        "run-out", "validate-gates-out", "validate-gates-dump", "run-out-dir",
+        "validate-gates-dump-dir", "reproduce-paper-table-dir", "hypothesis-table-out-dir",
+    ],
 )
 def test_unwritable_output_path_fails_before_any_work(tmp_path, capsys, monkeypatch, argv):
     def no_work(*args, **kwargs):
@@ -261,10 +268,21 @@ def test_unwritable_output_path_fails_before_any_work(tmp_path, capsys, monkeypa
 
     monkeypatch.setattr(cli.protocols, "run_experiment", no_work)
     monkeypatch.setattr(cli.gates, "validate_catalog", no_work)
+    monkeypatch.setattr(cli, "_emit", no_work)
     a_file = tmp_path / "a-file"
     a_file.write_text("")
-    paths = {"missing": tmp_path / "no-such-dir", "file": a_file}
+    (tmp_path / "a-dir").mkdir()
+    # reproduce-paper's second table is a directory.
+    (tmp_path / "paper" / "results_hdbb84.csv").mkdir(parents=True)
+    paths = {
+        "missing": tmp_path / "no-such-dir",
+        "file": a_file,
+        "dir": tmp_path / "a-dir",
+        "paper": tmp_path / "paper",
+    }
+    before = sorted(tmp_path.rglob("*"))
     code, out, err = _run(capsys, [arg.format(**paths) for arg in argv])
     assert code == cli.EXIT_CONFIG
     assert out == ""
     assert err.startswith("error: cannot write ")
+    assert sorted(tmp_path.rglob("*")) == before

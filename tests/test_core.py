@@ -12,7 +12,6 @@ from qkdlab.core import (
     Register,
     apply_to_slot,
     basis_state,
-    embed,
     equal_up_to_global_phase,
     product_register,
 )
@@ -152,16 +151,6 @@ def test_apply_to_slot_equals_kron_on_permuted_register(case):
     got = apply_to_slot(gate, reg, targets)
     assert got.slots == slots
     np.testing.assert_allclose(got.state, expected.reshape(-1), atol=1e-12)
-
-
-def test_embed_matches_slotwise_application():
-    rng = RNG.stream("embed")
-    gate = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
-    full = embed(gate, (2, 3), 1)
-    reg = Register((2, 3), _random_state(6, rng))
-    np.testing.assert_allclose(
-        full @ reg.state, apply_to_slot(gate, reg, 1).state, atol=1e-12
-    )
 
 
 def test_register_slot_product_invariant():

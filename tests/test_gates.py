@@ -15,6 +15,7 @@ from qkdlab.core import (
 )
 from qkdlab.gates import (
     CHJ_LITERAL,
+    PROTOCOLS,
     CatalogError,
     _entry,
     basis_candidate,
@@ -199,32 +200,39 @@ def test_cphi_applies_phi_only_when_control_set():
 
 @pytest.mark.parametrize("protocol", ["bb84", "hdbb84", "ssp"])
 def test_conversion_composite_is_unitary(protocol):
-    assert is_unitary(conversion_gate(protocol).matrix())
+    conv = conversion_gate(protocol)
+    matrix = conv.matrix()
+    assert is_unitary(matrix)
+    # The materialized matrix acts on a register as the circuit does.
+    reg = conv.input_register(1)
+    np.testing.assert_allclose(matrix @ reg.state, conv.apply(reg).state, atol=1e-12)
 
 
 @pytest.mark.parametrize("protocol", ["bb84", "hdbb84", "ssp"])
 def test_conversion_output_matches_state_table(protocol):
     conv = conversion_gate(protocol)
-    for k in range(conv.source_dim):
+    spec = conv.spec
+    for k in range(spec.d_e):
         out = conv.apply(conv.input_register(k))
         psi = np.moveaxis(out.state.reshape(conv.slots), conv.output_slot, 0)
         flat = psi.reshape(psi.shape[0], -1)
         populated = np.flatnonzero(np.linalg.norm(flat, axis=0) > 1e-9)
         assert len(populated) == 1, "output slot must stay unentangled"
         slot_state = flat[:, populated[0]]
-        assert equal_up_to_global_phase(slot_state, conv.eve_states[k]), (protocol, k)
+        expected = spec.encode(*spec.value_basis(k))
+        assert equal_up_to_global_phase(slot_state, expected), (protocol, k)
 
 
 def test_conversion_examples():
-    bb84 = conversion_gate("bb84")
-    np.testing.assert_allclose(bb84.eve_states[1], [SQRT2, SQRT2], atol=1e-12)
-    hd = conversion_gate("hdbb84")
+    bb84 = PROTOCOLS["bb84"]
+    np.testing.assert_allclose(bb84.encode(*bb84.value_basis(1)), [SQRT2, SQRT2], atol=1e-12)
+    hd = PROTOCOLS["hdbb84"]
     np.testing.assert_allclose(
-        hd.eve_states[7], gate("Phi").matrix[:, 3], atol=1e-12
+        hd.encode(*hd.value_basis(7)), gate("Phi").matrix[:, 3], atol=1e-12
     )
-    ssp = conversion_gate("ssp")
+    ssp = PROTOCOLS["ssp"]
     assert equal_up_to_global_phase(
-        ssp.eve_states[5], np.array([-SQRT2, -1j * SQRT2])
+        ssp.encode(*ssp.value_basis(5)), np.array([-SQRT2, -1j * SQRT2])
     )
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from qkdlab import cli
+from qkdlab import cli, gates
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SEED = "7"
@@ -82,6 +82,40 @@ def test_cli_stdout_matches_golden(name):
 
 def test_catalog_dump_matches_golden_digest(tmp_path):
     assert _dump_digest(tmp_path) == (GOLDEN / "catalog_dump.sha256").read_text().strip()
+
+
+def _clear_catalog_caches():
+    gates.catalog.cache_clear()
+    gates.catalog_fingerprint.cache_clear()
+
+
+def test_registering_a_protocol_leaves_paper_outputs_unchanged(tmp_path, monkeypatch):
+    fingerprint = gates.catalog_fingerprint()
+    table = _stdout(["hypothesis-table"]).decode().splitlines()
+    copy = gates.ProtocolSpec("bb84copy", gates.PROTOCOLS["bb84"].bases)
+    monkeypatch.setitem(gates.PROTOCOLS, copy.name, copy)
+    _clear_catalog_caches()
+    try:
+        assert gates.catalog_fingerprint() == fingerprint
+        golden = json.loads((GOLDEN / "run_digests.json").read_text())
+        assert _run_digest(("bb84", "control", "none")) == golden["bb84/control/none"]
+        _reproduce_paper(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(PAPER_FILES)
+        for name in PAPER_FILES:
+            assert (tmp_path / name).read_bytes() == (GOLDEN / "paper" / name).read_bytes(), name
+        assert _stdout(["hypothesis-table"]).decode().splitlines() == [
+            *table, "bb84copy       2      2    4"
+        ]
+        # The copy runs through its own conversion circuit to the same keys.
+        documents = [
+            json.loads(_stdout(["run", "--protocol", protocol, "--scenario", "conv",
+                                "--eve", "hd", "--format", "json", "--seed", SEED]))
+            for protocol in ("bb84", copy.name)
+        ]
+        documents[1]["config"]["protocol"] = "bb84"
+        assert documents[0] == documents[1]
+    finally:
+        _clear_catalog_caches()
 
 
 if __name__ == "__main__":

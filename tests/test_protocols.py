@@ -82,7 +82,7 @@ class PaperGates(NamedTuple):
     phase, so it also decodes); ``hd_values`` and ``hd_bases`` are the Qid
     gates doing the same on the d_e qudit.  ``conv`` is the conversion
     circuit as (slots, steps, output slot).  The engine derives all of these
-    from ``gates.PROTOCOL_BASES`` instead; the tests compare the two.
+    from the specs in ``gates.PROTOCOLS`` instead; the tests compare the two.
     """
 
     values: list
@@ -159,6 +159,14 @@ def test_eavesdropper_dimension_rule():
         assert spec.d_e == spec.d_ab * spec.basis_count
 
 
+def test_protocol_spec_stores_read_only_copies_of_its_bases():
+    identity = np.eye(2, dtype=np.complex128)
+    spec = ProtocolSpec("copy", (identity, BB84.bases[1]))
+    assert identity.flags.writeable
+    assert all(not basis.flags.writeable for basis in spec.bases)
+    np.testing.assert_array_equal(spec.bases[0], identity)
+
+
 def test_state_index_round_trips():
     for spec in ALL_SPECS:
         seen = set()
@@ -170,14 +178,13 @@ def test_state_index_round_trips():
         assert seen == set(range(spec.d_e))
 
 
-def test_protocol_spec_rejects_non_power_of_two_dimension(monkeypatch):
+def test_protocol_spec_rejects_non_power_of_two_dimension():
     # Keys are scored in bits, so a qutrit basis list (identity and the
     # 3-point Fourier matrix) must be refused rather than run with values
     # that do not fit bits_per_particle.
     fourier = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
-    monkeypatch.setitem(gates.PROTOCOL_BASES, "qutrit", (np.eye(3), fourier))
     with pytest.raises(ContractError, match="power of two"):
-        ProtocolSpec("qutrit", ("z", "fourier"))
+        ProtocolSpec("qutrit", (np.eye(3), fourier))
 
 
 def test_pairing_rules():
