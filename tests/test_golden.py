@@ -3,8 +3,10 @@ catalog, byte for byte.
 
 ``tests/golden/run_digests.json`` holds the SHA-256 of
 ``qkdlab run --format json --seed 7`` (25 trials x 200 raw bits) for every
-grid cell, and ``tests/golden/paper/`` the four ``reproduce-paper --seed 7``
-tables.  ``validate_gates.txt`` and ``hypothesis_table.txt`` are the stdout of
+grid cell, ``render_digests.json`` the same for ``--format csv`` and
+``--format table``, and ``tests/golden/paper/`` the four
+``reproduce-paper --seed 7`` tables.  ``validate_gates.txt`` and
+``hypothesis_table.txt`` are the stdout of
 ``validate-gates --seed 7`` and ``hypothesis-table``, and
 ``catalog_dump.sha256`` the SHA-256 of the ``validate-gates --dump`` file
 (320 kB of JSON), which pins every catalog matrix.  A change that alters any
@@ -43,13 +45,24 @@ def _stdout(argv) -> bytes:
     return buffer.getvalue().encode()
 
 
-def _run_digest(cell) -> str:
+RENDER_FORMATS = ("csv", "table")
+
+
+def _run_digest(cell, fmt: str = "json") -> str:
     protocol, scenario, eve = cell
     document = _stdout(
         ["run", "--protocol", protocol, "--scenario", scenario, "--eve", eve,
-         "--format", "json", "--seed", SEED]
+         "--format", fmt, "--seed", SEED]
     )
     return hashlib.sha256(document).hexdigest()
+
+
+def _render_digests() -> dict:
+    return {
+        f"{'/'.join(cell)}/{fmt}": _run_digest(cell, fmt)
+        for cell in CELLS
+        for fmt in RENDER_FORMATS
+    }
 
 
 def _dump_digest(tmp_dir: Path) -> str:
@@ -67,6 +80,13 @@ def _reproduce_paper(out_dir: Path) -> None:
 def test_run_document_matches_golden_digest(cell):
     golden = json.loads((GOLDEN / "run_digests.json").read_text())
     assert _run_digest(cell) == golden["/".join(cell)]
+
+
+@pytest.mark.parametrize("fmt", RENDER_FORMATS)
+@pytest.mark.parametrize("cell", CELLS, ids="/".join)
+def test_run_rendering_matches_golden_digest(cell, fmt):
+    golden = json.loads((GOLDEN / "render_digests.json").read_text())
+    assert _run_digest(cell, fmt) == golden[f"{'/'.join(cell)}/{fmt}"]
 
 
 def test_reproduce_paper_tables_match_golden(tmp_path):
@@ -128,3 +148,6 @@ if __name__ == "__main__":
         (GOLDEN / "catalog_dump.sha256").write_text(_dump_digest(Path(tmp)) + "\n")
     digests = {"/".join(cell): _run_digest(cell) for cell in CELLS}
     (GOLDEN / "run_digests.json").write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    (GOLDEN / "render_digests.json").write_text(
+        json.dumps(_render_digests(), indent=2, sort_keys=True) + "\n"
+    )
