@@ -9,7 +9,7 @@ fraction, cross-scenario key matches).
 __version__ = "0.1.0"
 
 from .analysis import (
-    AggregateStats,
+    STATISTICS,
     TrialResult,
     aggregate,
     detection_probability,
@@ -53,7 +53,6 @@ from .protocols import (
 )
 
 __all__ = [
-    "AggregateStats",
     "BB84",
     "BasisCandidate",
     "ConfigError",
@@ -66,6 +65,7 @@ __all__ = [
     "RandomSource",
     "Register",
     "SSP",
+    "STATISTICS",
     "Scenario",
     "SimulationError",
     "Transcript",

@@ -1,5 +1,12 @@
 """Per-trial and aggregate statistics for key-exchange runs.
 
+:data:`STATISTICS` names the six statistics a run is judged by, in the order
+the result document and the CSV tables write them.  A :class:`TrialResult`
+carries them under these names, and :func:`aggregate` returns their means
+under the same names.  An empty sifted key scores QBER 0, as every trial
+without an eavesdropper must, and knowledge None (undefined), which the
+means skip, as they skip trials without an eavesdropper.
+
 Fractions are kept exact (``fractions.Fraction``) so that repeated runs and
 aggregations are bit-for-bit reproducible; rendering to percentages happens
 only at the output layer.
@@ -15,12 +22,14 @@ import numpy as np
 
 from .core import ContractError
 
+STATISTICS = ("key_size", "sift_fraction", "qber", "alice_knowledge", "bob_knowledge", "matches")
+
 
 class EmptySiftWarning(UserWarning):
     """Raised when a statistic is computed over an empty sifted key."""
 
 
-def _bit_errors(a, b, bits_per_particle: int, what: str, statistic: str) -> tuple[int, int]:
+def _bit_errors(a, b, bits_per_particle: int, what: str, empty: str) -> tuple[int, int]:
     """Differing and total bits of two per-particle value arrays; the
     differing bits are the popcount of ``a ^ b``.  Warns on empty keys."""
     if not 1 <= bits_per_particle <= 8:
@@ -30,7 +39,7 @@ def _bit_errors(a, b, bits_per_particle: int, what: str, statistic: str) -> tupl
             f"{what} lengths differ: {len(a) * bits_per_particle} vs {len(b) * bits_per_particle}"
         )
     if not len(a):
-        warnings.warn(f"{statistic} of an empty sifted key treated as 0", EmptySiftWarning)
+        warnings.warn(f"empty sifted key: {empty}", EmptySiftWarning)
         return 0, 0
     differing = int(np.count_nonzero(np.unpackbits((a ^ b).astype(np.uint8))))
     return differing, len(a) * bits_per_particle
@@ -38,16 +47,17 @@ def _bit_errors(a, b, bits_per_particle: int, what: str, statistic: str) -> tupl
 
 def qber(alice, bob, bits_per_particle: int) -> Fraction:
     """Differing-bit fraction between the two sifted keys (0 on empty keys)."""
-    errors, total = _bit_errors(alice, bob, bits_per_particle, "sifted key", "QBER")
+    errors, total = _bit_errors(alice, bob, bits_per_particle, "sifted key", "QBER treated as 0")
     return Fraction(errors, total) if total else Fraction(0)
 
 
-def knowledge(eve_values, reference, bits_per_particle: int) -> Fraction:
-    """Fraction of sifted bits where the eavesdropper's bit agrees."""
+def knowledge(eve_values, reference, bits_per_particle: int) -> Fraction | None:
+    """Fraction of sifted bits where the eavesdropper's bit agrees (None on
+    empty keys)."""
     errors, total = _bit_errors(
-        eve_values, reference, bits_per_particle, "bit string", "knowledge"
+        eve_values, reference, bits_per_particle, "bit string", "knowledge undefined"
     )
-    return Fraction(total - errors, total) if total else Fraction(0)
+    return Fraction(total - errors, total) if total else None
 
 
 def intercept_resend_error(spec) -> Fraction:
@@ -80,57 +90,36 @@ def _validate_fraction(name: str, value) -> None:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """Statistics of a single key-exchange trial."""
+    """Statistics of a single key-exchange trial, named as in
+    :data:`STATISTICS`; ``key_size`` counts sifted bits."""
 
     trial: int
     raw_len: int
-    sifted_len: int
+    key_size: int
     qber: Fraction
-    knowledge_alice: Fraction | None
-    knowledge_bob: Fraction | None
-    matches_control: bool
+    alice_knowledge: Fraction | None
+    bob_knowledge: Fraction | None
+    matches: bool
 
     def __post_init__(self) -> None:
         _validate_fraction("qber", self.qber)
-        _validate_fraction("knowledge_alice", self.knowledge_alice)
-        _validate_fraction("knowledge_bob", self.knowledge_bob)
+        _validate_fraction("alice_knowledge", self.alice_knowledge)
+        _validate_fraction("bob_knowledge", self.bob_knowledge)
 
     @property
     def sift_fraction(self) -> Fraction:
-        return Fraction(self.sifted_len, self.raw_len)
+        return Fraction(self.key_size, self.raw_len)
 
 
-@dataclass(frozen=True)
-class AggregateStats:
-    """Arithmetic means over a list of trials plus the match rate."""
-
-    trials: int
-    mean_sifted_len: Fraction
-    mean_sift_fraction: Fraction
-    mean_qber: Fraction
-    mean_knowledge_alice: Fraction | None
-    mean_knowledge_bob: Fraction | None
-    match_rate: Fraction
-
-
-def _mean_optional(values) -> Fraction | None:
-    present = [v for v in values if v is not None]
-    if not present:
-        return None
-    return sum(present, Fraction(0)) / len(present)
-
-
-def aggregate(results) -> AggregateStats:
+def aggregate(results) -> dict[str, Fraction | None]:
+    """Mean of each of :data:`STATISTICS` over the trials that have it, or
+    None when no trial does."""
     results = list(results)
     if not results:
         raise ContractError("cannot aggregate an empty result list")
-    n = len(results)
-    return AggregateStats(
-        trials=n,
-        mean_sifted_len=Fraction(sum(r.sifted_len for r in results), n),
-        mean_sift_fraction=sum((r.sift_fraction for r in results), Fraction(0)) / n,
-        mean_qber=sum((r.qber for r in results), Fraction(0)) / n,
-        mean_knowledge_alice=_mean_optional(r.knowledge_alice for r in results),
-        mean_knowledge_bob=_mean_optional(r.knowledge_bob for r in results),
-        match_rate=Fraction(sum(r.matches_control for r in results), n),
-    )
+    means = {}
+    for name in STATISTICS:
+        present = [value for r in results if (value := getattr(r, name)) is not None]
+        # Int and bool columns sum as ints, so each statistic builds one Fraction.
+        means[name] = Fraction(sum(present)) / len(present) if present else None
+    return means

@@ -12,6 +12,7 @@ import io
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, analysis, gates, protocols
@@ -52,34 +53,18 @@ def _resolve_seed(seed: int | None) -> int:
     return seed
 
 
-def _round(value) -> float | None:
-    return None if value is None else round(float(value), 4)
+def _round(value):
+    """A Fraction to four decimals; ints, bools and None unchanged."""
+    return round(float(value), 4) if isinstance(value, Fraction) else value
 
 
-def _stats_cells(stats: analysis.AggregateStats) -> dict:
-    """The six rounded statistics columns of an aggregate row."""
-    return {
-        "key_size": _round(stats.mean_sifted_len),
-        "sift_fraction": _round(stats.mean_sift_fraction),
-        "qber": _round(stats.mean_qber),
-        "alice_knowledge": _round(stats.mean_knowledge_alice),
-        "bob_knowledge": _round(stats.mean_knowledge_bob),
-        "matches": _round(stats.match_rate),
-    }
+def _rounded(means: dict) -> dict:
+    return {name: _round(value) for name, value in means.items()}
 
 
 def build_document(config: dict, results) -> dict:
-    stats = analysis.aggregate(results)
     trials = [
-        {
-            "trial": r.trial,
-            "key_size": r.sifted_len,
-            "sift_fraction": _round(r.sift_fraction),
-            "qber": _round(r.qber),
-            "alice_knowledge": _round(r.knowledge_alice),
-            "bob_knowledge": _round(r.knowledge_bob),
-            "matches": r.matches_control,
-        }
+        {"trial": r.trial, **{name: _round(getattr(r, name)) for name in analysis.STATISTICS}}
         for r in results
     ]
     return {
@@ -87,7 +72,7 @@ def build_document(config: dict, results) -> dict:
         "catalog_fingerprint": gates.catalog_fingerprint(),
         "config": config,
         "trials": trials,
-        "aggregate": {"trials": stats.trials, **_stats_cells(stats)},
+        "aggregate": {"trials": len(results), **_rounded(analysis.aggregate(results))},
     }
 
 
@@ -113,15 +98,7 @@ def render_table(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-_CSV_FIELDS = (
-    "trial",
-    "key_size",
-    "sift_fraction",
-    "qber",
-    "alice_knowledge",
-    "bob_knowledge",
-    "matches",
-)
+_CSV_FIELDS = ("trial", *analysis.STATISTICS)
 
 
 def _csv_cell(value):
@@ -219,15 +196,7 @@ def cmd_validate_gates(args: argparse.Namespace) -> int:
     return EXIT_OK if failures == 0 else EXIT_VALIDATION
 
 
-_TABLE_FIELDS = (
-    "scenario",
-    "key_size",
-    "sift_fraction",
-    "qber",
-    "alice_knowledge",
-    "bob_knowledge",
-    "matches",
-)
+_TABLE_FIELDS = ("scenario", *analysis.STATISTICS)
 
 
 def cmd_reproduce_paper(args: argparse.Namespace) -> int:
@@ -247,12 +216,10 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
             results = protocols.run_experiment(
                 spec, scenario, eve, DEFAULT_TRIALS, DEFAULT_RAW_BITS, args.seed
             )
-            stats = analysis.aggregate(results)
-            rows.append({"scenario": label, **_stats_cells(stats)})
+            row = {"scenario": label, **_rounded(analysis.aggregate(results))}
+            rows.append(row)
             if eve is not protocols.EveModel.NONE:
-                qber_rows.append(
-                    {"protocol": name, "scenario": label, "qber": _round(stats.mean_qber)}
-                )
+                qber_rows.append({"protocol": name, "scenario": label, "qber": row["qber"]})
         _emit(_csv_text(_TABLE_FIELDS, rows), table_path)
         sys.stdout.write(f"wrote {table_path}\n")
     _emit(_csv_text(("protocol", "scenario", "qber"), qber_rows), figure_path)

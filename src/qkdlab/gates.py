@@ -5,9 +5,10 @@ name and the ordered tuple of its basis matrices, (I, H) for BB84, (I, Phi)
 for HD-BB84 and (I, H, J) for SSP, where column v of ``bases[a]`` is the
 state encoding value v in basis a.  Everything else about a protocol is read
 from the spec: its dimensions, encode and decode, the (value, basis) index
-and its conversion circuit (:func:`conversion_gate`).  Registering a protocol
-is one more ``PROTOCOLS`` entry; ``PAPER_PROTOCOLS`` names the three the paper
-studies, and only they enter the catalog and the paper's grid.
+and, for a registered spec, its conversion circuit (:func:`conversion_gate`).
+Registering a protocol is one more ``PROTOCOLS`` entry; ``PAPER_PROTOCOLS``
+names the three the paper studies, and only they enter the catalog and the
+paper's grid.
 
 The catalog holds every named unitary, each wrapped in a
 :class:`GateCatalogEntry` that carries its intended action table.
@@ -35,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -162,18 +163,19 @@ _PHI_FIXED = 0.5 * np.array(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolSpec:
     """One protocol: its name and its ordered basis matrices, stored
     read-only.  Column v of ``bases[a]`` encodes value v in basis a.  Specs
-    compare and hash by name.
+    compare and hash by identity, so a cache keyed by a spec never hands one
+    protocol's tables to another spec of the same name.
 
     The eavesdropper dimension is ``d_ab * basis_count`` and its basis states
     enumerate (value, basis) pairs as ``index = value * basis_count + basis``.
     """
 
     name: str
-    bases: tuple[np.ndarray, ...] = field(compare=False)
+    bases: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
         # Copies, so that freezing them leaves the caller's arrays writable.
@@ -350,19 +352,17 @@ class ConversionGate:
 
 
 @lru_cache(maxsize=None)
-def conversion_gate(protocol: str) -> ConversionGate:
+def conversion_gate(spec: ProtocolSpec) -> ConversionGate:
     """Conversion circuit of a registered protocol: split the source index
     onto (basis, value) ancillas, then apply ``bases[basis]`` to the value
     ancilla, which turns |value> into the encoded state."""
-    try:
-        spec = PROTOCOLS[protocol]
-    except KeyError:
-        raise CatalogError(f"unknown protocol {protocol!r}") from None
+    if PROTOCOLS.get(spec.name) is not spec:
+        raise CatalogError(f"protocol {spec.name!r} is not registered as this spec")
     # The split gates keep the paper's catalog names, numbered in protocol order.
-    number = list(PROTOCOLS).index(protocol) + 1
+    number = list(PROTOCOLS).index(spec.name) + 1
     steps = (
         (_split_gate(f"QidConv{number}", spec), (0, 1, 2)),
-        (_block_conditional(f"CBases[{protocol}]", spec.basis_count, spec.bases), (1, 2)),
+        (_block_conditional(f"CBases[{spec.name}]", spec.basis_count, spec.bases), (1, 2)),
     )
     return ConversionGate(spec, steps)
 
@@ -488,7 +488,7 @@ def catalog() -> tuple[GateCatalogEntry, ...]:
         _block_conditional("CH", 2, [eye2, _H2]),
         _block_conditional("CPhi", 2, [eye4, _PHI_FIXED]),
         _block_conditional("CHJ", 3, [eye2, _H2, _J2]),
-        *(conversion_gate(protocol).steps[0][0] for protocol in PAPER_PROTOCOLS),
+        *(conversion_gate(PROTOCOLS[name]).steps[0][0] for name in PAPER_PROTOCOLS),
     )
 
 
@@ -610,7 +610,7 @@ def validate_catalog(rng: np.random.Generator, samples: int = 10_000) -> list:
     )
 
     for protocol, spec in PROTOCOLS.items():
-        conv = conversion_gate(protocol)
+        conv = conversion_gate(spec)
         _check(results, f"conversion-unitary[{protocol}]", is_unitary(conv.matrix()))
         sound = True
         decodable = True

@@ -144,7 +144,7 @@ def outcome_table(spec: ProtocolSpec, scenario: Scenario) -> np.ndarray:
             relabel = np.eye(d_e, dtype=np.complex128)[:, targets]
             p = np.abs(relabel @ basis_state(d_e, spec.state_index(value, basis))) ** 2
         else:
-            conv = gates.conversion_gate(spec.name)
+            conv = gates.conversion_gate(spec)
             reg = conv.apply(conv.input_register(spec.state_index(value, basis)))
             reg = apply_to_slot(spec.decode(bob_basis), reg, conv.output_slot)
             psi = np.moveaxis(reg.state.reshape(conv.slots), conv.output_slot, 0)
@@ -324,17 +324,15 @@ def run_experiment(
             analysis.TrialResult(
                 trial=trial,
                 raw_len=raw_bits,
-                sifted_len=len(alice) * bits,
+                key_size=len(alice) * bits,
                 qber=analysis.qber(alice, bob, bits),
-                knowledge_alice=(
+                alice_knowledge=(
                     None if eve_values is None else analysis.knowledge(eve_values, alice, bits)
                 ),
-                knowledge_bob=(
+                bob_knowledge=(
                     None if eve_values is None else analysis.knowledge(eve_values, bob, bits)
                 ),
-                matches_control=np.array_equal(
-                    bob, transcript.control_values[transcript.kept]
-                ),
+                matches=np.array_equal(bob, transcript.control_values[transcript.kept]),
             )
         )
     return results

@@ -70,8 +70,8 @@ def test_criterion_1_no_eve_correctness():
         grid = _no_eve_grid()
         elapsed = time.perf_counter() - start
         for (name, scenario), stats in grid.items():
-            assert stats.mean_qber == Fraction(0), (name, scenario)
-            assert stats.match_rate == Fraction(1), (name, scenario)
+            assert stats["qber"] == Fraction(0), (name, scenario)
+            assert stats["matches"] == Fraction(1), (name, scenario)
         assert elapsed < 5.0, f"no-eve grid took {elapsed:.2f}s"
 
 
@@ -82,10 +82,10 @@ def test_criterion_2_hd_attack_transparency():
         grid = _hd_eve_grid()
         elapsed = time.perf_counter() - start
         for (name, scenario), stats in grid.items():
-            assert stats.mean_qber == Fraction(0), (name, scenario)
-            assert stats.mean_knowledge_alice == Fraction(1), (name, scenario)
-            assert stats.mean_knowledge_bob == Fraction(1), (name, scenario)
-            assert stats.match_rate == Fraction(1), (name, scenario)
+            assert stats["qber"] == Fraction(0), (name, scenario)
+            assert stats["alice_knowledge"] == Fraction(1), (name, scenario)
+            assert stats["bob_knowledge"] == Fraction(1), (name, scenario)
+            assert stats["matches"] == Fraction(1), (name, scenario)
         assert elapsed < 5.0, f"HD-eve grid took {elapsed:.2f}s"
 
 
@@ -97,7 +97,7 @@ def test_criterion_3_standard_eve_qber():
         for spec in ALL_SPECS:
             expected, _, _ = intercept_resend_oracle(spec.name, spec.bits_per_particle)
             assert abs(expected - theory[spec.name]) < 1e-12
-            observed = float(stats[spec.name].mean_qber)
+            observed = float(stats[spec.name]["qber"])
             low, high = bands[spec.name]
             assert low <= observed <= high, (spec.name, observed)
             assert abs(observed - expected) <= 0.03, (spec.name, observed, expected)
@@ -106,8 +106,8 @@ def test_criterion_3_standard_eve_qber():
 def test_criterion_4_standard_eve_knowledge():
     with criterion(4, "standard-eve knowledge of BB84 keys"):
         stats = _standard_eve_stats()["bb84"]
-        assert 0.70 <= float(stats.mean_knowledge_alice) <= 0.80
-        assert 0.70 <= float(stats.mean_knowledge_bob) <= 0.82
+        assert 0.70 <= float(stats["alice_knowledge"]) <= 0.80
+        assert 0.70 <= float(stats["bob_knowledge"]) <= 0.82
 
 
 def test_criterion_5_sift_fractions():
@@ -115,7 +115,7 @@ def test_criterion_5_sift_fractions():
         grid = _no_eve_grid()
         bands = {"bb84": (0.45, 0.55), "hdbb84": (0.45, 0.55), "ssp": (0.28, 0.39)}
         for spec in ALL_SPECS:
-            observed = float(grid[spec.name, Scenario.CONTROL].mean_sift_fraction)
+            observed = float(grid[spec.name, Scenario.CONTROL]["sift_fraction"])
             low, high = bands[spec.name]
             assert low <= observed <= high, (spec.name, observed)
         print(
@@ -181,7 +181,7 @@ def test_criterion_8_detection_probability():
 def test_criterion_9_conversion_soundness():
     with criterion(9, "conversion-gate soundness"):
         for spec in ALL_SPECS:
-            conv = gates.conversion_gate(spec.name)
+            conv = gates.conversion_gate(spec)
             assert is_unitary(conv.matrix(), tol=1e-9)
             for k in range(spec.d_e):
                 out = conv.apply(conv.input_register(k))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qkdlab.analysis import (
-    AggregateStats,
     EmptySiftWarning,
     TrialResult,
     aggregate,
@@ -75,7 +74,7 @@ def test_knowledge_no_agreement():
 
 def test_knowledge_empty_reference_warns():
     with pytest.warns(EmptySiftWarning):
-        assert knowledge(_key(""), _key(""), 1) == 0
+        assert knowledge(_key(""), _key(""), 1) is None
 
 
 def test_detection_probability_spot_values():
@@ -116,35 +115,33 @@ def _trial(i, qber_value, matches, sifted=100):
     return TrialResult(
         trial=i,
         raw_len=200,
-        sifted_len=sifted,
+        key_size=sifted,
         qber=Fraction(qber_value),
-        knowledge_alice=None,
-        knowledge_bob=None,
-        matches_control=matches,
+        alice_knowledge=None,
+        bob_knowledge=None,
+        matches=matches,
     )
 
 
 def test_aggregate_means_and_match_rate():
     stats = aggregate([_trial(0, 0, True), _trial(1, Fraction(1, 2), False)])
-    assert isinstance(stats, AggregateStats)
-    assert stats.trials == 2
-    assert stats.mean_qber == Fraction(1, 4)
-    assert stats.match_rate == Fraction(1, 2)
-    assert stats.mean_sift_fraction == Fraction(1, 2)
-    assert stats.mean_knowledge_alice is None
+    assert stats["qber"] == Fraction(1, 4)
+    assert stats["matches"] == Fraction(1, 2)
+    assert stats["sift_fraction"] == Fraction(1, 2)
+    assert stats["alice_knowledge"] is None
 
 
 def test_aggregate_identical_no_eve_trials():
     stats = aggregate([_trial(i, 0, True) for i in range(25)])
-    assert stats.mean_qber == 0
-    assert stats.match_rate == 1
+    assert stats["qber"] == 0
+    assert stats["matches"] == 1
 
 
 def test_aggregate_mean_stays_within_trial_range():
     trials = [_trial(i, Fraction(i, 10), True, sifted=100 + i) for i in range(5)]
     stats = aggregate(trials)
-    assert min(t.qber for t in trials) <= stats.mean_qber <= max(t.qber for t in trials)
-    assert 100 <= stats.mean_sifted_len <= 104
+    assert min(t.qber for t in trials) <= stats["qber"] <= max(t.qber for t in trials)
+    assert 100 <= stats["key_size"] <= 104
 
 
 def test_aggregate_rejects_empty_list():

@@ -17,6 +17,7 @@ from qkdlab.gates import (
     CHJ_LITERAL,
     PROTOCOLS,
     CatalogError,
+    ProtocolSpec,
     _entry,
     basis_candidate,
     catalog,
@@ -70,7 +71,7 @@ def test_unknown_gate_names_raise():
         with pytest.raises(CatalogError):
             gate(name)
     with pytest.raises(CatalogError):
-        conversion_gate("e91")
+        conversion_gate(ProtocolSpec("e91", (np.eye(2), gate("H").matrix)))
     with pytest.raises(CatalogError):
         hdbb84_psi_prep("epsilon")
     with pytest.raises(CatalogError):
@@ -200,7 +201,7 @@ def test_cphi_applies_phi_only_when_control_set():
 
 @pytest.mark.parametrize("protocol", ["bb84", "hdbb84", "ssp"])
 def test_conversion_composite_is_unitary(protocol):
-    conv = conversion_gate(protocol)
+    conv = conversion_gate(PROTOCOLS[protocol])
     matrix = conv.matrix()
     assert is_unitary(matrix)
     # The materialized matrix acts on a register as the circuit does.
@@ -210,7 +211,7 @@ def test_conversion_composite_is_unitary(protocol):
 
 @pytest.mark.parametrize("protocol", ["bb84", "hdbb84", "ssp"])
 def test_conversion_output_matches_state_table(protocol):
-    conv = conversion_gate(protocol)
+    conv = conversion_gate(PROTOCOLS[protocol])
     spec = conv.spec
     for k in range(spec.d_e):
         out = conv.apply(conv.input_register(k))
@@ -240,15 +241,16 @@ def test_conversion_examples():
     "protocol,fixture", [("bb84", "CH"), ("hdbb84", "CPhi"), ("ssp", "CHJ")]
 )
 def test_derived_conversion_steps_equal_paper_fixtures(protocol, fixture):
-    (split, split_targets), (prepare, prepare_targets) = conversion_gate(protocol).steps
+    steps = conversion_gate(PROTOCOLS[protocol]).steps
+    (split, split_targets), (prepare, prepare_targets) = steps
     assert any(entry is split for entry in catalog())
     assert (split_targets, prepare_targets) == ((0, 1, 2), (1, 2))
     np.testing.assert_array_equal(prepare.matrix, gate(fixture).matrix)
 
 
 def test_conversion_rejects_wrong_register():
-    conv = conversion_gate("bb84")
-    other = conversion_gate("ssp")
+    conv = conversion_gate(PROTOCOLS["bb84"])
+    other = conversion_gate(PROTOCOLS["ssp"])
     with pytest.raises(ContractError):
         conv.apply(other.input_register(0))
 

@@ -353,6 +353,19 @@ def test_outcome_tables_are_cached_and_read_only():
                 table[0, 0, 0, 0] = 0.5
 
 
+def test_outcome_tables_belong_to_the_spec_not_its_name():
+    # BB84's name with the second basis's states swapped: value 0 in basis 1
+    # is |1>, which Bob's basis 0 reads as 1 with certainty.
+    impostor = ProtocolSpec("bb84", (np.eye(2), np.eye(2)[:, ::-1]))
+    np.testing.assert_allclose(_probs(BB84, Scenario.CONTROL, 0, 1, 0), [0.5, 0.5])
+    table = outcome_table(impostor, Scenario.CONTROL)
+    assert table is not outcome_table(BB84, Scenario.CONTROL)
+    np.testing.assert_array_equal(_probs(impostor, Scenario.CONTROL, 0, 1, 0), [0, 1])
+    # Only a registered spec has a conversion circuit.
+    with pytest.raises(gates.CatalogError, match="not registered"):
+        outcome_table(impostor, Scenario.CONVERSION)
+
+
 class _FixedDraw:
     def __init__(self, u):
         self.u = u
@@ -735,9 +748,9 @@ def test_zero_qber_without_eve_and_under_hd_at_every_trial_count(spec, trials):
         assert len(results) == trials
         for result in results:
             assert result.qber == 0
-            assert result.matches_control
+            assert result.matches
             if eve is EveModel.HD:
-                assert result.knowledge_alice == result.knowledge_bob == 1
+                assert result.alice_knowledge == result.bob_knowledge == 1
 
 
 # --- experiment-level statistics ----------------------------------------------------------
@@ -763,10 +776,23 @@ def test_standard_eve_statistics_match_oracle(spec):
     stats = analysis.aggregate(
         run_experiment(spec, Scenario.CONTROL, EveModel.STANDARD, 25, 200, SEED)
     )
-    assert abs(float(stats.mean_qber) - expected_qber) <= 0.03
-    assert abs(float(stats.mean_knowledge_alice) - expected_ka) <= 0.04
-    assert abs(float(stats.mean_knowledge_bob) - expected_kb) <= 0.04
-    assert float(stats.match_rate) == 0.0
+    assert abs(float(stats["qber"]) - expected_qber) <= 0.03
+    assert abs(float(stats["alice_knowledge"]) - expected_ka) <= 0.04
+    assert abs(float(stats["bob_knowledge"]) - expected_kb) <= 0.04
+    assert float(stats["matches"]) == 0.0
+
+
+def test_hd_knowledge_skips_empty_sifted_keys():
+    # Trial 130 of this run sifts to an empty key.  Its knowledge is
+    # undefined, not 0, so the hd attack still reads the whole key.
+    with pytest.warns(analysis.EmptySiftWarning) as caught:
+        results = run_experiment(HDBB84, Scenario.CONVERSION, EveModel.HD, 150, 16, 1)
+    assert any("undefined" in str(w.message) for w in caught)
+    empty = results[130]
+    assert (empty.key_size, empty.qber) == (0, 0)
+    assert empty.alice_knowledge is None and empty.bob_knowledge is None
+    stats = analysis.aggregate(results)
+    assert stats["alice_knowledge"] == stats["bob_knowledge"] == 1
 
 
 @pytest.mark.parametrize("spec,low,high", [(BB84, 0.45, 0.55), (SSP, 0.28, 0.39)])
@@ -774,7 +800,7 @@ def test_sift_fraction_bands(spec, low, high):
     stats = analysis.aggregate(
         run_experiment(spec, Scenario.CONTROL, EveModel.NONE, 25, 200, SEED)
     )
-    assert low <= float(stats.mean_sift_fraction) <= high
+    assert low <= float(stats["sift_fraction"]) <= high
 
 
 def test_run_experiment_rejects_bad_trial_count():
