@@ -35,6 +35,13 @@ circuit via ``apply_to_slot`` for conv).  A trial samples all of its
 particles at once by inverse CDF: a uniform draw u picks the first outcome
 whose cumulative probability exceeds u.
 
+The sampler reads the table flattened (``outcome_thresholds``): a read-only
+``(d - 1, d_ab * k * k)`` array whose column ``row = spec.state_index(value,
+basis) * k + bob_basis``, the C-order flat index of [value, basis, bob_basis],
+holds the first d - 1 cumulative entries of that table row.  A row is
+nondecreasing, so the number of those entries at or below u is the sampled
+outcome, and the last entry (1 up to rounding) is never needed.
+
 Stream layout v3
 ----------------
 A run opens one stream per (seed, role) once (``role_streams``).  Each trial
@@ -96,10 +103,11 @@ class EveModel(str, Enum):
 
 
 # Upper bound on raw bits per trial.  A trial holds a few int64 and float64
-# arrays per particle, the largest being the gathered outcome-table rows, so
-# its memory grows linearly with raw bits; at this bound a one-trial run
-# peaks at 93-141 MB resident for the whole process (measured on numpy 2.4,
-# bb84 control to ssp relabel/hd), well under 1 GB.
+# arrays per particle, the largest being the d - 1 thresholds gathered for
+# each particle, so its memory grows linearly with raw bits; at this bound a
+# one-trial `run` peaks at 77-133 MB resident for the whole process
+# (measured on numpy 2.4: hdbb84 conv/hd 76.5 MB, bb84 control/none 90.6,
+# bb84 control/standard 121.2, ssp relabel/hd 132.4), well under 1 GB.
 MAX_RAW_BITS = 1_000_000
 
 # Upper bound on trials per run.  Every trial's result stays in memory until
@@ -114,14 +122,25 @@ HDBB84 = PROTOCOLS["hdbb84"]
 SSP = PROTOCOLS["ssp"]
 
 
-def validate_pairing(scenario: Scenario, eve: EveModel) -> None:
-    """Standard intercept-resend runs only in the control scenario; the
-    high-dimensional eavesdropper needs a d_e channel."""
-    scenario, eve = Scenario(scenario), EveModel(eve)
+def _member(kind: type[Enum], name, what: str):
+    try:
+        return kind(name)
+    except ValueError:
+        valid = ", ".join(member.value for member in kind)
+        raise ConfigError(f"unknown {what} {name!r}; valid: {valid}") from None
+
+
+def validate_pairing(scenario: Scenario, eve: EveModel) -> tuple[Scenario, EveModel]:
+    """The scenario and eavesdropper for their names, if they pair: standard
+    intercept-resend runs only in the control scenario; the high-dimensional
+    eavesdropper needs a d_e channel."""
+    scenario = _member(Scenario, scenario, "scenario")
+    eve = _member(EveModel, eve, "eavesdropper")
     if eve is EveModel.STANDARD and scenario is not Scenario.CONTROL:
         raise ConfigError("a standard eavesdropper only applies to the control scenario")
     if eve is EveModel.HD and scenario is Scenario.CONTROL:
         raise ConfigError("a high-dimensional eavesdropper needs the conv or relabel scenario")
+    return scenario, eve
 
 
 @lru_cache(maxsize=None)
@@ -156,11 +175,20 @@ def outcome_table(spec: ProtocolSpec, scenario: Scenario) -> np.ndarray:
     return table
 
 
-def _sample_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF sample of one outcome per row of ``cdf`` from uniforms
-    ``u``: the number of cumulative entries at or below each draw, clamped
-    to the last outcome."""
-    return np.minimum((u[:, None] >= cdf).sum(-1), cdf.shape[-1] - 1)
+@lru_cache(maxsize=None)
+def outcome_thresholds(spec: ProtocolSpec, scenario: Scenario) -> np.ndarray:
+    """``outcome_table`` flattened for ``_sample``, read-only (layout in the
+    module docstring, Outcome tables)."""
+    table = outcome_table(spec, scenario)
+    thresholds = np.ascontiguousarray(table.reshape(-1, table.shape[-1])[:, :-1].T)
+    thresholds.setflags(write=False)
+    return thresholds
+
+
+def _sample(thresholds: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF sample of one outcome per particle from uniforms ``u``: the
+    number of thresholds of column ``rows[i]`` at or below ``u[i]``."""
+    return (u >= thresholds.take(rows, axis=1)).sum(0)
 
 
 def role_streams(seed: int) -> dict[str, np.random.Generator]:
@@ -223,11 +251,11 @@ def sift(transcript: Transcript):
     Returns Alice's, Bob's and the eavesdropper's values at the kept
     particles (the eavesdropper's is None without one).
     """
-    kept, eve = transcript.kept, transcript.eve_values
+    kept, eve = np.flatnonzero(transcript.kept), transcript.eve_values
     return (
-        transcript.alice_values[kept],
-        transcript.bob_values[kept],
-        None if eve is None else eve[kept],
+        transcript.alice_values.take(kept),
+        transcript.bob_values.take(kept),
+        None if eve is None else eve.take(kept),
     )
 
 
@@ -245,25 +273,24 @@ def run_trial(
     each role its cell uses (stream layout v3, module docstring).  All
     particles are sampled at once from the protocol's outcome tables.
     """
-    scenario, eve = Scenario(scenario), EveModel(eve)
-    validate_pairing(scenario, eve)
+    scenario, eve = validate_pairing(scenario, eve)
     alice_values, alice_bases = alice_draws(spec, raw_bits, streams)
-    particles = len(alice_bases)
-    bob_bases = streams["bob-bases"].integers(0, spec.basis_count, size=particles)
+    particles, k = len(alice_bases), spec.basis_count
+    bob_bases = streams["bob-bases"].integers(0, k, size=particles)
     u = streams["bob-measure"].random(particles)
 
-    control = outcome_table(spec, Scenario.CONTROL)
-    control_values = _sample_rows(control[alice_values, alice_bases, bob_bases], u)
+    # Flat outcome-table rows: one per (value, basis) sent and basis read.
+    sent = spec.state_index(alice_values, alice_bases) * k
+    rows = sent + bob_bases
+    control = outcome_thresholds(spec, Scenario.CONTROL)
+    control_values = _sample(control, rows, u)
     eve_values = eve_bases = None
     if eve is EveModel.STANDARD:
         # Intercept-resend: Eve decodes in a guessed basis, then resends the
         # value she measured encoded in that basis.
-        eve_bases = streams["eve-bases"].integers(0, spec.basis_count, size=particles)
-        eve_values = _sample_rows(
-            control[alice_values, alice_bases, eve_bases],
-            streams["eve-measure"].random(particles),
-        )
-        bob_values = _sample_rows(control[eve_values, eve_bases, bob_bases], u)
+        eve_bases = streams["eve-bases"].integers(0, k, size=particles)
+        eve_values = _sample(control, sent + eve_bases, streams["eve-measure"].random(particles))
+        bob_values = _sample(control, spec.state_index(eve_values, eve_bases) * k + bob_bases, u)
     elif scenario is Scenario.CONTROL:
         bob_values = control_values
     else:
@@ -271,8 +298,7 @@ def run_trial(
             # The channel holds the basis state indexing (value, basis): the
             # measurement reads it deterministically and resends it unchanged.
             eve_values, eve_bases = alice_values, alice_bases
-        table = outcome_table(spec, scenario)
-        bob_values = _sample_rows(table[alice_values, alice_bases, bob_bases], u)
+        bob_values = _sample(outcome_thresholds(spec, scenario), rows, u)
         if scenario is Scenario.RELABEL:
             # A nonzero basis flag is an off-basis outcome, replaced by a
             # random value.
@@ -314,6 +340,7 @@ def run_experiment(
         raise ConfigError("trials must be at least 1")
     if trials > MAX_TRIALS:
         raise ConfigError(f"trials must be at most {MAX_TRIALS}, got {trials}")
+    validate_pairing(scenario, eve)
     bits = spec.bits_per_particle
     streams = role_streams(seed)
     results = []
@@ -332,7 +359,9 @@ def run_experiment(
                 bob_knowledge=(
                     None if eve_values is None else analysis.knowledge(eve_values, bob, bits)
                 ),
-                matches=np.array_equal(bob, transcript.control_values[transcript.kept]),
+                matches=not (
+                    (transcript.bob_values != transcript.control_values) & transcript.kept
+                ).any(),
             )
         )
     return results

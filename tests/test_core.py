@@ -16,7 +16,7 @@ from qkdlab.core import (
     product_register,
 )
 from qkdlab.gates import catalog, gate
-from qkdlab.protocols import _sample_rows
+from qkdlab.protocols import _sample
 
 RNG = RandomSource(1234)
 
@@ -36,7 +36,7 @@ def _measure(state, rng, shots):
     the trial sampler from the state's cumulative Born distribution."""
     probabilities = np.abs(state) ** 2
     cdf = np.cumsum(probabilities / float(probabilities.sum()))
-    return _sample_rows(np.broadcast_to(cdf, (shots, len(cdf))), rng.random(shots))
+    return _sample(cdf[:-1, None], np.zeros(shots, dtype=np.intp), rng.random(shots))
 
 
 def test_basis_state_examples():

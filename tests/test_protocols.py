@@ -1,10 +1,10 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from qkdlab import analysis, gates
+from qkdlab import analysis, cli, gates, protocols
 from qkdlab.core import (
     ConfigError,
     ContractError,
@@ -24,9 +24,10 @@ from qkdlab.protocols import (
     ProtocolSpec,
     Scenario,
     Transcript,
-    _sample_rows,
+    _sample,
     alice_draws,
     outcome_table,
+    outcome_thresholds,
     role_streams,
     run_experiment,
     run_trial,
@@ -35,12 +36,16 @@ from qkdlab.protocols import (
 )
 
 from oracle import BASES as ORACLE_BASES
-from oracle import _sample, intercept_resend_oracle
+from oracle import _sample as _oracle_sample
+from oracle import intercept_resend_oracle
 
 SEED = 2
 TRIAL_COUNTS = (1, 7, 25)
 SQRT2 = 2**-0.5
 ALL_SPECS = (BB84, HDBB84, SSP)
+GRID_CELLS = [
+    (spec, scenario, eve) for spec in ALL_SPECS for _, scenario, eve in cli.GRID_ROWS
+]
 
 
 def _rng(tag, seed=SEED):
@@ -195,6 +200,27 @@ def test_pairing_rules():
         validate_pairing(Scenario.CONVERSION, EveModel.STANDARD)
     with pytest.raises(ConfigError):
         validate_pairing(Scenario.CONTROL, EveModel.HD)
+
+
+@pytest.mark.parametrize("scenario,eve", [("bogus", "none"), ("control", "nobody")])
+def test_unknown_names_raise_config_error_listing_valid_values(scenario, eve, monkeypatch):
+    valid = "control, conv, relabel" if scenario == "bogus" else "none, standard, hd"
+    with pytest.raises(ConfigError, match=valid):
+        validate_pairing(scenario, eve)
+    with pytest.raises(ConfigError, match=valid):
+        run_trial(BB84, scenario, eve, 2, role_streams(SEED))
+
+    # A bad cell fails before any stream opens.
+    def no_streams(seed):
+        raise AssertionError("streams opened for an invalid cell")
+
+    monkeypatch.setattr(protocols, "role_streams", no_streams)
+    with pytest.raises(ConfigError, match=valid):
+        run_experiment(BB84, scenario, eve, 1, 2, 1)
+
+
+def test_validate_pairing_converts_names():
+    assert validate_pairing("relabel", "hd") == (Scenario.RELABEL, EveModel.HD)
 
 
 # --- alice -----------------------------------------------------------------------------
@@ -391,8 +417,30 @@ def test_sample_rows_matches_core_sample():
         cdf = np.cumsum(probs / float(probs.sum()))
         edges = np.concatenate([cdf, np.nextafter(cdf, 0), np.nextafter(cdf, 2)])
         u = np.concatenate([[0.0, 1 - 2**-53], edges[edges < 1], _rng("rows").random(200)])
-        sampled = _sample_rows(np.broadcast_to(cdf, (len(u), len(cdf))), u)
-        assert sampled.tolist() == [_sample(probs, _FixedDraw(x)) for x in u]
+        sampled = _sample(cdf[:-1, None], np.zeros(len(u), dtype=np.intp), u)
+        assert sampled.tolist() == [_oracle_sample(probs, _FixedDraw(x)) for x in u]
+
+
+@pytest.mark.parametrize("spec", list(PROTOCOLS.values()), ids=lambda s: s.name)
+@pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
+def test_sampler_equals_outcome_table_definition_on_every_row(spec, scenario):
+    # One column of thresholds per table row, the row's first d - 1
+    # cumulative entries; uniforms on and next to every cumulative edge.
+    table = outcome_table(spec, scenario)
+    thresholds = outcome_thresholds(spec, scenario)
+    k, d = spec.basis_count, table.shape[-1]
+    assert thresholds.shape == (d - 1, spec.d_ab * k * k)
+    assert outcome_thresholds(spec, scenario) is thresholds
+    assert not thresholds.flags.writeable
+    for value, basis, bob_basis in np.ndindex(spec.d_ab, k, k):
+        row = spec.state_index(value, basis) * k + bob_basis
+        assert row == np.ravel_multi_index((value, basis, bob_basis), (spec.d_ab, k, k))
+        cdf = table[value, basis, bob_basis]
+        edges = np.concatenate([cdf, np.nextafter(cdf, 0), np.nextafter(cdf, 2)])
+        u = np.concatenate([[0.0, 1 - 2**-53], edges[edges < 1]])
+        expected = np.minimum((u[:, None] >= cdf).sum(-1), d - 1)
+        sampled = _sample(thresholds, np.full(len(u), row), u)
+        np.testing.assert_array_equal(sampled, expected)
 
 
 # --- eavesdroppers ------------------------------------------------------------------------
@@ -576,6 +624,57 @@ def test_sift_discards_two_bit_chunks():
     assert len(alice) == np.count_nonzero(transcript.kept)
     assert set(alice.tolist()) == {0, 1, 2, 3}
     assert np.array_equal(alice, bob)
+
+
+def _masked_sift(transcript):
+    kept, eve = transcript.kept, transcript.eve_values
+    return (
+        transcript.alice_values[kept],
+        transcript.bob_values[kept],
+        None if eve is None else eve[kept],
+    )
+
+
+def _assert_sift_equals_masked_forms(transcript, monkeypatch):
+    for got, expected in zip(sift(transcript), _masked_sift(transcript)):
+        if expected is None:
+            assert got is None
+        else:
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
+    # The run's matches flag for this transcript.
+    monkeypatch.setattr(protocols, "run_trial", lambda *args: transcript)
+    (result,) = run_experiment(
+        transcript.spec, transcript.scenario, transcript.eve, 1, 2, SEED
+    )
+    kept = transcript.kept
+    expected = np.array_equal(transcript.bob_values[kept], transcript.control_values[kept])
+    assert result.matches is expected
+    return expected
+
+
+@pytest.mark.filterwarnings("ignore::qkdlab.analysis.EmptySiftWarning")
+@pytest.mark.parametrize(
+    "bob_bases", [(0,) * 6, (1,) * 6, (0, 1) * 3], ids=["all", "none", "alternating"]
+)
+def test_sift_and_matches_equal_masked_forms_on_forced_transcripts(bob_bases, monkeypatch):
+    transcript = _forced_transcript(bob_bases)
+    assert _assert_sift_equals_masked_forms(transcript, monkeypatch)
+    # Bob differs from the reference at every particle: matches fails where
+    # anything is kept and holds where nothing is.
+    differing = replace(transcript, bob_values=np.zeros(6, dtype=np.int64))
+    assert _assert_sift_equals_masked_forms(differing, monkeypatch) is not any(
+        transcript.kept
+    )
+
+
+@pytest.mark.parametrize(
+    "spec,scenario,eve", GRID_CELLS, ids=lambda p: getattr(p, "value", getattr(p, "name", p))
+)
+def test_sift_and_matches_equal_masked_forms_on_trials(spec, scenario, eve, monkeypatch):
+    transcript = _trial(spec, scenario, eve, 200)
+    matches = _assert_sift_equals_masked_forms(transcript, monkeypatch)
+    assert matches is (eve is not EveModel.STANDARD)
 
 
 def test_mean_sifted_length_near_half_raw():
