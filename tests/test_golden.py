@@ -4,7 +4,9 @@ catalog, byte for byte.
 ``tests/golden/run_digests.json`` holds the SHA-256 of
 ``qkdlab run --format json --seed 7`` (25 trials x 200 raw bits) for every
 grid cell, ``render_digests.json`` the same for ``--format csv`` and
-``--format table``, and ``tests/golden/paper/`` the four
+``--format table``, ``short_digests.json`` the same for ``--format json
+--trials 150 --raw-bits 16 --seed 1`` (the one shape with empty sifted keys,
+whose knowledges are null), and ``tests/golden/paper/`` the four
 ``reproduce-paper --seed 7`` tables.  ``validate_gates.txt`` and
 ``hypothesis_table.txt`` are the stdout of
 ``validate-gates --seed 7`` and ``hypothesis-table``, and
@@ -46,13 +48,14 @@ def _stdout(argv) -> bytes:
 
 
 RENDER_FORMATS = ("csv", "table")
+SHORT_SHAPE = ("--trials", "150", "--raw-bits", "16", "--seed", "1")
 
 
-def _run_digest(cell, fmt: str = "json") -> str:
+def _run_digest(cell, fmt: str = "json", shape=("--seed", SEED)) -> str:
     protocol, scenario, eve = cell
     document = _stdout(
         ["run", "--protocol", protocol, "--scenario", scenario, "--eve", eve,
-         "--format", fmt, "--seed", SEED]
+         "--format", fmt, *shape]
     )
     return hashlib.sha256(document).hexdigest()
 
@@ -80,6 +83,12 @@ def _reproduce_paper(out_dir: Path) -> None:
 def test_run_document_matches_golden_digest(cell):
     golden = json.loads((GOLDEN / "run_digests.json").read_text())
     assert _run_digest(cell) == golden["/".join(cell)]
+
+
+@pytest.mark.parametrize("cell", CELLS, ids="/".join)
+def test_short_run_document_matches_golden_digest(cell):
+    golden = json.loads((GOLDEN / "short_digests.json").read_text())
+    assert _run_digest(cell, shape=SHORT_SHAPE) == golden["/".join(cell)]
 
 
 @pytest.mark.parametrize("fmt", RENDER_FORMATS)
@@ -148,6 +157,8 @@ if __name__ == "__main__":
         (GOLDEN / "catalog_dump.sha256").write_text(_dump_digest(Path(tmp)) + "\n")
     digests = {"/".join(cell): _run_digest(cell) for cell in CELLS}
     (GOLDEN / "run_digests.json").write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    short = {"/".join(cell): _run_digest(cell, shape=SHORT_SHAPE) for cell in CELLS}
+    (GOLDEN / "short_digests.json").write_text(json.dumps(short, indent=2, sort_keys=True) + "\n")
     (GOLDEN / "render_digests.json").write_text(
         json.dumps(_render_digests(), indent=2, sort_keys=True) + "\n"
     )
