@@ -2,14 +2,17 @@
 
 :data:`STATISTICS` names the six statistics a run is judged by, in the order
 the result document and the CSV tables write them.  A :class:`TrialResult`
-carries them under these names, and :func:`aggregate` returns their means
-under the same names.  An empty sifted key scores QBER 0, as every trial
-without an eavesdropper must, and knowledge None (undefined), which the
-means skip, as they skip trials without an eavesdropper.
+holds a trial's integer counts, and ``TrialResult.ratio`` states each
+statistic once as a (numerator, denominator) pair of them; :func:`aggregate`
+returns their means under the same names.  An empty sifted key scores QBER
+0, as every trial without an eavesdropper must, and knowledge None
+(undefined), which the means skip, as they skip trials without an
+eavesdropper.
 
-Fractions are kept exact (``fractions.Fraction``) so that repeated runs and
-aggregations are bit-for-bit reproducible; rendering to percentages happens
-only at the output layer.
+Trials are scored in integers (:func:`score`).  A ``fractions.Fraction`` is
+built only for a mean, or when a trial's statistic is read as one; every mean
+is exact, so repeated runs and aggregations are bit-for-bit reproducible.
+Rendering to decimals happens only at the output layer.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ from fractions import Fraction
 import numpy as np
 
 from .core import ContractError
-
-STATISTICS = ("key_size", "sift_fraction", "qber", "alice_knowledge", "bob_knowledge", "matches")
 
 
 class EmptySiftWarning(UserWarning):
@@ -45,19 +46,38 @@ def _bit_errors(a, b, bits_per_particle: int, what: str, empty: str) -> tuple[in
     return differing, len(a) * bits_per_particle
 
 
+def _eve_errors(eve_values, reference, bits_per_particle: int) -> tuple[int, int]:
+    return _bit_errors(eve_values, reference, bits_per_particle, "bit string", "knowledge undefined")
+
+
+def _key_errors(alice, bob, bits_per_particle: int) -> tuple[int, int]:
+    return _bit_errors(alice, bob, bits_per_particle, "sifted key", "QBER treated as 0")
+
+
+# The QBER and the knowledge of a key of ``total`` bits with ``errors`` of
+# them differing, as (numerator, denominator) pairs: QBER 0 on an empty key,
+# and knowledge None there or without an eavesdropper (``errors`` None).
+def _error_rate(errors: int, total: int) -> tuple[int, int]:
+    return (errors, total) if total else (0, 1)
+
+
+def _agreement(errors: int | None, total: int) -> tuple[int, int] | None:
+    return None if errors is None or not total else (total - errors, total)
+
+
+def _fraction(pair: tuple[int, int] | None) -> Fraction | None:
+    return None if pair is None else Fraction(*pair)
+
+
 def qber(alice, bob, bits_per_particle: int) -> Fraction:
     """Differing-bit fraction between the two sifted keys (0 on empty keys)."""
-    errors, total = _bit_errors(alice, bob, bits_per_particle, "sifted key", "QBER treated as 0")
-    return Fraction(errors, total) if total else Fraction(0)
+    return Fraction(*_error_rate(*_key_errors(alice, bob, bits_per_particle)))
 
 
 def knowledge(eve_values, reference, bits_per_particle: int) -> Fraction | None:
     """Fraction of sifted bits where the eavesdropper's bit agrees (None on
     empty keys)."""
-    errors, total = _bit_errors(
-        eve_values, reference, bits_per_particle, "bit string", "knowledge undefined"
-    )
-    return Fraction(total - errors, total) if total else None
+    return _fraction(_agreement(*_eve_errors(eve_values, reference, bits_per_particle)))
 
 
 def intercept_resend_error(spec) -> Fraction:
@@ -83,32 +103,80 @@ def detection_probability(spec, compared_bits: int) -> float:
     return 1.0 - float(1 - intercept_resend_error(spec)) ** particles
 
 
-def _validate_fraction(name: str, value) -> None:
-    if value is not None and not 0 <= value <= 1:
-        raise ContractError(f"{name} must lie in [0, 1], got {value}")
+# Each statistic of a trial as a (numerator, denominator) pair of its counts,
+# or None where it is undefined; the keys, in order, are STATISTICS.
+_RATIOS = {
+    "key_size": lambda r: (r.key_size, 1),
+    "sift_fraction": lambda r: (r.key_size, r.raw_len),
+    "qber": lambda r: _error_rate(r.errors, r.key_size),
+    "alice_knowledge": lambda r: _agreement(r.alice_errors, r.key_size),
+    "bob_knowledge": lambda r: _agreement(r.bob_errors, r.key_size),
+    "matches": lambda r: (int(r.matches), 1),
+}
+STATISTICS = tuple(_RATIOS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialResult:
-    """Statistics of a single key-exchange trial, named as in
-    :data:`STATISTICS`; ``key_size`` counts sifted bits."""
+    """Integer counts of a single key-exchange trial.
+
+    ``key_size`` counts sifted bits and ``errors`` those where Bob's value
+    differs from Alice's; ``alice_errors`` and ``bob_errors`` count those
+    where the eavesdropper's differs from Alice's and from Bob's (None
+    without one).  Each of :data:`STATISTICS` is an attribute of the same
+    name: ``key_size`` and ``matches`` as stored, the others as exact
+    Fractions built from :meth:`ratio`.
+    """
 
     trial: int
     raw_len: int
     key_size: int
-    qber: Fraction
-    alice_knowledge: Fraction | None
-    bob_knowledge: Fraction | None
+    errors: int
+    alice_errors: int | None
+    bob_errors: int | None
     matches: bool
 
     def __post_init__(self) -> None:
-        _validate_fraction("qber", self.qber)
-        _validate_fraction("alice_knowledge", self.alice_knowledge)
-        _validate_fraction("bob_knowledge", self.bob_knowledge)
+        for name in ("errors", "alice_errors", "bob_errors"):
+            count = getattr(self, name)
+            if count is not None and not 0 <= count <= self.key_size:
+                raise ContractError(f"{name} must lie in [0, {self.key_size}], got {count}")
+
+    def ratio(self, name: str) -> tuple[int, int] | None:
+        """Statistic ``name`` as a (numerator, denominator) pair of ints, or
+        None where it is undefined."""
+        return _RATIOS[name](self)
 
     @property
     def sift_fraction(self) -> Fraction:
-        return Fraction(self.key_size, self.raw_len)
+        return Fraction(*self.ratio("sift_fraction"))
+
+    @property
+    def qber(self) -> Fraction:
+        return Fraction(*self.ratio("qber"))
+
+    @property
+    def alice_knowledge(self) -> Fraction | None:
+        return _fraction(self.ratio("alice_knowledge"))
+
+    @property
+    def bob_knowledge(self) -> Fraction | None:
+        return _fraction(self.ratio("bob_knowledge"))
+
+
+def score(
+    trial: int, raw_len: int, alice, bob, eve_values, bits_per_particle: int, matches: bool
+) -> TrialResult:
+    """A trial's counts: its sifted bits, the bits where Bob's sifted values
+    differ from Alice's and, with an eavesdropper, where hers differ from
+    Alice's and from Bob's.  Warns on an empty key as :func:`qber` and
+    :func:`knowledge` do."""
+    errors, key_size = _key_errors(alice, bob, bits_per_particle)
+    alice_errors = bob_errors = None
+    if eve_values is not None:
+        alice_errors = _eve_errors(eve_values, alice, bits_per_particle)[0]
+        bob_errors = _eve_errors(eve_values, bob, bits_per_particle)[0]
+    return TrialResult(trial, raw_len, key_size, errors, alice_errors, bob_errors, matches)
 
 
 def aggregate(results) -> dict[str, Fraction | None]:
@@ -118,8 +186,14 @@ def aggregate(results) -> dict[str, Fraction | None]:
     if not results:
         raise ContractError("cannot aggregate an empty result list")
     means = {}
-    for name in STATISTICS:
-        present = [value for r in results if (value := getattr(r, name)) is not None]
-        # Int and bool columns sum as ints, so each statistic builds one Fraction.
-        means[name] = Fraction(sum(present)) / len(present) if present else None
+    for name, ratio in _RATIOS.items():
+        # Numerators add as ints per denominator, so each mean builds one
+        # Fraction per distinct denominator.
+        sums, count = {}, 0
+        for r in results:
+            pair = ratio(r)
+            if pair is not None:
+                sums[pair[1]] = sums.get(pair[1], 0) + pair[0]
+                count += 1
+        means[name] = sum(Fraction(n, d) for d, n in sums.items()) / count if count else None
     return means

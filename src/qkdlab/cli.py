@@ -62,9 +62,26 @@ def _rounded(means: dict) -> dict:
     return {name: _round(value) for name, value in means.items()}
 
 
+def _ratio4(pair):
+    """A (numerator, denominator) pair to four decimals, or None.  ``n / d``
+    and ``float(Fraction(n, d))`` both round correctly, so this is the float
+    ``_round`` gives for the same Fraction."""
+    return None if pair is None else round(pair[0] / pair[1], 4)
+
+
+# The statistics a trial row writes to four decimals; key_size stays an int
+# and matches a bool.
+_ROUNDED = tuple(name for name in analysis.STATISTICS if name not in ("key_size", "matches"))
+
+
 def build_document(config: dict, results) -> dict:
     trials = [
-        {"trial": r.trial, **{name: _round(getattr(r, name)) for name in analysis.STATISTICS}}
+        {
+            "trial": r.trial,
+            "key_size": r.key_size,
+            **{name: _ratio4(r.ratio(name)) for name in _ROUNDED},
+            "matches": r.matches,
+        }
         for r in results
     ]
     return {
@@ -125,8 +142,26 @@ def render_csv(doc: dict) -> str:
     return _csv_text(_CSV_FIELDS, [*doc["trials"], agg])
 
 
+# The trial rows in one call of the C encoder, which ``indent`` would turn
+# off: each row is a flat dict of scalars, so its items are already at the
+# depth and separator of ``indent=2``, and only the braces need line breaks.
+_ROWS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
+def _trials_json(rows: list) -> str:
+    # A newline inside a JSON string is escaped, so this pattern is only ever
+    # the break between two rows.
+    inner = _ROWS_ENCODER.encode(rows)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+    return "[\n    {\n      " + inner + "\n    }\n  ]"
+
+
 def render_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    for a document with at least one trial row, each a non-empty flat dict."""
+    text = json.dumps({**doc, "trials": None}, indent=2, sort_keys=True)
+    # Only a top-level key starts a line indented by two spaces.
+    slot = '\n  "trials": '
+    return text.replace(slot + "null", slot + _trials_json(doc["trials"]), 1) + "\n"
 
 
 _RENDERERS = {"table": render_table, "csv": render_csv, "json": render_json}

@@ -500,25 +500,6 @@ def gate(name: str) -> GateCatalogEntry:
     raise CatalogError(f"unknown gate {name!r}")
 
 
-PSI_SYMBOLS = ("alpha", "beta", "gamma", "delta")
-
-
-def hdbb84_psi_prep(symbol: str) -> tuple[GateCatalogEntry, ...]:
-    """Gate sequence preparing |psi_symbol> from |0> on a dim-4 qudit.
-
-    alpha: nothing, beta: QidH1, gamma: QidX1, delta: QidX1 then QidH1.
-    """
-    if symbol not in PSI_SYMBOLS:
-        raise CatalogError(f"unknown psi symbol {symbol!r}")
-    x1, h1 = gate("QidX1"), gate("QidH1")
-    return {
-        "alpha": (),
-        "beta": (h1,),
-        "gamma": (x1,),
-        "delta": (x1, h1),
-    }[symbol]
-
-
 @lru_cache(maxsize=None)
 def catalog_fingerprint() -> str:
     """SHA-256 over every catalog matrix, stable across runs; each matrix

@@ -73,8 +73,9 @@ Sifting and scoring
 -------------------
 A ``Transcript`` keeps the sampled arrays, read-only, one entry per particle.
 Sifting keeps whole particles measured in matching bases and returns their
-values; ``analysis.qber`` and ``analysis.knowledge`` count differing bits of
-those values directly.
+values; ``analysis.score`` counts the sifted bits and the differing bits of
+those values directly, as ints, into the trial's ``TrialResult``.  No
+Fraction is built per trial: ``analysis.aggregate`` builds the exact means.
 """
 
 from __future__ import annotations
@@ -110,10 +111,10 @@ class EveModel(str, Enum):
 # bb84 control/standard 121.2, ssp relabel/hd 132.4), well under 1 GB.
 MAX_RAW_BITS = 1_000_000
 
-# Upper bound on trials per run.  Every trial's result stays in memory until
-# the document is written, about 1.85 KB each: `run --protocol bb84
-# --raw-bits 2 --format json` peaks at 74 MB resident with 20,000 trials and
-# at 222 MB with 100,000 (numpy 2.4).
+# Upper bound on trials per run.  Every trial's counts, document row and JSON
+# text stay in memory until the document is written, about 1 KB each:
+# `run --protocol bb84 --raw-bits 2 --format json` peaks at 58 MB resident
+# with 20,000 trials and at 137 MB with 100,000 (numpy 2.4).
 MAX_TRIALS = 100_000
 
 
@@ -347,21 +348,6 @@ def run_experiment(
     for trial in range(trials):
         transcript = run_trial(spec, scenario, eve, raw_bits, streams)
         alice, bob, eve_values = sift(transcript)
-        results.append(
-            analysis.TrialResult(
-                trial=trial,
-                raw_len=raw_bits,
-                key_size=len(alice) * bits,
-                qber=analysis.qber(alice, bob, bits),
-                alice_knowledge=(
-                    None if eve_values is None else analysis.knowledge(eve_values, alice, bits)
-                ),
-                bob_knowledge=(
-                    None if eve_values is None else analysis.knowledge(eve_values, bob, bits)
-                ),
-                matches=not (
-                    (transcript.bob_values != transcript.control_values) & transcript.kept
-                ).any(),
-            )
-        )
+        matches = not ((transcript.bob_values != transcript.control_values) & transcript.kept).any()
+        results.append(analysis.score(trial, raw_bits, alice, bob, eve_values, bits, matches))
     return results

@@ -111,20 +111,20 @@ def test_detection_probability_rejects_partial_particles():
         detection_probability(HDBB84, 3)
 
 
-def _trial(i, qber_value, matches, sifted=100):
+def _trial(i, errors, matches, sifted=100):
     return TrialResult(
         trial=i,
         raw_len=200,
         key_size=sifted,
-        qber=Fraction(qber_value),
-        alice_knowledge=None,
-        bob_knowledge=None,
+        errors=errors,
+        alice_errors=None,
+        bob_errors=None,
         matches=matches,
     )
 
 
 def test_aggregate_means_and_match_rate():
-    stats = aggregate([_trial(0, 0, True), _trial(1, Fraction(1, 2), False)])
+    stats = aggregate([_trial(0, 0, True), _trial(1, 50, False)])
     assert stats["qber"] == Fraction(1, 4)
     assert stats["matches"] == Fraction(1, 2)
     assert stats["sift_fraction"] == Fraction(1, 2)
@@ -138,7 +138,7 @@ def test_aggregate_identical_no_eve_trials():
 
 
 def test_aggregate_mean_stays_within_trial_range():
-    trials = [_trial(i, Fraction(i, 10), True, sifted=100 + i) for i in range(5)]
+    trials = [_trial(i, 10 * i, True, sifted=100 + i) for i in range(5)]
     stats = aggregate(trials)
     assert min(t.qber for t in trials) <= stats["qber"] <= max(t.qber for t in trials)
     assert 100 <= stats["key_size"] <= 104
@@ -151,7 +151,7 @@ def test_aggregate_rejects_empty_list():
 
 def test_trial_result_validates_fractions():
     with pytest.raises(ContractError):
-        TrialResult(0, 200, 100, Fraction(3, 2), None, None, True)
+        TrialResult(0, 200, 100, 150, None, None, True)
 
 
 def test_sift_fraction_property():

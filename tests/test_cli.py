@@ -1,9 +1,13 @@
 import csv
 import json
+import warnings
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qkdlab import cli, gates, protocols
+from qkdlab import analysis, cli, gates, protocols
 
 
 def _run(capsys, argv):
@@ -286,3 +290,65 @@ def test_unwritable_output_path_fails_before_any_work(tmp_path, capsys, monkeypa
     assert out == ""
     assert err.startswith("error: cannot write ")
     assert sorted(tmp_path.rglob("*")) == before
+
+
+# --- the result document: exact rows, exact means, the same JSON bytes ------
+
+_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**6), 10**6),
+    st.sampled_from([0.0, 1.0, 0.5, 0.0001, 1e-05, 0.3333, 12.5]),
+    st.floats(0, 1),
+)
+_ROWS = st.fixed_dictionaries(
+    {"trial": st.integers(0, protocols.MAX_TRIALS), **{name: _VALUES for name in analysis.STATISTICS}}
+)
+_DOCUMENTS = st.fixed_dictionaries(
+    {
+        "artifact_version": st.text(max_size=8),
+        "catalog_fingerprint": st.text("0123456789abcdef", min_size=64, max_size=64),
+        "config": st.dictionaries(st.text(max_size=8), st.one_of(st.text(max_size=8), _VALUES), max_size=7),
+        # 1 to 300 rows cycling through a few drawn ones: st.lists alone
+        # rarely draws more than a few dozen rows.
+        "trials": st.tuples(st.lists(_ROWS, min_size=1, max_size=8), st.integers(1, 300)).map(
+            lambda drawn: [drawn[0][i % len(drawn[0])] for i in range(drawn[1])]
+        ),
+        "aggregate": st.fixed_dictionaries(
+            {"trials": st.integers(1, 300), **{name: _VALUES for name in analysis.STATISTICS}}
+        ),
+    }
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_DOCUMENTS)
+def test_render_json_equals_indented_json_dumps(doc):
+    assert cli.render_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+GRID_CELLS = [
+    (protocols.PROTOCOLS[name], scenario, eve)
+    for name in gates.PAPER_PROTOCOLS
+    for _, scenario, eve in cli.GRID_ROWS
+]
+
+
+@pytest.mark.parametrize("trials,raw_bits", [(150, 16), (25, 200), (2, 10_000)])
+def test_means_and_rows_equal_their_exact_fractions(trials, raw_bits):
+    for spec, scenario, eve in GRID_CELLS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", analysis.EmptySiftWarning)
+            results = protocols.run_experiment(spec, scenario, eve, trials, raw_bits, 3)
+        means = analysis.aggregate(results)
+        rows = cli.build_document({}, results)["trials"]
+        for name in analysis.STATISTICS:
+            # The oracle: every trial's value as an exact Fraction, then one mean.
+            values = [value for r in results if (value := getattr(r, name)) is not None]
+            assert means[name] == (Fraction(sum(values)) / len(values) if values else None)
+        for r, row in zip(results, rows, strict=True):
+            assert type(row["key_size"]) is int and row["key_size"] == r.key_size
+            assert type(row["matches"]) is bool and row["matches"] == r.matches
+            for name in ("sift_fraction", "qber", "alice_knowledge", "bob_knowledge"):
+                value = getattr(r, name)
+                assert row[name] == (None if value is None else round(float(value), 4)), name

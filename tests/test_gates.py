@@ -25,10 +25,11 @@ from qkdlab.gates import (
     catalog_fingerprint,
     conversion_gate,
     gate,
-    hdbb84_psi_prep,
     validate_basis_candidate,
     validate_catalog,
 )
+
+from paper_gates import hdbb84_psi_prep
 
 SQRT2 = 2**-0.5
 

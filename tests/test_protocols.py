@@ -38,6 +38,7 @@ from qkdlab.protocols import (
 from oracle import BASES as ORACLE_BASES
 from oracle import _sample as _oracle_sample
 from oracle import intercept_resend_oracle
+from paper_gates import PSI_SYMBOLS, hdbb84_psi_prep
 
 SEED = 2
 TRIAL_COUNTS = (1, 7, 25)
@@ -100,7 +101,7 @@ class PaperGates(NamedTuple):
 def _paper_gates():
     entry = {e.name: e for e in gates.catalog()}
     m = {name: e.matrix for name, e in entry.items()}
-    psi = gates.PSI_SYMBOLS
+    psi = PSI_SYMBOLS
     split = (0, 1, 2)
     return {
         "bb84": PaperGates(
@@ -117,7 +118,7 @@ def _paper_gates():
             ),
         ),
         "hdbb84": PaperGates(
-            [tuple(e.matrix for e in gates.hdbb84_psi_prep(symbol)) for symbol in psi],
+            [tuple(e.matrix for e in hdbb84_psi_prep(symbol)) for symbol in psi],
             [np.eye(4), m["Phi"]],
             [(m[f"Qid{symbol.capitalize()}"],) for symbol in psi],
             [np.eye(8), m["QidPhi"]],
@@ -887,11 +888,27 @@ def test_hd_knowledge_skips_empty_sifted_keys():
     with pytest.warns(analysis.EmptySiftWarning) as caught:
         results = run_experiment(HDBB84, Scenario.CONVERSION, EveModel.HD, 150, 16, 1)
     assert any("undefined" in str(w.message) for w in caught)
+    # One warning for the QBER of the empty key, one for each knowledge.
+    assert sorted(str(w.message) for w in caught) == [
+        "empty sifted key: QBER treated as 0", *2 * ["empty sifted key: knowledge undefined"]
+    ]
     empty = results[130]
     assert (empty.key_size, empty.qber) == (0, 0)
     assert empty.alice_knowledge is None and empty.bob_knowledge is None
     stats = analysis.aggregate(results)
     assert stats["alice_knowledge"] == stats["bob_knowledge"] == 1
+
+
+def test_run_experiment_scores_trials_without_fractions(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built while scoring trials")
+
+    monkeypatch.setattr(analysis, "Fraction", no_fraction)
+    with pytest.warns(analysis.EmptySiftWarning):
+        runs = [run_experiment(spec, scenario, eve, 150, 16, 1) for spec, scenario, eve in GRID_CELLS]
+    monkeypatch.undo()
+    for results in runs:
+        assert analysis.aggregate(results)["qber"] is not None
 
 
 @pytest.mark.parametrize("spec,low,high", [(BB84, 0.45, 0.55), (SSP, 0.28, 0.39)])
