@@ -168,8 +168,9 @@ _RENDERERS = {"table": render_table, "csv": render_csv, "json": render_json}
 
 
 def _check_writable(*paths: str | Path | None) -> None:
-    """Fail before any work when an output path is a directory or its
-    directory is missing."""
+    """Fail before any work when an output path is a directory, its
+    directory is missing, or another output already names it."""
+    seen = set()
     for out in paths:
         if out is None:
             continue
@@ -177,6 +178,9 @@ def _check_writable(*paths: str | Path | None) -> None:
             raise ConfigError(f"cannot write {out}: it is a directory")
         if not Path(out).parent.is_dir():
             raise ConfigError(f"cannot write {out}: {Path(out).parent} is not a directory")
+        if Path(out).resolve() in seen:
+            raise ConfigError(f"cannot write {out}: another output already writes it")
+        seen.add(Path(out).resolve())
 
 
 def _emit(text: str, out: str | Path | None) -> None:
@@ -215,8 +219,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_validate_gates(args: argparse.Namespace) -> int:
     _check_writable(args.out, args.dump)
-    rng = RandomSource(args.seed).stream("gate-suite")
-    checks = gates.validate_catalog(rng)
+    checks = gates.validate_catalog()
     failures = 0
     lines = []
     for check in checks:
@@ -290,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     validate = sub.add_parser("validate-gates", help="run the gate property suite")
-    validate.add_argument("--seed", type=int, default=None)
     validate.add_argument("--dump", default=None, help="also write the catalog as JSON")
     validate.add_argument("--out", default=None)
     validate.set_defaults(func=cmd_validate_gates)

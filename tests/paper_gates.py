@@ -1,7 +1,11 @@
-"""The paper's hand-written HD-BB84 state preparations, kept as test
-fixtures: the engine encodes every state from the specs in
-``gates.PROTOCOLS`` and never calls these."""
+"""The paper's hand-written HD-BB84 state preparations and the lift of a
+particle gate onto the (value, basis) index, kept as test fixtures: the
+engine encodes every state from the specs in ``gates.PROTOCOLS`` and never
+calls these."""
 
+import numpy as np
+
+from qkdlab.core import ATOL, ContractError
 from qkdlab.gates import CatalogError, gate
 
 PSI_SYMBOLS = ("alpha", "beta", "gamma", "delta")
@@ -21,3 +25,22 @@ def hdbb84_psi_prep(symbol: str):
         "gamma": (x1,),
         "delta": (x1, h1),
     }[symbol]
+
+
+def lift(spec, particle_gate) -> np.ndarray:
+    """The d_e image of a particle gate: entry c at [j, i] when
+    ``particle_gate @ encode(i) = c * encode(j)``, with i and j indices of
+    ``spec``'s (value, basis) enumeration.  Raises ``ContractError`` when the
+    gate sends one of the spec's states to none of them."""
+    states = [spec.encode(*spec.value_basis(k)) for k in range(spec.d_e)]
+    lifted = np.zeros((spec.d_e, spec.d_e), dtype=np.complex128)
+    for i, state in enumerate(states):
+        image = particle_gate @ state
+        for j, target in enumerate(states):
+            c = np.vdot(target, image)
+            if np.linalg.norm(image - c * target) <= ATOL:
+                lifted[j, i] = c
+                break
+        else:
+            raise ContractError(f"{spec.name}: state {i} maps onto no state of the spec")
+    return lifted

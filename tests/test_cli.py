@@ -2,6 +2,7 @@ import csv
 import json
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -153,13 +154,30 @@ def test_negative_seed_fails_before_any_side_effect(tmp_path, capsys, monkeypatc
 
 def test_seed_env_var_is_ignored_without_a_seed_option(capsys, monkeypatch):
     monkeypatch.setenv(cli.SEED_ENV, "abc")
-    code, out, _ = _run(capsys, ["hypothesis-table"])
+    for command, first_word in (("hypothesis-table", "protocol"), ("validate-gates", "PASS")):
+        code, out, _ = _run(capsys, [command])
+        assert code == cli.EXIT_OK, command
+        assert out.startswith(first_word), command
+
+
+def test_validate_gates_opens_no_random_stream(capsys, monkeypatch):
+    def no_stream(*args, **kwargs):
+        raise AssertionError("validate-gates opened a random stream")
+
+    monkeypatch.setattr(cli.RandomSource, "stream", no_stream)
+    code, out, _ = _run(capsys, ["validate-gates"])
     assert code == cli.EXIT_OK
-    assert out.startswith("protocol")
+    assert out == (Path(__file__).parent / "golden" / "validate_gates.txt").read_text()
+
+
+def test_validate_gates_takes_no_seed(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["validate-gates", "--seed", "7"])
+    assert excinfo.value.code == cli.EXIT_CONFIG
 
 
 def test_validate_gates_passes_and_reports(capsys):
-    code, out, _ = _run(capsys, ["validate-gates", "--seed", "7"])
+    code, out, _ = _run(capsys, ["validate-gates"])
     assert code == cli.EXIT_OK
     assert "FAIL" not in out
     lines = [line for line in out.splitlines() if line.startswith("PASS")]
@@ -170,7 +188,7 @@ def test_validate_gates_passes_and_reports(capsys):
 
 def test_validate_gates_dump_writes_catalog(tmp_path, capsys):
     dump_path = tmp_path / "catalog.json"
-    code, _, _ = _run(capsys, ["validate-gates", "--seed", "7", "--dump", str(dump_path)])
+    code, _, _ = _run(capsys, ["validate-gates", "--dump", str(dump_path)])
     assert code == cli.EXIT_OK
     dump = json.loads(dump_path.read_text())
     names = {item["name"] for item in dump}
@@ -182,7 +200,7 @@ def test_validate_gates_dump_writes_catalog(tmp_path, capsys):
 
 def test_validate_gates_failure_exit_code(capsys, monkeypatch):
     broken = [gates.CheckResult("synthetic", False, "forced failure")]
-    monkeypatch.setattr(cli.gates, "validate_catalog", lambda rng: broken)
+    monkeypatch.setattr(cli.gates, "validate_catalog", lambda: broken)
     code, out, _ = _run(capsys, ["validate-gates"])
     assert code == cli.EXIT_VALIDATION
     assert "FAIL synthetic" in out
@@ -260,10 +278,13 @@ def test_unwritable_output_path_is_a_config_error(tmp_path, capsys, argv):
         ["validate-gates", "--dump", "{dir}"],
         ["reproduce-paper", "--out-dir", "{paper}"],
         ["hypothesis-table", "--out", "{dir}"],
+        # One file under two spellings: the dump would overwrite the report.
+        ["validate-gates", "--out", "{dir}/report.txt", "--dump", "{dir}/../a-dir/report.txt"],
     ],
     ids=[
         "run-out", "validate-gates-out", "validate-gates-dump", "run-out-dir",
         "validate-gates-dump-dir", "reproduce-paper-table-dir", "hypothesis-table-out-dir",
+        "validate-gates-out-is-dump",
     ],
 )
 def test_unwritable_output_path_fails_before_any_work(tmp_path, capsys, monkeypatch, argv):
