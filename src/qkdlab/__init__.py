@@ -20,10 +20,8 @@ from .core import (
     ConfigError,
     ContractError,
     RandomSource,
-    Register,
     SimulationError,
     ValidationError,
-    apply_to_slot,
     basis_state,
     equal_up_to_global_phase,
 )
@@ -63,7 +61,6 @@ __all__ = [
     "PROTOCOLS",
     "ProtocolSpec",
     "RandomSource",
-    "Register",
     "SSP",
     "STATISTICS",
     "Scenario",
@@ -72,7 +69,6 @@ __all__ = [
     "TrialResult",
     "ValidationError",
     "aggregate",
-    "apply_to_slot",
     "basis_candidate",
     "basis_state",
     "catalog",

@@ -1,7 +1,7 @@
 """Command-line front end: experiment runs, gate validation, result tables.
 
 Exit codes: 0 on success, 1 when a validation suite fails, 2 for
-configuration/usage errors.
+configuration/usage errors and for output that cannot be written.
 """
 
 from __future__ import annotations
@@ -184,13 +184,20 @@ def _check_writable(*paths: str | Path | None) -> None:
 
 
 def _emit(text: str, out: str | Path | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        return
+    """Write ``text`` to the path ``out``, or to stdout when it is None; a
+    failed write is a ``ConfigError``."""
     try:
-        Path(out).write_text(text, encoding="utf-8", newline="")
+        if out is not None:
+            Path(out).write_text(text, encoding="utf-8", newline="")
+            return
+        sys.stdout.write(text)
+        sys.stdout.flush()
     except OSError as exc:
-        raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
+        if out is None:
+            # The interpreter flushes stdout again at exit: send what is
+            # still buffered to the null device, so it cannot fail twice.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ConfigError(f"cannot write {out or 'stdout'}: {exc.strerror}") from exc
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -259,9 +266,9 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
             if eve is not protocols.EveModel.NONE:
                 qber_rows.append({"protocol": name, "scenario": label, "qber": row["qber"]})
         _emit(_csv_text(_TABLE_FIELDS, rows), table_path)
-        sys.stdout.write(f"wrote {table_path}\n")
+        _emit(f"wrote {table_path}\n", None)
     _emit(_csv_text(("protocol", "scenario", "qber"), qber_rows), figure_path)
-    sys.stdout.write(f"wrote {figure_path}\n")
+    _emit(f"wrote {figure_path}\n", None)
     return EXIT_OK
 
 

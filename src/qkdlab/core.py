@@ -1,9 +1,10 @@
-"""Dense state-vector backend for small qudit registers.
+"""Dense state vectors, the error classes and role-addressed randomness.
 
-States are 1-D ``complex128`` numpy arrays, gates are square ``complex128``
-matrices.  A :class:`Register` bundles several qudits of possibly different
-dimensions; its joint index is row-major with slot 0 most significant, so for
-slots ``[d0, d1]`` the basis state ``|a, b>`` sits at index ``a * d1 + b``.
+States are 1-D ``complex128`` numpy arrays and gates are square
+``complex128`` matrices, applied with ``@``; a composite system is the
+``np.kron`` of its parts, row-major with the first part most significant.
+This module builds basis states and checks unitarity and equality up to a
+global phase.
 
 All randomness flows through :class:`RandomSource`, which hands out disjoint,
 reproducible generator streams, one per role (a named consumer of random draws,
@@ -14,7 +15,6 @@ interact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,67 +73,6 @@ def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = ATOL) ->
         return False
     phase /= mod
     return bool(np.max(np.abs(a - phase * b)) <= tol)
-
-
-@dataclass(frozen=True)
-class Register:
-    """A composite system of qudits with per-slot dimensions.
-
-    The joint state dimension is the product of the slot dimensions.
-    """
-
-    slots: tuple[int, ...]
-    state: np.ndarray
-
-    def __post_init__(self) -> None:
-        expected = math.prod(self.slots)
-        if self.state.shape != (expected,):
-            raise ContractError(
-                f"state dimension {self.state.shape} != product of slots {expected}"
-            )
-
-
-def product_register(slot_states: list[np.ndarray] | tuple[np.ndarray, ...]) -> Register:
-    """Build a register as the tensor product of per-slot states."""
-    state = np.asarray(slot_states[0], dtype=np.complex128)
-    for part in slot_states[1:]:
-        state = np.kron(state, np.asarray(part, dtype=np.complex128))
-    return Register(tuple(len(s) for s in slot_states), state)
-
-
-def _as_targets(slots: int | tuple[int, ...] | list[int]) -> tuple[int, ...]:
-    if isinstance(slots, int):
-        return (slots,)
-    return tuple(slots)
-
-
-def apply_to_slot(
-    gate: np.ndarray, reg: Register, slots: int | tuple[int, ...] | list[int]
-) -> Register:
-    """Apply a gate to one or more slots of a register.
-
-    The gate acts on the targeted slots in the given order (row-major joint
-    index over those slots) and as the identity elsewhere.  The gate dimension
-    must equal the product of the targeted slot dimensions.
-    """
-    targets = _as_targets(slots)
-    gate = np.asarray(gate, dtype=np.complex128)
-    if len(set(targets)) != len(targets):
-        raise ContractError(f"duplicate target slots {targets}")
-    if any(not 0 <= t < len(reg.slots) for t in targets):
-        raise ContractError(f"target slots {targets} out of range for {reg.slots}")
-    block = math.prod(reg.slots[t] for t in targets)
-    if gate.shape != (block, block):
-        raise ContractError(
-            f"gate shape {gate.shape} does not match targeted slot dims "
-            f"{tuple(reg.slots[t] for t in targets)}"
-        )
-    psi = reg.state.reshape(reg.slots)
-    psi = np.moveaxis(psi, targets, range(len(targets)))
-    moved_shape = psi.shape
-    psi = (gate @ psi.reshape(block, -1)).reshape(moved_shape)
-    psi = np.moveaxis(psi, range(len(targets)), targets)
-    return Register(reg.slots, np.ascontiguousarray(psi.reshape(-1)))
 
 
 @dataclass(frozen=True)

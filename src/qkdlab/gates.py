@@ -44,14 +44,11 @@ import numpy as np
 from .core import (
     ATOL,
     ContractError,
-    Register,
     SimulationError,
     ValidationError,
-    apply_to_slot,
     basis_state,
     equal_up_to_global_phase,
     is_unitary,
-    product_register,
 )
 
 
@@ -165,9 +162,10 @@ _PHI_FIXED = 0.5 * np.array(
 @dataclass(frozen=True, eq=False)
 class ProtocolSpec:
     """One protocol: its name and its ordered basis matrices, stored
-    read-only.  Column v of ``bases[a]`` encodes value v in basis a.  Specs
-    compare and hash by identity, so a cache keyed by a spec never hands one
-    protocol's tables to another spec of the same name.
+    read-only.  Column v of ``bases[a]`` encodes value v in basis a, so every
+    basis must be a unitary of one shape.  Specs compare and hash by
+    identity, so a cache keyed by a spec never hands one protocol's tables to
+    another spec of the same name.
 
     The eavesdropper dimension is ``d_ab * basis_count`` and its basis states
     enumerate (value, basis) pairs as ``index = value * basis_count + basis``.
@@ -180,6 +178,15 @@ class ProtocolSpec:
         # Copies, so that freezing them leaves the caller's arrays writable.
         bases = tuple(_readonly(np.array(basis, dtype=np.complex128)) for basis in self.bases)
         object.__setattr__(self, "bases", bases)
+        if not bases:
+            raise ContractError(f"{self.name}: a protocol needs at least one basis")
+        for a, basis in enumerate(bases):
+            if basis.shape != bases[0].shape:
+                raise ContractError(
+                    f"{self.name}: basis {a} has shape {basis.shape}, not {bases[0].shape}"
+                )
+            if not is_unitary(basis):
+                raise ContractError(f"{self.name}: basis {a} is not a unitary matrix")
         if self.d_ab & (self.d_ab - 1):
             # Keys are scored in bits, bits_per_particle per value.
             raise ContractError(f"particle dimension must be a power of two, got {self.d_ab}")
@@ -314,40 +321,24 @@ class ConversionGate:
     """Composite unitary mapping an eavesdropper-dimension qudit to the
     physical low-dimensional state it enumerates.
 
-    ``steps`` are (gate, target slots) pairs applied in order over the
-    register (source, basis ancilla, value ancilla); after them the value
-    ancilla, ``output_slot``, holds ``spec.encode(value, basis)`` whenever the
-    source slot started in |spec.state_index(value, basis)> with both
-    ancillas in |0>.
+    The circuit acts on the register (source, basis ancilla, value ancilla),
+    row-major with the value ancilla last.  ``split`` acts on all three and
+    ``conditional`` on the two ancillas; ``matrix`` is the whole circuit,
+    ``kron(eye(d_e), conditional) @ split``, read-only.
     """
 
     spec: ProtocolSpec
-    steps: tuple[tuple[GateCatalogEntry, tuple[int, ...]], ...]
-    output_slot = 2
+    split: GateCatalogEntry
+    conditional: GateCatalogEntry
+    matrix: np.ndarray
 
-    @property
-    def slots(self) -> tuple[int, ...]:
-        return (self.spec.d_e, self.spec.basis_count, self.spec.d_ab)
-
-    def input_register(self, source: int) -> Register:
-        """|source> on the source slot, both ancillas in |0>."""
-        dim, *ancillas = self.slots
-        parts = [basis_state(dim, source), *(basis_state(d, 0) for d in ancillas)]
-        return product_register(parts)
-
-    def apply(self, reg: Register) -> Register:
-        if reg.slots != self.slots:
-            raise ContractError(f"register slots {reg.slots} != {self.slots}")
-        for gate, targets in self.steps:
-            reg = apply_to_slot(gate.matrix, reg, targets)
-        return reg
-
-    def matrix(self) -> np.ndarray:
-        """Materialize the composite as one full-register matrix, column by
-        column."""
-        dim = math.prod(self.slots)
-        columns = [self.apply(Register(self.slots, basis_state(dim, k))).state for k in range(dim)]
-        return np.stack(columns, axis=1)
+    def output(self, source: int) -> np.ndarray:
+        """The circuit's output for |source, 0, 0> as a (d_ab, d_e * k)
+        array: row v is the value ancilla's |v> amplitude against each
+        (source, basis ancilla) state.  For |spec.state_index(value, basis)>
+        one column is populated, and it holds ``spec.encode(value, basis)``."""
+        k, d = self.spec.basis_count, self.spec.d_ab
+        return self.matrix[:, source * k * d].reshape(-1, d).T
 
 
 @lru_cache(maxsize=None)
@@ -359,11 +350,10 @@ def conversion_gate(spec: ProtocolSpec) -> ConversionGate:
         raise CatalogError(f"protocol {spec.name!r} is not registered as this spec")
     # The split gates keep the paper's catalog names, numbered in protocol order.
     number = list(PROTOCOLS).index(spec.name) + 1
-    steps = (
-        (_split_gate(f"QidConv{number}", spec), (0, 1, 2)),
-        (_block_conditional(f"CBases[{spec.name}]", spec.basis_count, spec.bases), (1, 2)),
-    )
-    return ConversionGate(spec, steps)
+    split = _split_gate(f"QidConv{number}", spec)
+    conditional = _block_conditional(f"CBases[{spec.name}]", spec.basis_count, spec.bases)
+    matrix = _readonly(np.kron(np.eye(spec.d_e), conditional.matrix) @ split.matrix)
+    return ConversionGate(spec, split, conditional, matrix)
 
 
 # --- Circular-basis candidates ---------------------------------------------------
@@ -480,7 +470,7 @@ def catalog() -> tuple[GateCatalogEntry, ...]:
         _block_conditional("CH", 2, [eye2, _H2]),
         _block_conditional("CPhi", 2, [eye4, _PHI_FIXED]),
         _block_conditional("CHJ", 3, [eye2, _H2, _J2]),
-        *(conversion_gate(PROTOCOLS[name]).steps[0][0] for name in PAPER_PROTOCOLS),
+        *(conversion_gate(PROTOCOLS[name]).split for name in PAPER_PROTOCOLS),
     )
 
 
@@ -584,12 +574,11 @@ def validate_catalog() -> list:
 
     for protocol, spec in PROTOCOLS.items():
         conv = conversion_gate(spec)
-        _check(results, f"conversion-unitary[{protocol}]", is_unitary(conv.matrix()))
+        _check(results, f"conversion-unitary[{protocol}]", is_unitary(conv.matrix))
         sound = True
         decodable = True
         for k in range(spec.d_e):
-            out = conv.apply(conv.input_register(k))
-            slot_state = _slot_state(out, conv.output_slot)
+            slot_state = _pure_column(conv.output(k))
             value, basis = spec.value_basis(k)
             if slot_state is None or not equal_up_to_global_phase(
                 slot_state, spec.encode(value, basis)
@@ -629,15 +618,11 @@ def validate_catalog() -> list:
     return results
 
 
-def _slot_state(reg: Register, slot: int):
-    """Extract a slot's pure state from a product-form register, else None."""
-    psi = np.moveaxis(reg.state.reshape(reg.slots), slot, 0)
-    flat = psi.reshape(psi.shape[0], -1)
-    # The remaining slots are in a definite basis state for contract inputs,
-    # so exactly one column of the flattened view is populated.
-    norms = np.linalg.norm(flat, axis=0)
-    populated = np.flatnonzero(norms > ATOL)
+def _pure_column(output: np.ndarray):
+    """The normalized state of a ``ConversionGate.output`` whose value ancilla
+    is unentangled, so that exactly one column is populated; else None."""
+    populated = np.flatnonzero(np.linalg.norm(output, axis=0) > ATOL)
     if len(populated) != 1:
         return None
-    column = flat[:, populated[0]]
+    column = output[:, populated[0]]
     return column / np.linalg.norm(column)

@@ -30,10 +30,10 @@ Every channel state is one of at most 12 (value, basis) basis states in at
 most 8 dimensions, so each scenario reduces to an exact table: row
 [value, alice_basis, bob_basis] is the cumulative Born distribution of Bob's
 outcome, computed once per protocol through the state-vector code (the
-encode and decode matrices, the relabel permutations, and the conversion
-circuit via ``apply_to_slot`` for conv).  A trial samples all of its
-particles at once by inverse CDF: a uniform draw u picks the first outcome
-whose cumulative probability exceeds u.
+encode and decode matrices, the relabel permutations, and for conv the
+matrix of the conversion circuit, ``gates.ConversionGate``).  A trial
+samples all of its particles at once by inverse CDF: a uniform draw u picks
+the first outcome whose cumulative probability exceeds u.
 
 The sampler reads the table flattened (``outcome_thresholds``): a read-only
 ``(d - 1, d_ab * k * k)`` array whose column ``row = spec.state_index(value,
@@ -87,7 +87,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import analysis, gates
-from .core import ConfigError, RandomSource, apply_to_slot, basis_state
+from .core import ConfigError, RandomSource, basis_state
 from .gates import PROTOCOLS, ProtocolSpec
 
 
@@ -164,11 +164,9 @@ def outcome_table(spec: ProtocolSpec, scenario: Scenario) -> np.ndarray:
             relabel = np.eye(d_e, dtype=np.complex128)[:, targets]
             p = np.abs(relabel @ basis_state(d_e, spec.state_index(value, basis))) ** 2
         else:
-            conv = gates.conversion_gate(spec)
-            reg = conv.apply(conv.input_register(spec.state_index(value, basis)))
-            reg = apply_to_slot(spec.decode(bob_basis), reg, conv.output_slot)
-            psi = np.moveaxis(reg.state.reshape(conv.slots), conv.output_slot, 0)
-            p = np.sum(np.abs(psi) ** 2, axis=tuple(range(1, psi.ndim)))
+            # Bob decodes the value ancilla; the other slots are traced out.
+            output = gates.conversion_gate(spec).output(spec.state_index(value, basis))
+            p = np.sum(np.abs(spec.decode(bob_basis) @ output) ** 2, axis=1)
         # Renormalizing keeps deterministic outcomes exact despite float residue.
         rows.append(np.cumsum(p / float(p.sum())))
     table = np.array(rows).reshape(spec.d_ab, k, k, -1)

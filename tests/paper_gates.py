@@ -1,7 +1,7 @@
-"""The paper's hand-written HD-BB84 state preparations and the lift of a
-particle gate onto the (value, basis) index, kept as test fixtures: the
-engine encodes every state from the specs in ``gates.PROTOCOLS`` and never
-calls these."""
+"""The paper's hand-written HD-BB84 state preparations, the lift of a
+particle gate onto the (value, basis) index and a gate applied to chosen
+slots of a register, kept as test fixtures: the engine encodes every state
+from the specs in ``gates.PROTOCOLS`` and never calls these."""
 
 import numpy as np
 
@@ -44,3 +44,14 @@ def lift(spec, particle_gate) -> np.ndarray:
         else:
             raise ContractError(f"{spec.name}: state {i} maps onto no state of the spec")
     return lifted
+
+
+def on_slots(matrix, state, slots, targets) -> np.ndarray:
+    """``matrix`` applied to the ``targets`` (in its own row-major order) of
+    a register with slot dimensions ``slots``, as the identity elsewhere:
+    bring the targets to the front in that order, act with matrix (x)
+    identity, and put the slots back."""
+    order = list(targets) + [s for s in range(len(slots)) if s not in targets]
+    front = np.asarray(state).reshape(slots).transpose(order).reshape(-1)
+    front = np.kron(matrix, np.eye(len(front) // len(matrix))) @ front
+    return front.reshape([slots[s] for s in order]).transpose(np.argsort(order)).reshape(-1)

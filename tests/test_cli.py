@@ -1,5 +1,9 @@
 import csv
+import errno
 import json
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -311,6 +315,25 @@ def test_unwritable_output_path_fails_before_any_work(tmp_path, capsys, monkeypa
     assert out == ""
     assert err.startswith("error: cannot write ")
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_full_stdout_is_one_error_line(unbuffered):
+    # /dev/full fails every write.  Buffered, the write succeeds and only a
+    # flush fails; the interpreter's own flush at exit must then not add an
+    # "Exception ignored" report after the error line.
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qkdlab.cli", "run", "--protocol", "bb84"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, check=False,
+        )
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert proc.stderr == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
 
 
 # --- the result document: exact rows, exact means, the same JSON bytes ------

@@ -1,19 +1,12 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qkdlab.core import (
     ConfigError,
     ContractError,
     RandomSource,
-    Register,
-    apply_to_slot,
     basis_state,
     equal_up_to_global_phase,
-    product_register,
 )
 from qkdlab.gates import catalog, gate
 from qkdlab.protocols import _sample
@@ -24,11 +17,6 @@ RNG = RandomSource(1234)
 def _random_state(dim, rng):
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return amps / np.linalg.norm(amps)
-
-
-def _apply(gate, state):
-    """A gate on a one-slot register holding the whole state."""
-    return apply_to_slot(gate, Register((len(state),), state), 0).state
 
 
 def _measure(state, rng, shots):
@@ -56,25 +44,20 @@ def test_basis_state_out_of_range():
 
 
 def test_apply_hadamard_prepares_plus():
-    plus = _apply(gate("H").matrix, basis_state(2, 0))
+    plus = gate("H").matrix @ basis_state(2, 0)
     np.testing.assert_allclose(plus, [2**-0.5, 2**-0.5], atol=1e-9)
 
 
 def test_apply_identity_is_noop():
     rng = RNG.stream("core")
     state = _random_state(6, rng)
-    np.testing.assert_allclose(_apply(np.eye(6), state), state, atol=1e-12)
+    np.testing.assert_allclose(np.eye(6) @ state, state, atol=1e-12)
 
 
 def test_apply_fixed_phi_twice_restores_state():
     phi = gate("Phi").matrix
     gamma = basis_state(4, 2)
-    np.testing.assert_allclose(_apply(phi, _apply(phi, gamma)), gamma, atol=1e-9)
-
-
-def test_apply_rejects_dimension_mismatch():
-    with pytest.raises(ContractError):
-        _apply(np.eye(2), basis_state(4, 0))
+    np.testing.assert_allclose(phi @ phi @ gamma, gamma, atol=1e-9)
 
 
 def test_apply_preserves_norm_for_all_catalog_gates():
@@ -82,80 +65,8 @@ def test_apply_preserves_norm_for_all_catalog_gates():
     for entry in catalog():
         for _ in range(5):
             state = _random_state(entry.dim, rng)
-            out = _apply(entry.matrix, state)
+            out = entry.matrix @ state
             assert abs(np.linalg.norm(out) - 1.0) <= 1e-9, entry.name
-
-
-def test_apply_to_slot_bit_flip():
-    reg = product_register([basis_state(2, 0), basis_state(2, 0)])
-    flipped = apply_to_slot(np.array([[0, 1], [1, 0]]), reg, 1)
-    np.testing.assert_array_equal(flipped.state, [0, 1, 0, 0])
-
-
-def test_apply_to_slot_chj_on_middle_slots():
-    reg = product_register([basis_state(6, 0), basis_state(3, 1), basis_state(2, 0)])
-    out = apply_to_slot(gate("CHJ").matrix, reg, (1, 2))
-    expected = product_register(
-        [basis_state(6, 0), basis_state(3, 1), np.array([2**-0.5, 2**-0.5])]
-    )
-    np.testing.assert_allclose(out.state, expected.state, atol=1e-9)
-
-
-def test_apply_to_slot_then_inverse_roundtrips():
-    rng = RNG.stream("roundtrip")
-    reg = Register((2, 3, 4), _random_state(24, rng))
-    gate = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
-    back = apply_to_slot(gate.conj().T, apply_to_slot(gate, reg, 1), 1)
-    np.testing.assert_allclose(back.state, reg.state, atol=1e-9)
-
-
-def test_apply_to_slot_disjoint_slots_commute():
-    rng = RNG.stream("commute")
-    reg = Register((2, 3, 2), _random_state(12, rng))
-    u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-    v = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
-    one = apply_to_slot(v, apply_to_slot(u, reg, 2), 1)
-    other = apply_to_slot(u, apply_to_slot(v, reg, 1), 2)
-    np.testing.assert_allclose(one.state, other.state, atol=1e-9)
-
-
-def test_apply_to_slot_rejects_mismatched_gate():
-    reg = product_register([basis_state(2, 0), basis_state(3, 0)])
-    with pytest.raises(ContractError):
-        apply_to_slot(np.eye(2), reg, 1)
-
-
-@st.composite
-def _slot_layouts(draw):
-    """Slot dims, ordered distinct target slots and a numpy seed."""
-    slots = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=4)))
-    order = draw(st.permutations(range(len(slots))))
-    targets = tuple(order[: draw(st.integers(1, len(slots)))])
-    return slots, targets, draw(st.integers(0, 2**32 - 1))
-
-
-@settings(deadline=None, derandomize=True, database=None)
-@given(_slot_layouts())
-def test_apply_to_slot_equals_kron_on_permuted_register(case):
-    slots, targets, seed = case
-    rng = np.random.default_rng(seed)
-    block = math.prod(slots[t] for t in targets)
-    gate = rng.normal(size=(block, block)) + 1j * rng.normal(size=(block, block))
-    reg = Register(slots, _random_state(math.prod(slots), rng))
-    # Reference: bring the targets to the front in gate order, act with
-    # gate (x) identity on the rest, and put the slots back.
-    order = list(targets) + [s for s in range(len(slots)) if s not in targets]
-    front = reg.state.reshape(slots).transpose(order).reshape(-1)
-    front = np.kron(gate, np.eye(len(front) // block)) @ front
-    expected = front.reshape([slots[s] for s in order]).transpose(np.argsort(order))
-    got = apply_to_slot(gate, reg, targets)
-    assert got.slots == slots
-    np.testing.assert_allclose(got.state, expected.reshape(-1), atol=1e-12)
-
-
-def test_register_slot_product_invariant():
-    with pytest.raises(ContractError):
-        Register((2, 3), np.zeros(5, dtype=np.complex128))
 
 
 def test_measure_basis_state_is_deterministic():

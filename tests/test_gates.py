@@ -27,7 +27,7 @@ from qkdlab.gates import (
     validate_catalog,
 )
 
-from paper_gates import hdbb84_psi_prep, lift
+from paper_gates import hdbb84_psi_prep, lift, on_slots
 
 SQRT2 = 2**-0.5
 
@@ -256,26 +256,38 @@ def test_cphi_applies_phi_only_when_control_set():
 @pytest.mark.parametrize("protocol", ["bb84", "hdbb84", "ssp"])
 def test_conversion_composite_is_unitary(protocol):
     conv = conversion_gate(PROTOCOLS[protocol])
-    matrix = conv.matrix()
-    assert is_unitary(matrix)
-    # The materialized matrix acts on a register as the circuit does.
-    reg = conv.input_register(1)
-    np.testing.assert_allclose(matrix @ reg.state, conv.apply(reg).state, atol=1e-12)
+    spec = conv.spec
+    assert is_unitary(conv.matrix)
+    assert not conv.matrix.flags.writeable
+    # The matrix acts as its two steps in order, each on its own slots.
+    slots = (spec.d_e, spec.basis_count, spec.d_ab)
+    rng = np.random.default_rng(1)
+    state = rng.normal(size=len(conv.matrix)) + 1j * rng.normal(size=len(conv.matrix))
+    steps = on_slots(conv.split.matrix, state, slots, (0, 1, 2))
+    steps = on_slots(conv.conditional.matrix, steps, slots, (1, 2))
+    np.testing.assert_allclose(conv.matrix @ state, steps, atol=1e-12)
 
 
 @pytest.mark.parametrize("protocol", ["bb84", "hdbb84", "ssp"])
 def test_conversion_output_matches_state_table(protocol):
     conv = conversion_gate(PROTOCOLS[protocol])
     spec = conv.spec
+    ancillas = basis_state(spec.basis_count * spec.d_ab, 0)
     for k in range(spec.d_e):
-        out = conv.apply(conv.input_register(k))
-        psi = np.moveaxis(out.state.reshape(conv.slots), conv.output_slot, 0)
-        flat = psi.reshape(psi.shape[0], -1)
-        populated = np.flatnonzero(np.linalg.norm(flat, axis=0) > 1e-9)
+        value, basis = spec.value_basis(k)
+        encoded = spec.encode(value, basis)
+        # |k, 0, 0> becomes |k, basis> (x) encode(value, basis).
+        expected = np.kron(
+            np.kron(basis_state(spec.d_e, k), basis_state(spec.basis_count, basis)), encoded
+        )
+        got = conv.matrix @ np.kron(basis_state(spec.d_e, k), ancillas)
+        np.testing.assert_allclose(got, expected, atol=1e-12)
+        # The accessor reads that value ancilla, unentangled.
+        output = conv.output(k)
+        assert output.shape == (spec.d_ab, spec.d_e * spec.basis_count)
+        populated = np.flatnonzero(np.linalg.norm(output, axis=0) > 1e-9)
         assert len(populated) == 1, "output slot must stay unentangled"
-        slot_state = flat[:, populated[0]]
-        expected = spec.encode(*spec.value_basis(k))
-        assert equal_up_to_global_phase(slot_state, expected), (protocol, k)
+        np.testing.assert_allclose(output[:, populated[0]], encoded, atol=1e-12)
 
 
 def test_conversion_examples():
@@ -295,18 +307,12 @@ def test_conversion_examples():
     "protocol,fixture", [("bb84", "CH"), ("hdbb84", "CPhi"), ("ssp", "CHJ")]
 )
 def test_derived_conversion_steps_equal_paper_fixtures(protocol, fixture):
-    steps = conversion_gate(PROTOCOLS[protocol]).steps
-    (split, split_targets), (prepare, prepare_targets) = steps
-    assert any(entry is split for entry in catalog())
-    assert (split_targets, prepare_targets) == ((0, 1, 2), (1, 2))
-    np.testing.assert_array_equal(prepare.matrix, gate(fixture).matrix)
-
-
-def test_conversion_rejects_wrong_register():
-    conv = conversion_gate(PROTOCOLS["bb84"])
-    other = conversion_gate(PROTOCOLS["ssp"])
-    with pytest.raises(ContractError):
-        conv.apply(other.input_register(0))
+    conv = conversion_gate(PROTOCOLS[protocol])
+    spec = conv.spec
+    assert any(entry is conv.split for entry in catalog())
+    assert conv.split.dims == (spec.d_e, spec.basis_count, spec.d_ab)
+    assert conv.conditional.dims == (spec.basis_count, spec.d_ab)
+    np.testing.assert_array_equal(conv.conditional.matrix, gate(fixture).matrix)
 
 
 # --- mutual unbiasedness ---------------------------------------------------------------

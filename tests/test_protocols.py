@@ -1,18 +1,19 @@
+import itertools
 from dataclasses import fields, replace
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdlab import analysis, cli, gates, protocols
 from qkdlab.core import (
     ConfigError,
     ContractError,
     RandomSource,
-    apply_to_slot,
     basis_state,
     equal_up_to_global_phase,
-    product_register,
 )
 from qkdlab.protocols import (
     BB84,
@@ -38,7 +39,7 @@ from qkdlab.protocols import (
 from oracle import BASES as ORACLE_BASES
 from oracle import _sample as _oracle_sample
 from oracle import intercept_resend_oracle
-from paper_gates import PSI_SYMBOLS, hdbb84_psi_prep
+from paper_gates import PSI_SYMBOLS, hdbb84_psi_prep, on_slots
 
 SEED = 2
 TRIAL_COUNTS = (1, 7, 25)
@@ -193,6 +194,21 @@ def test_protocol_spec_rejects_non_power_of_two_dimension():
         ProtocolSpec("qutrit", (np.eye(3), fourier))
 
 
+@pytest.mark.parametrize(
+    "bases",
+    [
+        (np.eye(2), np.ones((2, 2))),  # not unitary: its columns are no states
+        (np.eye(2), np.eye(4)),  # unitary, but not of bases[0]'s shape
+        (np.eye(3)[:2],),  # 2 x 3
+        (),
+    ],
+    ids=["non-unitary", "mixed-shapes", "non-square", "empty"],
+)
+def test_protocol_spec_rejects_malformed_bases(bases):
+    with pytest.raises(ContractError):
+        ProtocolSpec("malformed", bases)
+
+
 def test_pairing_rules():
     validate_pairing(Scenario.CONTROL, EveModel.STANDARD)
     validate_pairing(Scenario.CONVERSION, EveModel.HD)
@@ -316,14 +332,14 @@ def _paper_probs(spec, scenario, value, basis, bob_basis):
         hd_decode = paper.hd_bases[bob_basis]
         return np.abs(hd_decode @ _paper_hd_encode(spec, value, basis)) ** 2
     slots, steps, output_slot = paper.conv
-    reg = product_register(
-        [_paper_hd_encode(spec, value, basis)] + [basis_state(d, 0) for d in slots[1:]]
-    )
+    state = _paper_hd_encode(spec, value, basis)
+    for dim in slots[1:]:
+        state = np.kron(state, basis_state(dim, 0))
     for gate, targets in steps:
-        reg = apply_to_slot(gate.matrix, reg, targets)
-    reg = apply_to_slot(decode, reg, output_slot)
-    psi = np.moveaxis(reg.state.reshape(slots), output_slot, 0)
-    return np.sum(np.abs(psi) ** 2, axis=tuple(range(1, psi.ndim)))
+        state = on_slots(gate.matrix, state, slots, targets)
+    state = on_slots(decode, state, slots, (output_slot,))
+    others = tuple(s for s in range(len(slots)) if s != output_slot)
+    return np.sum(np.abs(state.reshape(slots)) ** 2, axis=others)
 
 
 def _relabel_view(spec, probs):
@@ -369,6 +385,34 @@ def test_outcome_table_rows_equal_oracle_born_rule(spec, scenario):
         np.testing.assert_allclose(
             _probs(spec, scenario, value, basis, bob_basis), expected, atol=1e-12
         )
+
+
+_SPEC_NAMES = (f"random-{n}" for n in itertools.count())
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=30)
+@given(st.tuples(st.sampled_from((2, 4)), st.integers(1, 3), st.integers(0, 2**32 - 1)))
+def test_conversion_table_equals_control_for_random_specs(case):
+    # Any registered spec's conversion circuit, on registers of up to
+    # 12 * 3 * 4 = 144 dimensions, must deliver Alice's particle state.
+    d_ab, k, seed = case
+    rng = np.random.default_rng(seed)
+    shape = (k, d_ab, d_ab)
+    bases = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+    spec = ProtocolSpec(next(_SPEC_NAMES), tuple(bases))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(PROTOCOLS, spec.name, spec)
+        np.testing.assert_allclose(
+            outcome_table(spec, Scenario.CONVERSION),
+            outcome_table(spec, Scenario.CONTROL),
+            rtol=0,
+            atol=1e-12,
+        )
+        checks = [
+            check for check in gates.validate_catalog()
+            if check.name.startswith("conversion-") and check.name.endswith(f"[{spec.name}]")
+        ]
+    assert len(checks) == 3 and all(check.passed for check in checks), checks
 
 
 def test_outcome_tables_are_cached_and_read_only():
