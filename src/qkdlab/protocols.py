@@ -82,13 +82,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
 from . import analysis, gates
 from .core import ConfigError, RandomSource, basis_state
-from .gates import PROTOCOLS, ProtocolSpec
+from .gates import PROTOCOLS, ProtocolSpec, spec_cached
 
 
 class Scenario(str, Enum):
@@ -144,7 +143,7 @@ def validate_pairing(scenario: Scenario, eve: EveModel) -> tuple[Scenario, EveMo
     return scenario, eve
 
 
-@lru_cache(maxsize=None)
+@spec_cached
 def outcome_table(spec: ProtocolSpec, scenario: Scenario) -> np.ndarray:
     """Cumulative outcome table [value, alice_basis, bob_basis, outcome],
     read-only: each row is the Born distribution of Bob's outcome for one
@@ -174,7 +173,7 @@ def outcome_table(spec: ProtocolSpec, scenario: Scenario) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=None)
+@spec_cached
 def outcome_thresholds(spec: ProtocolSpec, scenario: Scenario) -> np.ndarray:
     """``outcome_table`` flattened for ``_sample``, read-only (layout in the
     module docstring, Outcome tables)."""

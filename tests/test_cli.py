@@ -210,6 +210,20 @@ def test_validate_gates_failure_exit_code(capsys, monkeypatch):
     assert "FAIL synthetic" in out
 
 
+def test_a_non_unitary_catalog_entry_fails_validate_gates(capsys, monkeypatch):
+    # The suite is the one place a gate is checked: a shear builds as an
+    # entry, and only its unitary line fails.
+    shear = gates._entry("Shear", (2,), [[1, 1], [0, 1]])
+    catalog = (*gates.catalog(), shear)
+    monkeypatch.setattr(gates, "catalog", lambda: catalog)
+    failed = [check.name for check in gates.validate_catalog() if not check.passed]
+    assert failed == ["unitary[Shear]"]
+    code, out, _ = _run(capsys, ["validate-gates"])
+    assert code == cli.EXIT_VALIDATION == 1
+    assert "FAIL unitary[Shear]\n" in out
+    assert out.endswith("53/54 checks passed\n")
+
+
 def test_reproduce_paper_writes_tables_and_figure_data(tmp_path, capsys):
     code, out, _ = _run(
         capsys, ["reproduce-paper", "--seed", "2", "--out-dir", str(tmp_path)]

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 from dataclasses import fields, replace
 from typing import NamedTuple
 
@@ -201,8 +203,9 @@ def test_protocol_spec_rejects_non_power_of_two_dimension():
         (np.eye(2), np.eye(4)),  # unitary, but not of bases[0]'s shape
         (np.eye(3)[:2],),  # 2 x 3
         (),
+        (np.eye(1),),  # one state carries no bit
     ],
-    ids=["non-unitary", "mixed-shapes", "non-square", "empty"],
+    ids=["non-unitary", "mixed-shapes", "non-square", "empty", "one-dimensional"],
 )
 def test_protocol_spec_rejects_malformed_bases(bases):
     with pytest.raises(ContractError):
@@ -435,6 +438,19 @@ def test_outcome_tables_belong_to_the_spec_not_its_name():
     # Only a registered spec has a conversion circuit.
     with pytest.raises(gates.CatalogError, match="not registered"):
         outcome_table(impostor, Scenario.CONVERSION)
+
+
+def test_a_dropped_spec_frees_its_tables():
+    spec = ProtocolSpec("dropped", BB84.bases)
+    outcome_thresholds(spec, Scenario.CONTROL)
+    outcome_thresholds(spec, Scenario.RELABEL)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(PROTOCOLS, spec.name, spec)
+        outcome_table(spec, Scenario.CONVERSION)
+    ref = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert ref() is None
 
 
 class _FixedDraw:
