@@ -4,7 +4,7 @@ States are 1-D ``complex128`` numpy arrays and gates are square
 ``complex128`` matrices, applied with ``@``; a composite system is the
 ``np.kron`` of its parts, row-major with the first part most significant.
 This module builds basis states and checks unitarity and equality up to a
-global phase.
+global phase, both within ``ATOL``, the one tolerance of every gate check.
 
 All randomness flows through :class:`RandomSource`, which hands out disjoint,
 reproducible generator streams, one per role (a named consumer of random draws,
@@ -49,30 +49,30 @@ def basis_state(dim: int, k: int) -> np.ndarray:
     return state
 
 
-def is_unitary(matrix: np.ndarray, tol: float = ATOL) -> bool:
-    """Check U†U = I elementwise within tol."""
+def is_unitary(matrix: np.ndarray) -> bool:
+    """Check U†U = I elementwise within ``ATOL``."""
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         return False
     gram = matrix.conj().T @ matrix
-    return bool(np.max(np.abs(gram - np.eye(matrix.shape[0]))) <= tol)
+    return bool(np.max(np.abs(gram - np.eye(matrix.shape[0]))) <= ATOL)
 
 
-def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = ATOL) -> bool:
-    """True iff a == c*b elementwise within tol for some unit-modulus c."""
+def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray) -> bool:
+    """True iff a == c*b elementwise within ``ATOL`` for some unit-modulus c."""
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     if a.shape != b.shape:
         raise ContractError(f"shape mismatch {a.shape} vs {b.shape}")
     j = int(np.argmax(np.abs(b)))
-    if abs(b[j]) <= tol:
-        return bool(np.max(np.abs(a - b)) <= tol)
+    if abs(b[j]) <= ATOL:
+        return bool(np.max(np.abs(a - b)) <= ATOL)
     phase = a[j] / b[j]
     mod = abs(phase)
-    if mod <= tol:
+    if mod <= ATOL:
         return False
     phase /= mod
-    return bool(np.max(np.abs(a - phase * b)) <= tol)
+    return bool(np.max(np.abs(a - phase * b)) <= ATOL)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ name and the ordered tuple of its basis matrices, (I, H) for BB84, (I, Phi)
 for HD-BB84 and (I, H, J) for SSP, where column v of ``bases[a]`` is the
 state encoding value v in basis a.  Everything else about a protocol is read
 from the spec: its dimensions, encode and decode, the (value, basis) index
-and, for a registered spec, its conversion circuit (:func:`conversion_gate`).
+and its conversion circuit (:func:`conversion_gate`).
 Registering a protocol is one more ``PROTOCOLS`` entry; ``PAPER_PROTOCOLS``
 names the three the paper studies, and only they enter the catalog and the
 paper's grid.
@@ -101,13 +101,13 @@ def _perm_entry(name, dim, mapping) -> GateCatalogEntry:
     return _entry(name, (dim,), _permutation(dim, mapping))
 
 
-def _block_conditional(name: str, control_dim: int, blocks) -> GateCatalogEntry:
-    """Block-diagonal gate applying blocks[c] to the target when control = |c>."""
+def _block_diagonal(blocks) -> np.ndarray:
+    """The controlled gate applying blocks[c] to the target when control = |c>."""
     n = blocks[0].shape[0]
-    matrix = np.zeros((control_dim * n, control_dim * n), dtype=np.complex128)
+    matrix = np.zeros((len(blocks) * n, len(blocks) * n), dtype=np.complex128)
     for c, block in enumerate(blocks):
         matrix[c * n : (c + 1) * n, c * n : (c + 1) * n] = block
-    return _entry(name, (control_dim, n), matrix)
+    return matrix
 
 
 # --- 2-dimensional building blocks ------------------------------------------
@@ -166,9 +166,11 @@ class ProtocolSpec:
                 )
             if not is_unitary(basis):
                 raise ContractError(f"{self.name}: basis {a} is not a unitary matrix")
-        if self.d_ab < 2 or self.d_ab & (self.d_ab - 1):
-            # Keys are scored in bits, bits_per_particle (at least one) per value.
-            raise ContractError(f"particle dimension must be a power of two >= 2, got {self.d_ab}")
+        if not 2 <= self.d_ab <= 256 or self.d_ab & (self.d_ab - 1):
+            # Keys are scored in bits, bits_per_particle (one to eight) per value.
+            raise ContractError(
+                f"particle dimension must be a power of two in 2..256, got {self.d_ab}"
+            )
         object.__setattr__(self, "_memo", {})  # spec_cached's tables, freed with the spec
 
     @cached_property
@@ -286,7 +288,7 @@ CHJ_LITERAL = np.array(
 
 # --- Conversion gates -----------------------------------------------------------
 
-def _split_gate(name: str, spec: ProtocolSpec) -> GateCatalogEntry:
+def _split(spec: ProtocolSpec) -> np.ndarray:
     """Unpack a (value, basis) source index onto two ancilla digits.
 
     Acts on slots (source, basis ancilla, value ancilla): the source digit is
@@ -302,7 +304,7 @@ def _split_gate(name: str, spec: ProtocolSpec) -> GateCatalogEntry:
             for v in range(d):
                 src = (source * k + b) * d + v
                 mapping[src] = (source * k + (b + basis) % k) * d + (v + value) % d
-    return _entry(name, (spec.d_e, k, d), _permutation(spec.d_e * k * d, mapping))
+    return _permutation(spec.d_e * k * d, mapping)
 
 
 @dataclass(frozen=True)
@@ -310,15 +312,13 @@ class ConversionGate:
     """Composite unitary mapping an eavesdropper-dimension qudit to the
     physical low-dimensional state it enumerates.
 
-    The circuit acts on the register (source, basis ancilla, value ancilla),
-    row-major with the value ancilla last.  ``split`` acts on all three and
-    ``conditional`` on the two ancillas; ``matrix`` is the whole circuit,
-    ``kron(eye(d_e), conditional) @ split``, read-only.
+    ``matrix`` is the whole circuit, read-only: the split (:func:`_split`)
+    on the register, then ``spec.bases[basis]`` on the value ancilla,
+    controlled by the basis ancilla.  :meth:`output` is the one place that
+    spells out the register layout.
     """
 
     spec: ProtocolSpec
-    split: GateCatalogEntry
-    conditional: GateCatalogEntry
     matrix: np.ndarray
 
     def output(self, source: int) -> np.ndarray:
@@ -332,17 +332,11 @@ class ConversionGate:
 
 @spec_cached
 def conversion_gate(spec: ProtocolSpec) -> ConversionGate:
-    """Conversion circuit of a registered protocol: split the source index
-    onto (basis, value) ancillas, then apply ``bases[basis]`` to the value
-    ancilla, which turns |value> into the encoded state."""
-    if PROTOCOLS.get(spec.name) is not spec:
-        raise CatalogError(f"protocol {spec.name!r} is not registered as this spec")
-    # The split gates keep the paper's catalog names, numbered in protocol order.
-    number = list(PROTOCOLS).index(spec.name) + 1
-    split = _split_gate(f"QidConv{number}", spec)
-    conditional = _block_conditional(f"CBases[{spec.name}]", spec.basis_count, spec.bases)
-    matrix = _readonly(np.kron(np.eye(spec.d_e), conditional.matrix) @ split.matrix)
-    return ConversionGate(spec, split, conditional, matrix)
+    """Conversion circuit of a spec, from its bases alone: split the source
+    index onto (basis, value) ancillas, then apply ``bases[basis]`` to the
+    value ancilla, which turns |value> into the encoded state."""
+    matrix = np.kron(np.eye(spec.d_e), _block_diagonal(spec.bases)) @ _split(spec)
+    return ConversionGate(spec, _readonly(matrix))
 
 
 # --- Circular-basis candidates ---------------------------------------------------
@@ -357,35 +351,28 @@ class BasisCandidate:
     gate: np.ndarray
 
 
+# Each candidate's two states and the axis its original gate stacks them
+# on: jgate and bennett carry them as columns (1).  The bruss gate is
+# transcribed with its states as rows (0); only this form exhibits the
+# deterministic H-probe outcome the candidate is rejected for.
+_CANDIDATES = {
+    "jgate": ((KET_CIRC_PLUS, KET_CIRC_MINUS), 1),
+    "bennett": ((_SQRT2 * np.array([1, 1j]), _SQRT2 * np.array([1j, 1])), 1),
+    "bruss": ((_SQRT2 * np.array([1, 1j]), _SQRT2 * np.array([1, -1j])), 0),
+}
+
+
 @lru_cache(maxsize=None)
 def basis_candidate(name: str) -> BasisCandidate:
-    """Candidates 'jgate', 'bennett' and 'bruss' for the circular basis.
-
-    jgate and bennett gates carry the candidate states as columns.  The bruss
-    gate is transcribed with its states as rows; only this form exhibits the
-    deterministic H-probe outcome the candidate is rejected for.
-    """
-    if name == "jgate":
-        states = (KET_CIRC_PLUS.copy(), KET_CIRC_MINUS.copy())
-        gate = _J2
-    elif name == "bennett":
-        states = (
-            _SQRT2 * np.array([1, 1j], dtype=np.complex128),
-            _SQRT2 * np.array([1j, 1], dtype=np.complex128),
-        )
-        gate = np.stack(states, axis=1)
-    elif name == "bruss":
-        states = (
-            _SQRT2 * np.array([1, 1j], dtype=np.complex128),
-            _SQRT2 * np.array([1, -1j], dtype=np.complex128),
-        )
-        gate = np.stack(states, axis=0)
-    else:
+    """Candidate ``name`` for the circular basis, one of ``_CANDIDATES``."""
+    if name not in _CANDIDATES:
         raise CatalogError(f"unknown basis candidate {name!r}")
+    states, axis = _CANDIDATES[name]
+    states = tuple(np.array(s, dtype=np.complex128) for s in states)
     for s in states:
         if not abs(np.linalg.norm(s) - 1.0) <= ATOL:
             raise ValidationError(f"{name}: candidate state not normalized")
-    return BasisCandidate(name, states, _readonly(gate))
+    return BasisCandidate(name, states, _readonly(np.stack(states, axis=axis)))
 
 
 @dataclass(frozen=True)
@@ -458,13 +445,17 @@ def catalog() -> tuple[GateCatalogEntry, ...]:
         _perm_entry("QidH2", 6, {0: 1, 1: 0, 2: 2, 3: 4, 4: 3, 5: 5}),
         _entry("QidJ", (6,), _QIDJ),
         # The paper's controlled gates.  CHJ is controlled by a qutrit: |1>
-        # applies H, |2> applies J.  The derived conversion circuits of BB84,
-        # HD-BB84 and SSP reproduce CH, CPhi and CHJ.
-        _block_conditional("CX", 2, [eye2, _X2]),
-        _block_conditional("CH", 2, [eye2, _H2]),
-        _block_conditional("CPhi", 2, [eye4, _PHI_FIXED]),
-        _block_conditional("CHJ", 3, [eye2, _H2, _J2]),
-        *(conversion_gate(PROTOCOLS[name]).split for name in PAPER_PROTOCOLS),
+        # applies H, |2> applies J.  The conversion circuits of BB84, HD-BB84
+        # and SSP are their splits followed by CH, CPhi and CHJ.
+        _entry("CX", (2, 2), _block_diagonal([eye2, _X2])),
+        _entry("CH", (2, 2), _block_diagonal([eye2, _H2])),
+        _entry("CPhi", (2, 4), _block_diagonal([eye4, _PHI_FIXED])),
+        _entry("CHJ", (3, 2), _block_diagonal([eye2, _H2, _J2])),
+        # The paper's split gates, numbered in paper order.
+        *(
+            _entry(f"QidConv{n}", (spec.d_e, spec.basis_count, spec.d_ab), _split(spec))
+            for n, spec in enumerate((PROTOCOLS[name] for name in PAPER_PROTOCOLS), 1)
+        ),
     )
 
 
@@ -526,7 +517,7 @@ def validate_catalog() -> list:
         _check(
             results,
             f"involution[{entry.name}]",
-            np.max(np.abs(squared - np.eye(entry.dim))) <= 1e-9,
+            np.max(np.abs(squared - np.eye(entry.dim))) <= ATOL,
         )
 
     # Negative fixture: the uncorrected conjugate basis must 3-cycle the
@@ -537,7 +528,7 @@ def validate_catalog() -> list:
     _check(
         results,
         "phi-original-double-cycle",
-        np.max(np.abs(squared - cycle)) <= 1e-9,
+        np.max(np.abs(squared - cycle)) <= ATOL,
         "PhiOriginal^2 permutes beta->delta, gamma->beta, delta->gamma",
     )
 
@@ -545,7 +536,7 @@ def validate_catalog() -> list:
         # Every overlap between columns of two different bases is 1/sqrt(d).
         magnitude = 1.0 / math.sqrt(spec.d_ab)
         unbiased = all(
-            np.max(np.abs(np.abs(spec.decode(i) @ right) - magnitude)) <= 1e-9
+            np.max(np.abs(np.abs(spec.decode(i) @ right) - magnitude)) <= ATOL
             for i in range(spec.basis_count)
             for right in spec.bases[i + 1 :]
         )
@@ -586,7 +577,7 @@ def validate_catalog() -> list:
                 sound = False
                 continue
             decoded = spec.decode(basis) @ slot_state
-            if abs(abs(decoded[value]) ** 2 - 1.0) > 1e-9:
+            if abs(abs(decoded[value]) ** 2 - 1.0) > ATOL:
                 decodable = False
         _check(results, f"conversion-states[{protocol}]", sound)
         _check(results, f"conversion-decode[{protocol}]", decodable)

@@ -204,8 +204,9 @@ def test_protocol_spec_rejects_non_power_of_two_dimension():
         (np.eye(3)[:2],),  # 2 x 3
         (),
         (np.eye(1),),  # one state carries no bit
+        (np.eye(512),),  # nine bits a particle: a key value is one byte
     ],
-    ids=["non-unitary", "mixed-shapes", "non-square", "empty", "one-dimensional"],
+    ids=["non-unitary", "mixed-shapes", "non-square", "empty", "one-dimensional", "too-wide"],
 )
 def test_protocol_spec_rejects_malformed_bases(bases):
     with pytest.raises(ContractError):
@@ -396,21 +397,22 @@ _SPEC_NAMES = (f"random-{n}" for n in itertools.count())
 @settings(deadline=None, derandomize=True, database=None, max_examples=30)
 @given(st.tuples(st.sampled_from((2, 4)), st.integers(1, 3), st.integers(0, 2**32 - 1)))
 def test_conversion_table_equals_control_for_random_specs(case):
-    # Any registered spec's conversion circuit, on registers of up to
-    # 12 * 3 * 4 = 144 dimensions, must deliver Alice's particle state.
+    # Any spec's conversion circuit, on registers of up to 12 * 3 * 4 = 144
+    # dimensions, must deliver Alice's particle state; registered, the spec
+    # also passes validate-gates' conversion checks.
     d_ab, k, seed = case
     rng = np.random.default_rng(seed)
     shape = (k, d_ab, d_ab)
     bases = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
     spec = ProtocolSpec(next(_SPEC_NAMES), tuple(bases))
+    np.testing.assert_allclose(
+        outcome_table(spec, Scenario.CONVERSION),
+        outcome_table(spec, Scenario.CONTROL),
+        rtol=0,
+        atol=1e-12,
+    )
     with pytest.MonkeyPatch.context() as patch:
         patch.setitem(PROTOCOLS, spec.name, spec)
-        np.testing.assert_allclose(
-            outcome_table(spec, Scenario.CONVERSION),
-            outcome_table(spec, Scenario.CONTROL),
-            rtol=0,
-            atol=1e-12,
-        )
         checks = [
             check for check in gates.validate_catalog()
             if check.name.startswith("conversion-") and check.name.endswith(f"[{spec.name}]")
@@ -435,18 +437,17 @@ def test_outcome_tables_belong_to_the_spec_not_its_name():
     table = outcome_table(impostor, Scenario.CONTROL)
     assert table is not outcome_table(BB84, Scenario.CONTROL)
     np.testing.assert_array_equal(_probs(impostor, Scenario.CONTROL, 0, 1, 0), [0, 1])
-    # Only a registered spec has a conversion circuit.
-    with pytest.raises(gates.CatalogError, match="not registered"):
-        outcome_table(impostor, Scenario.CONVERSION)
+    # Its conversion circuit follows from its own bases, not its name's.
+    np.testing.assert_allclose(
+        outcome_table(impostor, Scenario.CONVERSION), table, rtol=0, atol=1e-12
+    )
 
 
 def test_a_dropped_spec_frees_its_tables():
     spec = ProtocolSpec("dropped", BB84.bases)
     outcome_thresholds(spec, Scenario.CONTROL)
     outcome_thresholds(spec, Scenario.RELABEL)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setitem(PROTOCOLS, spec.name, spec)
-        outcome_table(spec, Scenario.CONVERSION)
+    outcome_table(spec, Scenario.CONVERSION)
     ref = weakref.ref(spec)
     del spec
     gc.collect()
