@@ -31,7 +31,7 @@ from .gates import (
     basis_candidate,
     catalog,
     catalog_fingerprint,
-    conversion_gate,
+    conversion_circuit,
     gate,
     validate_basis_candidate,
     validate_catalog,
@@ -73,7 +73,7 @@ __all__ = [
     "basis_state",
     "catalog",
     "catalog_fingerprint",
-    "conversion_gate",
+    "conversion_circuit",
     "detection_probability",
     "equal_up_to_global_phase",
     "gate",

@@ -2,7 +2,7 @@
 
 States are 1-D ``complex128`` numpy arrays and gates are square
 ``complex128`` matrices, applied with ``@``; a composite system is the
-``np.kron`` of its parts, row-major with the first part most significant.
+Kronecker product of its parts, row-major with the first part most significant.
 This module builds basis states and checks unitarity and equality up to a
 global phase, both within ``ATOL``, the one tolerance of every gate check.
 

@@ -5,7 +5,7 @@ name and the ordered tuple of its basis matrices, (I, H) for BB84, (I, Phi)
 for HD-BB84 and (I, H, J) for SSP, where column v of ``bases[a]`` is the
 state encoding value v in basis a.  Everything else about a protocol is read
 from the spec: its dimensions, encode and decode, the (value, basis) index
-and its conversion circuit (:func:`conversion_gate`).
+and its conversion circuit (:func:`conversion_circuit`).
 Registering a protocol is one more ``PROTOCOLS`` entry; ``PAPER_PROTOCOLS``
 names the three the paper studies, and only they enter the catalog and the
 paper's grid.
@@ -286,57 +286,45 @@ CHJ_LITERAL = np.array(
 )
 
 
-# --- Conversion gates -----------------------------------------------------------
-
-def _split(spec: ProtocolSpec) -> np.ndarray:
-    """Unpack a (value, basis) source index onto two ancilla digits.
-
-    Acts on slots (source, basis ancilla, value ancilla): the source digit is
-    preserved and its basis/value components are added onto the ancillas
-    modulo their dimensions, which makes the whole map a permutation.  On the
-    contract inputs (both ancillas |0>) this writes the split directly.
-    """
-    k, d = spec.basis_count, spec.d_ab
-    mapping = {}
-    for source in range(spec.d_e):
-        value, basis = spec.value_basis(source)
-        for b in range(k):
-            for v in range(d):
-                src = (source * k + b) * d + v
-                mapping[src] = (source * k + (b + basis) % k) * d + (v + value) % d
-    return _permutation(spec.d_e * k * d, mapping)
-
-
-@dataclass(frozen=True)
-class ConversionGate:
-    """Composite unitary mapping an eavesdropper-dimension qudit to the
-    physical low-dimensional state it enumerates.
-
-    ``matrix`` is the whole circuit, read-only: the split (:func:`_split`)
-    on the register, then ``spec.bases[basis]`` on the value ancilla,
-    controlled by the basis ancilla.  :meth:`output` is the one place that
-    spells out the register layout.
-    """
-
-    spec: ProtocolSpec
-    matrix: np.ndarray
-
-    def output(self, source: int) -> np.ndarray:
-        """The circuit's output for |source, 0, 0> as a (d_ab, d_e * k)
-        array: row v is the value ancilla's |v> amplitude against each
-        (source, basis ancilla) state.  For |spec.state_index(value, basis)>
-        one column is populated, and it holds ``spec.encode(value, basis)``."""
-        k, d = self.spec.basis_count, self.spec.d_ab
-        return self.matrix[:, source * k * d].reshape(-1, d).T
-
+# --- Conversion circuit -----------------------------------------------------------
 
 @spec_cached
-def conversion_gate(spec: ProtocolSpec) -> ConversionGate:
-    """Conversion circuit of a spec, from its bases alone: split the source
-    index onto (basis, value) ancillas, then apply ``bases[basis]`` to the
-    value ancilla, which turns |value> into the encoded state."""
-    matrix = np.kron(np.eye(spec.d_e), _block_diagonal(spec.bases)) @ _split(spec)
-    return ConversionGate(spec, _readonly(matrix))
+def _split_targets(spec: ProtocolSpec) -> np.ndarray:
+    """The split as a read-only index map: register state |source, b, v>, over
+    slots (source, basis ancilla, value ancilla), goes to state
+    ``targets[(source * k + b) * d + v]``.  The source digit is preserved and
+    its basis/value components are added onto the ancillas modulo their
+    dimensions, which makes the map a permutation.  On the contract inputs
+    (both ancillas |0>) this writes the split directly."""
+    k, d = spec.basis_count, spec.d_ab
+    source, b, v = np.indices((spec.d_e, k, d)).reshape(3, -1)
+    value, basis = spec.value_basis(source)
+    targets = (source * k + (b + basis) % k) * d + (v + value) % d
+    targets.setflags(write=False)
+    return targets
+
+
+def conversion_circuit(spec: ProtocolSpec, state: np.ndarray) -> np.ndarray:
+    """Conversion circuit of a spec, from its bases alone, applied to a
+    register vector over (source, basis ancilla, value ancilla): split the
+    source index onto the ancillas (:func:`_split_targets`), then apply
+    ``bases[basis]`` to the value ancilla, which turns |value> into the
+    encoded state.  No matrix over the whole register is built."""
+    k, d = spec.basis_count, spec.d_ab
+    split = np.zeros_like(state)
+    split[_split_targets(spec)] = state
+    return (np.stack(spec.bases) @ split.reshape(-1, k, d, 1)).reshape(-1)
+
+
+def conversion_output(spec: ProtocolSpec, source: int) -> np.ndarray:
+    """The circuit's output for |source, 0, 0> as a (d_ab, d_e * k) array:
+    row v is the value ancilla's |v> amplitude against each (source, basis
+    ancilla) state.  For |spec.state_index(value, basis)> one column is
+    populated, and it holds ``spec.encode(value, basis)``.  This is the one
+    place that spells out the register layout."""
+    k, d = spec.basis_count, spec.d_ab
+    register = basis_state(spec.d_e * k * d, source * k * d)
+    return conversion_circuit(spec, register).reshape(-1, d).T
 
 
 # --- Circular-basis candidates ---------------------------------------------------
@@ -453,7 +441,11 @@ def catalog() -> tuple[GateCatalogEntry, ...]:
         _entry("CHJ", (3, 2), _block_diagonal([eye2, _H2, _J2])),
         # The paper's split gates, numbered in paper order.
         *(
-            _entry(f"QidConv{n}", (spec.d_e, spec.basis_count, spec.d_ab), _split(spec))
+            _entry(
+                f"QidConv{n}",
+                (spec.d_e, spec.basis_count, spec.d_ab),
+                np.eye(spec.d_e * spec.basis_count * spec.d_ab)[:, _split_targets(spec)],
+            )
             for n, spec in enumerate((PROTOCOLS[name] for name in PAPER_PROTOCOLS), 1)
         ),
     )
@@ -564,12 +556,15 @@ def validate_catalog() -> list:
     )
 
     for protocol, spec in PROTOCOLS.items():
-        conv = conversion_gate(spec)
-        _check(results, f"conversion-unitary[{protocol}]", is_unitary(conv.matrix))
+        # A permutation followed by a block diagonal of unitaries is unitary.
+        targets = _split_targets(spec)
+        permutation = np.array_equal(np.sort(targets), np.arange(len(targets)))
+        unitary = permutation and all(map(is_unitary, spec.bases))
+        _check(results, f"conversion-unitary[{protocol}]", unitary)
         sound = True
         decodable = True
         for k in range(spec.d_e):
-            slot_state = _pure_column(conv.output(k))
+            slot_state = _pure_column(conversion_output(spec, k))
             value, basis = spec.value_basis(k)
             if slot_state is None or not equal_up_to_global_phase(
                 slot_state, spec.encode(value, basis)
@@ -610,7 +605,7 @@ def validate_catalog() -> list:
 
 
 def _pure_column(output: np.ndarray):
-    """The normalized state of a ``ConversionGate.output`` whose value ancilla
+    """The normalized state of a :func:`conversion_output` whose value ancilla
     is unentangled, so that exactly one column is populated; else None."""
     populated = np.flatnonzero(np.linalg.norm(output, axis=0) > ATOL)
     if len(populated) != 1:

@@ -26,12 +26,12 @@ which never disturbs the channel and reads off Alice's (value, basis) pair.
 
 Outcome tables
 --------------
-Every channel state is one of at most 12 (value, basis) basis states in at
-most 8 dimensions, so each scenario reduces to an exact table: row
-[value, alice_basis, bob_basis] is the cumulative Born distribution of Bob's
-outcome, computed once per protocol through the state-vector code (the
-encode and decode matrices, the relabel permutations, and for conv the
-matrix of the conversion circuit, ``gates.ConversionGate``).  A trial
+Every channel state is one of the d_ab * k (value, basis) basis states, so
+each scenario reduces to an exact table: row [value, alice_basis,
+bob_basis] is the cumulative Born distribution of Bob's outcome, computed
+once per protocol through the state-vector code (the encode and decode
+matrices, the relabel permutations, and for conv the conversion circuit
+applied as its two factors, ``gates.conversion_output``).  A trial
 samples all of its particles at once by inverse CDF: a uniform draw u picks
 the first outcome whose cumulative probability exceeds u.
 
@@ -164,7 +164,7 @@ def outcome_table(spec: ProtocolSpec, scenario: Scenario) -> np.ndarray:
             p = np.abs(relabel @ basis_state(d_e, spec.state_index(value, basis))) ** 2
         else:
             # Bob decodes the value ancilla; the other slots are traced out.
-            output = gates.conversion_gate(spec).output(spec.state_index(value, basis))
+            output = gates.conversion_output(spec, spec.state_index(value, basis))
             p = np.sum(np.abs(spec.decode(bob_basis) @ output) ** 2, axis=1)
         # Renormalizing keeps deterministic outcomes exact despite float residue.
         rows.append(np.cumsum(p / float(p.sum())))

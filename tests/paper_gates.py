@@ -1,12 +1,13 @@
 """The paper's hand-written HD-BB84 state preparations, the lift of a
-particle gate onto the (value, basis) index and a gate applied to chosen
-slots of a register, kept as test fixtures: the engine encodes every state
-from the specs in ``gates.PROTOCOLS`` and never calls these."""
+particle gate onto the (value, basis) index, a gate applied to chosen slots
+of a register and the dense matrix of a conversion circuit, kept as test
+fixtures: the engine encodes every state from the specs in
+``gates.PROTOCOLS`` and never calls these."""
 
 import numpy as np
 
 from qkdlab.core import ATOL, ContractError
-from qkdlab.gates import CatalogError, gate
+from qkdlab.gates import CatalogError, conversion_circuit, gate
 
 PSI_SYMBOLS = ("alpha", "beta", "gamma", "delta")
 
@@ -55,3 +56,12 @@ def on_slots(matrix, state, slots, targets) -> np.ndarray:
     front = np.asarray(state).reshape(slots).transpose(order).reshape(-1)
     front = np.kron(matrix, np.eye(len(front) // len(matrix))) @ front
     return front.reshape([slots[s] for s in order]).transpose(np.argsort(order)).reshape(-1)
+
+
+def conversion_matrix(spec) -> np.ndarray:
+    """The dense matrix of ``conversion_circuit(spec, .)`` over the register
+    (source, basis ancilla, value ancilla): column i is the circuit's output
+    for register basis state |i>.  It has (k^2 d_ab^2)^2 entries, so it is
+    built only here, for small specs."""
+    register = np.eye(spec.d_e * spec.basis_count * spec.d_ab, dtype=np.complex128)
+    return np.stack([conversion_circuit(spec, state) for state in register], axis=1)

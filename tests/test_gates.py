@@ -21,13 +21,13 @@ from qkdlab.gates import (
     catalog,
     catalog_dump,
     catalog_fingerprint,
-    conversion_gate,
+    conversion_output,
     gate,
     validate_basis_candidate,
     validate_catalog,
 )
 
-from paper_gates import hdbb84_psi_prep, lift, on_slots
+from paper_gates import conversion_matrix, hdbb84_psi_prep, lift, on_slots
 
 SQRT2 = 2**-0.5
 
@@ -253,15 +253,13 @@ def test_cphi_applies_phi_only_when_control_set():
 
 @pytest.mark.parametrize("protocol", ["bb84", "hdbb84", "ssp"])
 def test_conversion_composite_is_unitary(protocol):
-    conv = conversion_gate(PROTOCOLS[protocol])
-    assert is_unitary(conv.matrix)
-    assert not conv.matrix.flags.writeable
+    assert is_unitary(conversion_matrix(PROTOCOLS[protocol]))
 
 
 @pytest.mark.parametrize("protocol", ["bb84", "hdbb84", "ssp"])
 def test_conversion_output_matches_state_table(protocol):
-    conv = conversion_gate(PROTOCOLS[protocol])
-    spec = conv.spec
+    spec = PROTOCOLS[protocol]
+    matrix = conversion_matrix(spec)
     ancillas = basis_state(spec.basis_count * spec.d_ab, 0)
     for k in range(spec.d_e):
         value, basis = spec.value_basis(k)
@@ -270,14 +268,30 @@ def test_conversion_output_matches_state_table(protocol):
         expected = np.kron(
             np.kron(basis_state(spec.d_e, k), basis_state(spec.basis_count, basis)), encoded
         )
-        got = conv.matrix @ np.kron(basis_state(spec.d_e, k), ancillas)
+        got = matrix @ np.kron(basis_state(spec.d_e, k), ancillas)
         np.testing.assert_allclose(got, expected, atol=1e-12)
         # The accessor reads that value ancilla, unentangled.
-        output = conv.output(k)
+        output = conversion_output(spec, k)
         assert output.shape == (spec.d_ab, spec.d_e * spec.basis_count)
         populated = np.flatnonzero(np.linalg.norm(output, axis=0) > 1e-9)
         assert len(populated) == 1, "output slot must stay unentangled"
         np.testing.assert_allclose(output[:, populated[0]], encoded, atol=1e-12)
+
+
+def test_conversion_unitary_check_fails_on_a_split_that_is_not_a_bijection(monkeypatch):
+    def collapsed(spec):
+        # In range, but the basis ancilla's own digit is dropped, so every
+        # basis-ancilla state of a source lands on the same target.
+        k, d = spec.basis_count, spec.d_ab
+        source, b, v = np.indices((spec.d_e, k, d)).reshape(3, -1)
+        value, basis = spec.value_basis(source)
+        return (source * k + basis % k) * d + (v + value) % d
+
+    catalog()  # built from the real split before the patch
+    monkeypatch.setattr(qkdlab.gates, "_split_targets", collapsed)
+    passed = {check.name: check.passed for check in validate_catalog()}
+    for protocol in ("bb84", "hdbb84", "ssp"):
+        assert not passed[f"conversion-unitary[{protocol}]"], protocol
 
 
 def test_conversion_examples():
@@ -299,7 +313,8 @@ def test_conversion_examples():
 def test_paper_conversion_steps_compose_to_the_derived_circuit(number, protocol, fixture):
     # The paper's split gate on the whole register (source, basis ancilla,
     # value ancilla), then its controlled gate on the two ancillas, is the
-    # circuit derived from the spec's bases alone.
+    # circuit derived from the spec's bases alone, bit for bit on every
+    # register column.
     spec = PROTOCOLS[protocol]
     split = gate(f"QidConv{number}")
     slots = (spec.d_e, spec.basis_count, spec.d_ab)
@@ -309,9 +324,7 @@ def test_paper_conversion_steps_compose_to_the_derived_circuit(number, protocol,
                  slots, (1, 2))
         for column in np.eye(split.dim)
     ]
-    np.testing.assert_allclose(
-        np.stack(columns, axis=1), conversion_gate(spec).matrix, rtol=0, atol=1e-12
-    )
+    assert np.array_equal(np.stack(columns, axis=1), conversion_matrix(spec))
 
 
 # --- mutual unbiasedness ---------------------------------------------------------------

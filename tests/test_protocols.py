@@ -1,5 +1,6 @@
 import gc
 import itertools
+import tracemalloc
 import weakref
 from dataclasses import fields, replace
 from typing import NamedTuple
@@ -397,9 +398,9 @@ _SPEC_NAMES = (f"random-{n}" for n in itertools.count())
 @settings(deadline=None, derandomize=True, database=None, max_examples=30)
 @given(st.tuples(st.sampled_from((2, 4)), st.integers(1, 3), st.integers(0, 2**32 - 1)))
 def test_conversion_table_equals_control_for_random_specs(case):
-    # Any spec's conversion circuit, on registers of up to 12 * 3 * 4 = 144
-    # dimensions, must deliver Alice's particle state; registered, the spec
-    # also passes validate-gates' conversion checks.
+    # Any spec's conversion circuit, applied as its split and its bases,
+    # must deliver Alice's particle state; registered, the spec also passes
+    # validate-gates' conversion checks.
     d_ab, k, seed = case
     rng = np.random.default_rng(seed)
     shape = (k, d_ab, d_ab)
@@ -418,6 +419,24 @@ def test_conversion_table_equals_control_for_random_specs(case):
             if check.name.startswith("conversion-") and check.name.endswith(f"[{spec.name}]")
         ]
     assert len(checks) == 3 and all(check.passed for check in checks), checks
+
+
+def test_conversion_table_never_builds_the_register_matrix():
+    # (I, F16) has a register of k^2 * d_ab^2 = 1024 states: its dense
+    # circuit matrix alone would take 16 MB.
+    d = 16
+    fourier = np.exp(2j * np.pi * np.outer(range(d), range(d)) / d) / np.sqrt(d)
+    spec = ProtocolSpec("fourier-16", (np.eye(d), fourier))
+    tracemalloc.start()
+    try:
+        table = outcome_table(spec, Scenario.CONVERSION)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
+    np.testing.assert_allclose(
+        table, outcome_table(spec, Scenario.CONTROL), rtol=0, atol=1e-12
+    )
 
 
 def test_outcome_tables_are_cached_and_read_only():
