@@ -30,6 +30,10 @@ class EmptySiftWarning(UserWarning):
     """Raised when a statistic is computed over an empty sifted key."""
 
 
+# Set bits of every byte: a value is below 2^8, so this counts the bits of one.
+_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
+
+
 def _bit_errors(a, b, bits_per_particle: int, what: str, empty: str) -> tuple[int, int]:
     """Differing and total bits of two per-particle value arrays; the
     differing bits are the popcount of ``a ^ b``.  Warns on empty keys."""
@@ -42,7 +46,7 @@ def _bit_errors(a, b, bits_per_particle: int, what: str, empty: str) -> tuple[in
     if not len(a):
         warnings.warn(f"empty sifted key: {empty}", EmptySiftWarning)
         return 0, 0
-    differing = int(np.count_nonzero(np.unpackbits((a ^ b).astype(np.uint8))))
+    differing = int(_POPCOUNT.take(a ^ b).sum())
     return differing, len(a) * bits_per_particle
 
 

@@ -321,10 +321,16 @@ def conversion_output(spec: ProtocolSpec, source: int) -> np.ndarray:
     row v is the value ancilla's |v> amplitude against each (source, basis
     ancilla) state.  For |spec.state_index(value, basis)> one column is
     populated, and it holds ``spec.encode(value, basis)``.  This is the one
-    place that spells out the register layout."""
+    place that spells out the register layout.
+
+    The split sends a register basis state to one, so only the (basis
+    ancilla, value ancilla) block it fills gets ``bases[basis]``: the same
+    output as :func:`conversion_circuit`, without its other blocks."""
     k, d = spec.basis_count, spec.d_ab
-    register = basis_state(spec.d_e * k * d, source * k * d)
-    return conversion_circuit(spec, register).reshape(-1, d).T
+    block, value = divmod(int(_split_targets(spec)[source * k * d]), d)
+    output = np.zeros((d, spec.d_e * k), dtype=np.complex128)
+    output[:, block] = spec.bases[block % k] @ basis_state(d, value)
+    return output
 
 
 # --- Circular-basis candidates ---------------------------------------------------

@@ -32,8 +32,8 @@ bob_basis] is the cumulative Born distribution of Bob's outcome, computed
 once per protocol through the state-vector code (the encode and decode
 matrices, the relabel permutations, and for conv the conversion circuit
 applied as its two factors, ``gates.conversion_output``).  A trial
-samples all of its particles at once by inverse CDF: a uniform draw u picks
-the first outcome whose cumulative probability exceeds u.
+samples all of its kept particles at once by inverse CDF: a uniform draw u
+picks the first outcome whose cumulative probability exceeds u.
 
 The sampler reads the table flattened (``outcome_thresholds``): a read-only
 ``(d - 1, d_ab * k * k)`` array whose column ``row = spec.state_index(value,
@@ -44,16 +44,19 @@ outcome, and the last entry (1 up to rounding) is never needed.
 
 Stream layout v3
 ----------------
-A run opens one stream per (seed, role) once (``role_streams``).  Each trial
-reads the next block of exactly ``particles`` draws from every role its cell
-uses, and from no other:
+A run opens one stream per (seed, role) once (``role_streams``), for the
+roles its cell reads and no other: Alice's and Bob's four in every cell,
+``relabel`` in the relabel scenario and the two eavesdropper roles under the
+standard eavesdropper.  Each trial reads the next block of exactly
+``particles`` draws from every one of them:
 
 alice-values  ``integers(0, d_ab, particles)``, one value per particle;
 alice-bases   ``integers(0, bases, particles)`` encoding bases;
 bob-bases     ``integers(0, bases, particles)``;
 bob-measure   ``random(particles)``, one uniform per particle;
 relabel       relabel scenario only: ``integers(0, d_ab, particles)``
-              replacement values, used where the outcome is off-basis;
+              replacement values, used where the outcome is off-basis
+              (never on a kept particle, but the block is still read);
 eve-bases     standard eavesdropper only: ``integers(0, bases, particles)``
               guessed bases;
 eve-measure   standard eavesdropper only: ``random(particles)``.
@@ -71,11 +74,18 @@ is sampled from them instead of being run again.
 
 Sifting and scoring
 -------------------
-A ``Transcript`` keeps the sampled arrays, read-only, one entry per particle.
-Sifting keeps whole particles measured in matching bases and returns their
-values; ``analysis.score`` counts the sifted bits and the differing bits of
-those values directly, as ints, into the trial's ``TrialResult``.  No
-Fraction is built per trial: ``analysis.aggregate`` builds the exact means.
+Every statistic is one of the sifted key, so a trial sifts first: ``sift``
+returns the positions of the whole particles measured in matching bases, and
+only those kept particles are sampled.  The trial takes Bob's uniforms, the
+eavesdropper's bases and uniforms and the relabel replacements at the kept
+positions, and samples Bob's outcome, the reference and the standard
+eavesdropper's intercept on the kept rows alone.  Every role still reads its
+whole block, so no draw depends on which particles were kept.
+
+A ``Transcript`` keeps the kept particles' arrays, read-only;
+``analysis.score`` counts the sifted bits and the differing bits of them
+directly, as ints, into the trial's ``TrialResult``.  No Fraction is built per
+trial: ``analysis.aggregate`` builds the exact means.
 """
 
 from __future__ import annotations
@@ -103,11 +113,12 @@ class EveModel(str, Enum):
 
 
 # Upper bound on raw bits per trial.  A trial holds a few int64 and float64
-# arrays per particle, the largest being the d - 1 thresholds gathered for
-# each particle, so its memory grows linearly with raw bits; at this bound a
-# one-trial `run` peaks at 77-133 MB resident for the whole process
-# (measured on numpy 2.4: hdbb84 conv/hd 76.5 MB, bb84 control/none 90.6,
-# bb84 control/standard 121.2, ssp relabel/hd 132.4), well under 1 GB.
+# arrays per particle, its full blocks of draws, and the d - 1 thresholds
+# gathered for each kept particle, so its memory grows linearly with raw
+# bits; at this bound a one-trial `run` peaks at 68-106 MB resident for the
+# whole process (measured on numpy 2.4: hdbb84 conv/hd 67.9 MB, bb84
+# control/none 86.7, bb84 control/standard 105.8, ssp relabel/hd 94.3),
+# well under 1 GB.
 MAX_RAW_BITS = 1_000_000
 
 # Upper bound on trials per run.  Every trial's counts, document row and JSON
@@ -152,22 +163,24 @@ def outcome_table(spec: ProtocolSpec, scenario: Scenario) -> np.ndarray:
     scenario = Scenario(scenario)
     k, d_e = spec.basis_count, spec.d_e
     rows = []
-    for value, basis, bob_basis in np.ndindex(spec.d_ab, k, k):
-        if scenario is Scenario.CONTROL:
-            p = np.abs(spec.decode(bob_basis) @ spec.encode(value, basis)) ** 2
-        elif scenario is Scenario.RELABEL:
-            # Bob's relabel gate for basis b sends |v * k + a> to
-            # |v * k + (a - b) mod k>: digit 0 marks an outcome in his basis.
-            pairs = np.ndindex(spec.d_ab, k)
-            targets = [spec.state_index(v, (a - bob_basis) % k) for v, a in pairs]
-            relabel = np.eye(d_e, dtype=np.complex128)[:, targets]
-            p = np.abs(relabel @ basis_state(d_e, spec.state_index(value, basis))) ** 2
-        else:
-            # Bob decodes the value ancilla; the other slots are traced out.
+    for value, basis in np.ndindex(spec.d_ab, k):
+        if scenario is Scenario.CONVERSION:
             output = gates.conversion_output(spec, spec.state_index(value, basis))
-            p = np.sum(np.abs(spec.decode(bob_basis) @ output) ** 2, axis=1)
-        # Renormalizing keeps deterministic outcomes exact despite float residue.
-        rows.append(np.cumsum(p / float(p.sum())))
+        for bob_basis in range(k):
+            if scenario is Scenario.CONTROL:
+                p = np.abs(spec.decode(bob_basis) @ spec.encode(value, basis)) ** 2
+            elif scenario is Scenario.RELABEL:
+                # Bob's relabel gate for basis b sends |v * k + a> to
+                # |v * k + (a - b) mod k>: digit 0 marks an outcome in his basis.
+                pairs = np.ndindex(spec.d_ab, k)
+                targets = [spec.state_index(v, (a - bob_basis) % k) for v, a in pairs]
+                relabel = np.eye(d_e, dtype=np.complex128)[:, targets]
+                p = np.abs(relabel @ basis_state(d_e, spec.state_index(value, basis))) ** 2
+            else:
+                # Bob decodes the value ancilla; the other slots are traced out.
+                p = np.sum(np.abs(spec.decode(bob_basis) @ output) ** 2, axis=1)
+            # Renormalizing keeps deterministic outcomes exact despite float residue.
+            rows.append(np.cumsum(p / float(p.sum())))
     table = np.array(rows).reshape(spec.d_ab, k, k, -1)
     table.setflags(write=False)
     return table
@@ -189,13 +202,16 @@ def _sample(thresholds: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarr
     return (u >= thresholds.take(rows, axis=1)).sum(0)
 
 
-def role_streams(seed: int) -> dict[str, np.random.Generator]:
-    """One generator per role of stream layout v3, opened once per run."""
+def role_streams(seed: int, scenario: Scenario, eve: EveModel) -> dict[str, np.random.Generator]:
+    """One generator per role that the cell reads (stream layout v3), opened
+    once per run."""
+    scenario, eve = validate_pairing(scenario, eve)
+    roles = ("alice-values", "alice-bases", "bob-bases", "bob-measure")
+    if scenario is Scenario.RELABEL:
+        roles += ("relabel",)
+    if eve is EveModel.STANDARD:
+        roles += ("eve-bases", "eve-measure")
     source = RandomSource(seed)
-    roles = (
-        "alice-values", "alice-bases", "bob-bases", "bob-measure",
-        "relabel", "eve-bases", "eve-measure",
-    )
     return {role: source.stream(role) for role in roles}
 
 
@@ -217,24 +233,25 @@ def alice_draws(
 
 @dataclass(frozen=True, eq=False)
 class Transcript:
-    """Every random choice and measurement outcome of one trial, one
-    read-only array entry per particle.
+    """The random choices and measurement outcomes of one trial's kept
+    particles, those measured in matching bases: one read-only array entry
+    per kept particle (the eavesdropper's are None without one).
 
-    ``kept`` is the mask ``alice_bases == bob_bases``.  ``control_values`` are
-    Bob's outcomes for the same draws in the control scenario without an
-    eavesdropper: the reference for cross-scenario matches.
+    ``kept`` holds their positions among the trial's particles and ``bases``
+    the basis both Alice and Bob used.  ``control_values`` are Bob's outcomes
+    for the same draws in the control scenario without an eavesdropper: the
+    reference for cross-scenario matches.
     """
 
     spec: ProtocolSpec
     scenario: Scenario
     eve: EveModel
+    kept: np.ndarray
+    bases: np.ndarray
     alice_values: np.ndarray
-    alice_bases: np.ndarray
     eve_values: np.ndarray | None
     eve_bases: np.ndarray | None
-    bob_bases: np.ndarray
     bob_values: np.ndarray
-    kept: np.ndarray
     control_values: np.ndarray
 
     def __post_init__(self) -> None:
@@ -243,18 +260,9 @@ class Transcript:
                 value.setflags(write=False)
 
 
-def sift(transcript: Transcript):
-    """Keep whole particles measured in matching bases.
-
-    Returns Alice's, Bob's and the eavesdropper's values at the kept
-    particles (the eavesdropper's is None without one).
-    """
-    kept, eve = np.flatnonzero(transcript.kept), transcript.eve_values
-    return (
-        transcript.alice_values.take(kept),
-        transcript.bob_values.take(kept),
-        None if eve is None else eve.take(kept),
-    )
+def sift(alice_bases: np.ndarray, bob_bases: np.ndarray) -> np.ndarray:
+    """Positions of the whole particles measured in matching bases."""
+    return np.flatnonzero(alice_bases == bob_bases)
 
 
 def run_trial(
@@ -264,11 +272,11 @@ def run_trial(
     raw_bits: int,
     streams: dict[str, np.random.Generator],
 ) -> Transcript:
-    """Execute the next trial of a run: draw, encode, optional intercept,
-    decode.
+    """Execute the next trial of a run: draw, sift, encode, optional
+    intercept, decode.
 
     ``streams`` come from ``role_streams``; the trial reads the next block of
-    each role its cell uses (stream layout v3, module docstring).  All
+    each role its cell uses (stream layout v3, module docstring).  The kept
     particles are sampled at once from the protocol's outcome tables.
     """
     scenario, eve = validate_pairing(scenario, eve)
@@ -276,45 +284,47 @@ def run_trial(
     particles, k = len(alice_bases), spec.basis_count
     bob_bases = streams["bob-bases"].integers(0, k, size=particles)
     u = streams["bob-measure"].random(particles)
+    kept = sift(alice_bases, bob_bases)
+    values, bases, u = alice_values.take(kept), alice_bases.take(kept), u.take(kept)
 
-    # Flat outcome-table rows: one per (value, basis) sent and basis read.
-    sent = spec.state_index(alice_values, alice_bases) * k
-    rows = sent + bob_bases
+    # Flat outcome-table rows: one per (value, basis) sent, read in that basis.
+    sent = spec.state_index(values, bases) * k
+    rows = sent + bases
     control = outcome_thresholds(spec, Scenario.CONTROL)
     control_values = _sample(control, rows, u)
     eve_values = eve_bases = None
     if eve is EveModel.STANDARD:
         # Intercept-resend: Eve decodes in a guessed basis, then resends the
         # value she measured encoded in that basis.
-        eve_bases = streams["eve-bases"].integers(0, k, size=particles)
-        eve_values = _sample(control, sent + eve_bases, streams["eve-measure"].random(particles))
-        bob_values = _sample(control, spec.state_index(eve_values, eve_bases) * k + bob_bases, u)
+        eve_bases = streams["eve-bases"].integers(0, k, size=particles).take(kept)
+        eve_u = streams["eve-measure"].random(particles).take(kept)
+        eve_values = _sample(control, sent + eve_bases, eve_u)
+        bob_values = _sample(control, spec.state_index(eve_values, eve_bases) * k + bases, u)
     elif scenario is Scenario.CONTROL:
         bob_values = control_values
     else:
         if eve is EveModel.HD:
             # The channel holds the basis state indexing (value, basis): the
             # measurement reads it deterministically and resends it unchanged.
-            eve_values, eve_bases = alice_values, alice_bases
+            eve_values, eve_bases = values, bases
         bob_values = _sample(outcome_thresholds(spec, scenario), rows, u)
         if scenario is Scenario.RELABEL:
             # A nonzero basis flag is an off-basis outcome, replaced by a
             # random value.
             bob_values, flags = spec.value_basis(bob_values)
-            replacements = streams["relabel"].integers(0, spec.d_ab, size=particles)
+            replacements = streams["relabel"].integers(0, spec.d_ab, size=particles).take(kept)
             bob_values = np.where(flags != 0, replacements, bob_values)
 
     return Transcript(
         spec=spec,
         scenario=scenario,
         eve=eve,
-        alice_values=alice_values,
-        alice_bases=alice_bases,
+        kept=kept,
+        bases=bases,
+        alice_values=values,
         eve_values=eve_values,
         eve_bases=eve_bases,
-        bob_bases=bob_bases,
         bob_values=bob_values,
-        kept=alice_bases == bob_bases,
         control_values=control_values,
     )
 
@@ -332,19 +342,20 @@ def run_experiment(
 
     The reference for the "matches" flag is the control-scenario trial without
     an eavesdropper, which shares Alice's and Bob's randomness by construction;
-    each transcript carries it as ``control_values``.
+    each transcript carries it at the kept particles as ``control_values``.
     """
     if trials < 1:
         raise ConfigError("trials must be at least 1")
     if trials > MAX_TRIALS:
         raise ConfigError(f"trials must be at most {MAX_TRIALS}, got {trials}")
-    validate_pairing(scenario, eve)
+    scenario, eve = validate_pairing(scenario, eve)
     bits = spec.bits_per_particle
-    streams = role_streams(seed)
+    streams = role_streams(seed, scenario, eve)
     results = []
     for trial in range(trials):
-        transcript = run_trial(spec, scenario, eve, raw_bits, streams)
-        alice, bob, eve_values = sift(transcript)
-        matches = not ((transcript.bob_values != transcript.control_values) & transcript.kept).any()
-        results.append(analysis.score(trial, raw_bits, alice, bob, eve_values, bits, matches))
+        t = run_trial(spec, scenario, eve, raw_bits, streams)
+        matches = bool((t.bob_values == t.control_values).all())
+        results.append(
+            analysis.score(trial, raw_bits, t.alice_values, t.bob_values, t.eve_values, bits, matches)
+        )
     return results

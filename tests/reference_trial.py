@@ -1,0 +1,97 @@
+"""Full-length reference for one trial of stream layout v3.
+
+``protocols.run_trial`` sifts first and samples only the kept particles.
+This reference samples every particle, Bob's outcome, the control reference
+and the standard eavesdropper's intercept alike, and sifts nothing, so the
+tests can check that the kernel's arrays are this reference's arrays masked
+by ``alice_bases == bob_bases``.  It also shows what the kernel never
+samples: Bob's outcomes off the kept particles.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+from qkdlab.core import RandomSource
+from qkdlab.protocols import EveModel, Scenario, _sample, alice_draws, outcome_thresholds
+
+ROLES = (
+    "alice-values", "alice-bases", "bob-bases", "bob-measure",
+    "relabel", "eve-bases", "eve-measure",
+)
+
+
+class FullTranscript(NamedTuple):
+    """Every random choice and outcome of one trial, one entry per particle."""
+
+    alice_values: np.ndarray
+    alice_bases: np.ndarray
+    eve_values: np.ndarray | None
+    eve_bases: np.ndarray | None
+    bob_bases: np.ndarray
+    bob_values: np.ndarray
+    control_values: np.ndarray
+
+    @property
+    def mask(self) -> np.ndarray:
+        return self.alice_bases == self.bob_bases
+
+
+def full_streams(seed):
+    """Every role of stream layout v3; a trial reads only those of its cell."""
+    source = RandomSource(seed)
+    return {role: source.stream(role) for role in ROLES}
+
+
+def full_trial(spec, scenario, eve, raw_bits, streams) -> FullTranscript:
+    """The next trial of a run, every particle sampled."""
+    scenario, eve = Scenario(scenario), EveModel(eve)
+    alice_values, alice_bases = alice_draws(spec, raw_bits, streams)
+    particles, k = len(alice_bases), spec.basis_count
+    bob_bases = streams["bob-bases"].integers(0, k, size=particles)
+    u = streams["bob-measure"].random(particles)
+
+    sent = spec.state_index(alice_values, alice_bases) * k
+    rows = sent + bob_bases
+    control = outcome_thresholds(spec, Scenario.CONTROL)
+    control_values = _sample(control, rows, u)
+    eve_values = eve_bases = None
+    if eve is EveModel.STANDARD:
+        eve_bases = streams["eve-bases"].integers(0, k, size=particles)
+        eve_values = _sample(control, sent + eve_bases, streams["eve-measure"].random(particles))
+        bob_values = _sample(control, spec.state_index(eve_values, eve_bases) * k + bob_bases, u)
+    elif scenario is Scenario.CONTROL:
+        bob_values = control_values
+    else:
+        if eve is EveModel.HD:
+            eve_values, eve_bases = alice_values, alice_bases
+        bob_values = _sample(outcome_thresholds(spec, scenario), rows, u)
+        if scenario is Scenario.RELABEL:
+            bob_values, flags = spec.value_basis(bob_values)
+            replacements = streams["relabel"].integers(0, spec.d_ab, size=particles)
+            bob_values = np.where(flags != 0, replacements, bob_values)
+
+    return FullTranscript(
+        alice_values, alice_bases, eve_values, eve_bases, bob_bases, bob_values, control_values
+    )
+
+
+def masked(full: FullTranscript) -> dict:
+    """The reference's arrays at the kept particles, under the names of the
+    kernel's ``Transcript`` fields."""
+    mask = full.mask
+
+    def keep(array):
+        return None if array is None else array[mask]
+
+    return {
+        "kept": np.flatnonzero(mask),
+        "bases": full.alice_bases[mask],
+        "alice_values": full.alice_values[mask],
+        "eve_values": keep(full.eve_values),
+        "eve_bases": keep(full.eve_bases),
+        "bob_values": full.bob_values[mask],
+        "control_values": full.control_values[mask],
+    }

@@ -2,7 +2,7 @@ import gc
 import itertools
 import tracemalloc
 import weakref
-from dataclasses import fields, replace
+from dataclasses import fields
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +43,7 @@ from oracle import BASES as ORACLE_BASES
 from oracle import _sample as _oracle_sample
 from oracle import intercept_resend_oracle
 from paper_gates import PSI_SYMBOLS, hdbb84_psi_prep, on_slots
+from reference_trial import FullTranscript, full_streams, full_trial, masked
 
 SEED = 2
 TRIAL_COUNTS = (1, 7, 25)
@@ -59,10 +60,30 @@ def _rng(tag, seed=SEED):
 
 def _trial(spec, scenario, eve, raw_bits, trial=0, seed=SEED):
     """Trial ``trial`` of a run: the earlier trials read their blocks first."""
-    streams = role_streams(seed)
+    streams = role_streams(seed, scenario, eve)
     for _ in range(trial):
         run_trial(spec, scenario, eve, raw_bits, streams)
     return run_trial(spec, scenario, eve, raw_bits, streams)
+
+
+def _full(spec, scenario, eve, raw_bits, trial=0, seed=SEED):
+    """Trial ``trial`` of a run as the full-length reference samples it."""
+    streams = full_streams(seed)
+    for _ in range(trial):
+        full_trial(spec, scenario, eve, raw_bits, streams)
+    return full_trial(spec, scenario, eve, raw_bits, streams)
+
+
+def _assert_equals_masked_reference(transcript, full):
+    """The kernel's kept positions and arrays are the reference's arrays
+    masked by ``alice_bases == bob_bases``, dtypes included."""
+    for name, expected in masked(full).items():
+        got = getattr(transcript, name)
+        if expected is None:
+            assert got is None, name
+        else:
+            assert got.dtype == expected.dtype, name
+            np.testing.assert_array_equal(got, expected, err_msg=name)
 
 
 def _assert_same_transcript(first, second):
@@ -230,10 +251,12 @@ def test_unknown_names_raise_config_error_listing_valid_values(scenario, eve, mo
     with pytest.raises(ConfigError, match=valid):
         validate_pairing(scenario, eve)
     with pytest.raises(ConfigError, match=valid):
-        run_trial(BB84, scenario, eve, 2, role_streams(SEED))
+        run_trial(BB84, scenario, eve, 2, full_streams(SEED))
+    with pytest.raises(ConfigError, match=valid):
+        role_streams(SEED, scenario, eve)
 
     # A bad cell fails before any stream opens.
-    def no_streams(seed):
+    def no_streams(*args):
         raise AssertionError("streams opened for an invalid cell")
 
     monkeypatch.setattr(protocols, "role_streams", no_streams)
@@ -249,34 +272,34 @@ def test_validate_pairing_converts_names():
 
 
 def test_alice_draws_is_deterministic():
-    values_a, bases_a = alice_draws(BB84, 200, role_streams(SEED))
-    values_b, bases_b = alice_draws(BB84, 200, role_streams(SEED))
+    values_a, bases_a = alice_draws(BB84, 200, full_streams(SEED))
+    values_b, bases_b = alice_draws(BB84, 200, full_streams(SEED))
     np.testing.assert_array_equal(values_a, values_b)
     np.testing.assert_array_equal(bases_a, bases_b)
 
 
 def test_alice_draws_ssp_uses_three_bases():
-    _, bases = alice_draws(SSP, 200, role_streams(SEED))
+    _, bases = alice_draws(SSP, 200, full_streams(SEED))
     assert set(bases) == {0, 1, 2}
 
 
 def test_alice_draws_hdbb84_packs_two_bits_per_particle():
     # Two raw bits per particle: 100 values, each one of the four 2-bit values.
-    values, bases = alice_draws(HDBB84, 200, role_streams(SEED))
+    values, bases = alice_draws(HDBB84, 200, full_streams(SEED))
     assert len(values) == len(bases) == 100
     assert set(values.tolist()) == {0, 1, 2, 3}
 
 
 def test_alice_draws_rejects_indivisible_length():
     with pytest.raises(ConfigError):
-        alice_draws(HDBB84, 201, role_streams(SEED))
+        alice_draws(HDBB84, 201, full_streams(SEED))
     with pytest.raises(ConfigError):
-        alice_draws(BB84, 0, role_streams(SEED))
+        alice_draws(BB84, 0, full_streams(SEED))
 
 
 def test_alice_draws_rejects_oversized_length():
     with pytest.raises(ConfigError, match="at most"):
-        alice_draws(BB84, MAX_RAW_BITS + 1, role_streams(SEED))
+        alice_draws(BB84, MAX_RAW_BITS + 1, full_streams(SEED))
 
 
 # --- encoding ---------------------------------------------------------------------------
@@ -540,7 +563,7 @@ def test_standard_eve_is_transparent_when_bases_match():
                 )
         transcript = _trial(spec, Scenario.CONTROL, EveModel.STANDARD, 200)
         hits = [
-            i for i, (a, e) in enumerate(zip(transcript.alice_bases, transcript.eve_bases))
+            i for i, (a, e) in enumerate(zip(transcript.bases, transcript.eve_bases))
             if a == e
         ]
         assert hits
@@ -550,9 +573,10 @@ def test_standard_eve_is_transparent_when_bases_match():
 
 
 def test_standard_eve_wrong_basis_fraction():
+    # Over the kept particles, about 1500 for BB84 and 1000 for SSP.
     for spec, expect in ((BB84, 0.5), (SSP, 2 / 3)):
         transcript = _trial(spec, Scenario.CONTROL, EveModel.STANDARD, 3000)
-        wrong = np.mean(np.array(transcript.eve_bases) != np.array(transcript.alice_bases))
+        wrong = np.mean(np.array(transcript.eve_bases) != np.array(transcript.bases))
         assert abs(wrong - expect) < 0.05
 
 
@@ -572,10 +596,16 @@ def test_hd_eve_reads_state_and_resends_it():
             tapped = _trial(spec, scenario, EveModel.HD, 200)
             clean = _trial(spec, scenario, EveModel.NONE, 200)
             assert np.array_equal(tapped.eve_values, tapped.alice_values)
-            assert np.array_equal(tapped.eve_bases, tapped.alice_bases)
-            # The resent state is unchanged, so Bob sees exactly what he sees
-            # without the tap, off-basis outcomes included.
+            assert np.array_equal(tapped.eve_bases, tapped.bases)
             assert np.array_equal(tapped.bob_values, clean.bob_values)
+            # The resent state is unchanged, so Bob sees exactly what he sees
+            # without the tap, off-basis outcomes included (the full-length
+            # reference samples those).
+            full_tapped = _full(spec, scenario, EveModel.HD, 200)
+            full_clean = _full(spec, scenario, EveModel.NONE, 200)
+            assert np.array_equal(full_tapped.eve_values, full_tapped.alice_values)
+            assert np.array_equal(full_tapped.eve_bases, full_tapped.alice_bases)
+            assert np.array_equal(full_tapped.bob_values, full_clean.bob_values)
 
 
 # --- bob --------------------------------------------------------------------------------
@@ -647,8 +677,9 @@ def test_bob_scenario2_concrete_relabel_rows():
 
 
 def test_bob_scenario2_off_basis_hdbb84_draws_two_bits():
-    transcript = _trial(HDBB84, Scenario.RELABEL, EveModel.NONE, 8000)
-    off = transcript.bob_values[~transcript.kept]
+    # The kernel samples no off-basis outcome: the full-length reference does.
+    transcript = _full(HDBB84, Scenario.RELABEL, EveModel.NONE, 8000)
+    off = transcript.bob_values[~transcript.mask]
     counts = np.bincount(off, minlength=4) / len(off)
     np.testing.assert_allclose(counts, 0.25, atol=0.03)
 
@@ -656,80 +687,88 @@ def test_bob_scenario2_off_basis_hdbb84_draws_two_bits():
 # --- sifting ----------------------------------------------------------------------------
 
 
-def _forced_transcript(bob_bases):
+def _forced(bob_bases):
+    """A full-length BB84 trial with Alice's bases all 0 and Bob's forced."""
     n = len(bob_bases)
-    alice_bases = np.zeros(n, dtype=np.int64)
-    bob_bases = np.array(bob_bases, dtype=np.int64)
+    ones = np.ones(n, dtype=np.int64)
+    return FullTranscript(
+        alice_values=ones,
+        alice_bases=np.zeros(n, dtype=np.int64),
+        eve_values=None,
+        eve_bases=None,
+        bob_bases=np.array(bob_bases, dtype=np.int64),
+        bob_values=ones,
+        control_values=ones,
+    )
+
+
+def _kept_transcript(full):
+    """The kernel's transcript of full-length arrays: sift, then take every
+    array at the kept positions, as ``run_trial`` does."""
+    kept = sift(full.alice_bases, full.bob_bases)
+
+    def take(array):
+        return None if array is None else array.take(kept)
+
     return Transcript(
         spec=BB84,
         scenario=Scenario.CONTROL,
         eve=EveModel.NONE,
-        alice_values=np.ones(n, dtype=np.int64),
-        alice_bases=alice_bases,
-        eve_values=None,
-        eve_bases=None,
-        bob_bases=bob_bases,
-        bob_values=np.ones(n, dtype=np.int64),
-        kept=alice_bases == bob_bases,
-        control_values=np.ones(n, dtype=np.int64),
+        kept=kept,
+        bases=full.alice_bases.take(kept),
+        alice_values=full.alice_values.take(kept),
+        eve_values=take(full.eve_values),
+        eve_bases=take(full.eve_bases),
+        bob_values=full.bob_values.take(kept),
+        control_values=full.control_values.take(kept),
     )
 
 
 def test_sift_all_bases_equal_keeps_everything():
-    alice, bob, _ = sift(_forced_transcript((0,) * 6))
-    assert len(alice) == 6
-    assert np.array_equal(alice, [1] * 6)
-    assert np.array_equal(bob, [1] * 6)
+    full = _forced((0,) * 6)
+    assert np.array_equal(sift(full.alice_bases, full.bob_bases), range(6))
+    transcript = _kept_transcript(full)
+    assert len(transcript.alice_values) == 6
+    assert np.array_equal(transcript.alice_values, [1] * 6)
+    assert np.array_equal(transcript.bob_values, [1] * 6)
 
 
 def test_sift_all_bases_different_keeps_nothing():
-    alice, bob, _ = sift(_forced_transcript((1,) * 6))
-    assert len(alice) == len(bob) == 0
+    transcript = _kept_transcript(_forced((1,) * 6))
+    assert len(transcript.kept) == len(transcript.alice_values) == len(transcript.bob_values) == 0
 
 
 def test_sift_keeps_only_matching_bases():
     transcript = _trial(BB84, Scenario.CONTROL, EveModel.NONE, 200)
-    alice, bob, eve = sift(transcript)
-    assert eve is None
-    pairs = zip(transcript.alice_bases, transcript.bob_bases)
+    full = _full(BB84, Scenario.CONTROL, EveModel.NONE, 200)
+    assert transcript.eve_values is None
+    pairs = zip(full.alice_bases, full.bob_bases)
     kept = [i for i, (a, b) in enumerate(pairs) if a == b]
-    assert np.array_equal(transcript.kept.nonzero()[0], kept)
-    assert np.array_equal(alice, transcript.alice_values[kept])
-    assert np.array_equal(alice, bob)
+    assert np.array_equal(sift(full.alice_bases, full.bob_bases), kept)
+    assert np.array_equal(transcript.kept, kept)
+    assert np.array_equal(transcript.alice_values, full.alice_values[kept])
+    assert np.array_equal(transcript.alice_values, transcript.bob_values)
 
 
 def test_sift_discards_two_bit_chunks():
     transcript = _trial(HDBB84, Scenario.CONTROL, EveModel.NONE, 200)
-    alice, bob, _ = sift(transcript)
+    full = _full(HDBB84, Scenario.CONTROL, EveModel.NONE, 200)
+    alice, bob = transcript.alice_values, transcript.bob_values
     # Whole two-bit values are kept or dropped together.
-    assert len(alice) == np.count_nonzero(transcript.kept)
+    assert len(alice) == np.count_nonzero(full.mask)
     assert set(alice.tolist()) == {0, 1, 2, 3}
     assert np.array_equal(alice, bob)
 
 
-def _masked_sift(transcript):
-    kept, eve = transcript.kept, transcript.eve_values
-    return (
-        transcript.alice_values[kept],
-        transcript.bob_values[kept],
-        None if eve is None else eve[kept],
-    )
-
-
-def _assert_sift_equals_masked_forms(transcript, monkeypatch):
-    for got, expected in zip(sift(transcript), _masked_sift(transcript)):
-        if expected is None:
-            assert got is None
-        else:
-            assert got.dtype == expected.dtype
-            np.testing.assert_array_equal(got, expected)
+def _assert_kernel_and_matches_equal_masked_forms(transcript, full, monkeypatch):
+    _assert_equals_masked_reference(transcript, full)
     # The run's matches flag for this transcript.
     monkeypatch.setattr(protocols, "run_trial", lambda *args: transcript)
     (result,) = run_experiment(
         transcript.spec, transcript.scenario, transcript.eve, 1, 2, SEED
     )
-    kept = transcript.kept
-    expected = np.array_equal(transcript.bob_values[kept], transcript.control_values[kept])
+    mask = full.mask
+    expected = np.array_equal(full.bob_values[mask], full.control_values[mask])
     assert result.matches is expected
     return expected
 
@@ -739,14 +778,14 @@ def _assert_sift_equals_masked_forms(transcript, monkeypatch):
     "bob_bases", [(0,) * 6, (1,) * 6, (0, 1) * 3], ids=["all", "none", "alternating"]
 )
 def test_sift_and_matches_equal_masked_forms_on_forced_transcripts(bob_bases, monkeypatch):
-    transcript = _forced_transcript(bob_bases)
-    assert _assert_sift_equals_masked_forms(transcript, monkeypatch)
+    full = _forced(bob_bases)
+    assert _assert_kernel_and_matches_equal_masked_forms(_kept_transcript(full), full, monkeypatch)
     # Bob differs from the reference at every particle: matches fails where
     # anything is kept and holds where nothing is.
-    differing = replace(transcript, bob_values=np.zeros(6, dtype=np.int64))
-    assert _assert_sift_equals_masked_forms(differing, monkeypatch) is not any(
-        transcript.kept
-    )
+    differing = full._replace(bob_values=np.zeros(6, dtype=np.int64))
+    assert _assert_kernel_and_matches_equal_masked_forms(
+        _kept_transcript(differing), differing, monkeypatch
+    ) is not any(full.mask)
 
 
 @pytest.mark.parametrize(
@@ -754,17 +793,17 @@ def test_sift_and_matches_equal_masked_forms_on_forced_transcripts(bob_bases, mo
 )
 def test_sift_and_matches_equal_masked_forms_on_trials(spec, scenario, eve, monkeypatch):
     transcript = _trial(spec, scenario, eve, 200)
-    matches = _assert_sift_equals_masked_forms(transcript, monkeypatch)
+    full = _full(spec, scenario, eve, 200)
+    matches = _assert_kernel_and_matches_equal_masked_forms(transcript, full, monkeypatch)
     assert matches is (eve is not EveModel.STANDARD)
 
 
 def test_mean_sifted_length_near_half_raw():
     lengths = []
-    streams = role_streams(SEED)
+    streams = full_streams(SEED)
     for _ in range(25):
         transcript = run_trial(BB84, Scenario.CONTROL, EveModel.NONE, 200, streams)
-        alice, _, _ = sift(transcript)
-        lengths.append(len(alice))
+        lengths.append(len(transcript.alice_values))
     assert abs(np.mean(lengths) - 100) <= 10
 
 
@@ -773,13 +812,12 @@ def test_mean_sifted_length_near_half_raw():
 
 def test_run_trial_control_without_eve_is_error_free():
     transcript = _trial(BB84, Scenario.CONTROL, EveModel.NONE, 200)
-    alice, bob, _ = sift(transcript)
-    assert analysis.qber(alice, bob, 1) == 0
+    assert analysis.qber(transcript.alice_values, transcript.bob_values, 1) == 0
 
 
 def test_run_trial_relabel_with_hd_eve_is_invisible_and_fully_known():
     transcript = _trial(SSP, Scenario.RELABEL, EveModel.HD, 200)
-    alice, bob, eve = sift(transcript)
+    alice, bob, eve = transcript.alice_values, transcript.bob_values, transcript.eve_values
     assert analysis.qber(alice, bob, 1) == 0
     assert analysis.knowledge(eve, alice, 1) == 1
     assert analysis.knowledge(eve, bob, 1) == 1
@@ -787,7 +825,7 @@ def test_run_trial_relabel_with_hd_eve_is_invisible_and_fully_known():
 
 def test_run_trial_rejects_invalid_pairing():
     with pytest.raises(ConfigError):
-        run_trial(BB84, Scenario.RELABEL, EveModel.STANDARD, 200, role_streams(SEED))
+        run_trial(BB84, Scenario.RELABEL, EveModel.STANDARD, 200, full_streams(SEED))
 
 
 def test_run_trial_is_deterministic():
@@ -801,7 +839,7 @@ def test_transcript_arrays_are_read_only(eve):
     transcript = _trial(HDBB84, Scenario.RELABEL, eve, 200)
     arrays = [getattr(transcript, f.name) for f in fields(Transcript)]
     arrays = [a for a in arrays if isinstance(a, np.ndarray)]
-    assert len(arrays) == (8 if eve is EveModel.HD else 6)
+    assert len(arrays) == (7 if eve is EveModel.HD else 5)
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
@@ -812,9 +850,9 @@ def test_scenarios_share_sifted_keys_without_eve(spec):
     for trials in TRIAL_COUNTS:
         keys = []
         for scenario in Scenario:
-            streams = role_streams(SEED)
+            streams = role_streams(SEED, scenario, EveModel.NONE)
             keys.append([
-                sift(run_trial(spec, scenario, EveModel.NONE, 200, streams))[1]
+                run_trial(spec, scenario, EveModel.NONE, 200, streams).bob_values
                 for _ in range(trials)
             ])
         for control, conv, relabel in zip(*keys):
@@ -835,11 +873,12 @@ def test_control_reference_equals_separate_control_run(spec):
 
 
 def test_alice_randomness_is_scenario_independent():
+    # Equal kept positions mean equal Bob bases at them, which are `bases`.
     control = _trial(BB84, Scenario.CONTROL, EveModel.STANDARD, 200)
     relabel = _trial(BB84, Scenario.RELABEL, EveModel.HD, 200)
     assert np.array_equal(control.alice_values, relabel.alice_values)
-    assert np.array_equal(control.alice_bases, relabel.alice_bases)
-    assert np.array_equal(control.bob_bases, relabel.bob_bases)
+    assert np.array_equal(control.bases, relabel.bases)
+    assert np.array_equal(control.kept, relabel.kept)
 
 
 # --- stream layout v3 ---------------------------------------------------------------------
@@ -899,17 +938,87 @@ class _BatchRows:
 def test_batched_role_draws_reproduce_trial_transcripts(spec, scenario, eve, raw_bits):
     trials, particles = 7, raw_bits // spec.bits_per_particle
     batched = {}
-    for role, rng in role_streams(SEED).items():
+    for role, rng in role_streams(SEED, scenario, eve).items():
         bound = _role_bounds(spec)[role]
         shape = (trials, particles)
         batch = rng.random(shape) if bound is None else rng.integers(0, bound, shape)
         batched[role] = _BatchRows(batch, bound)
-    streams = role_streams(SEED)
+    streams = role_streams(SEED, scenario, eve)
     for _ in range(trials):
         _assert_same_transcript(
             run_trial(spec, scenario, eve, raw_bits, streams),
             run_trial(spec, scenario, eve, raw_bits, batched),
         )
+
+
+# The roles each pairing reads, as the stream-layout docstring lists them:
+# Alice's and Bob's four everywhere, relabel in the relabel scenario, the two
+# eavesdropper roles under the standard eavesdropper.
+_ALICE_BOB = ("alice-values", "alice-bases", "bob-bases", "bob-measure")
+CELL_ROLES = {
+    (Scenario.CONTROL, EveModel.NONE): _ALICE_BOB,
+    (Scenario.CONVERSION, EveModel.NONE): _ALICE_BOB,
+    (Scenario.RELABEL, EveModel.NONE): _ALICE_BOB + ("relabel",),
+    (Scenario.CONTROL, EveModel.STANDARD): _ALICE_BOB + ("eve-bases", "eve-measure"),
+    (Scenario.CONVERSION, EveModel.HD): _ALICE_BOB,
+    (Scenario.RELABEL, EveModel.HD): _ALICE_BOB + ("relabel",),
+}
+
+
+def test_cell_roles_cover_the_grid_pairings():
+    assert sorted(CELL_ROLES) == sorted((s, e) for _, s, e in cli.GRID_ROWS)
+
+
+@pytest.mark.parametrize(
+    "spec,scenario,eve", GRID_CELLS, ids=lambda p: getattr(p, "value", getattr(p, "name", p))
+)
+def test_a_run_opens_one_stream_per_role_its_cell_reads(spec, scenario, eve, monkeypatch):
+    opened = []
+    stream = RandomSource.stream
+
+    def counted(source, role):
+        opened.append(role)
+        return stream(source, role)
+
+    monkeypatch.setattr(RandomSource, "stream", counted)
+    run_experiment(spec, scenario, eve, 3, 16, SEED)
+    assert opened == list(CELL_ROLES[scenario, eve])
+    opened.clear()
+    assert list(role_streams(SEED, scenario.value, eve.value)) == list(CELL_ROLES[scenario, eve])
+    assert opened == list(CELL_ROLES[scenario, eve])
+
+
+@pytest.mark.filterwarnings("ignore::qkdlab.analysis.EmptySiftWarning")
+@pytest.mark.parametrize("particles", (1, 7, 200))
+@pytest.mark.parametrize(
+    "scenario,eve", list(CELL_ROLES), ids=lambda p: getattr(p, "value", p)
+)
+@settings(deadline=None, derandomize=True, database=None, max_examples=15)
+@given(case=st.tuples(st.sampled_from((2, 4)), st.integers(1, 3), st.integers(0, 2**32 - 1)))
+def test_sifted_kernel_equals_the_masked_full_length_reference(scenario, eve, particles, case):
+    # For any spec, trial by trial: the kernel samples only the kept
+    # particles, the reference samples all of them, and the two agree at the
+    # kept particles; the run scores them alike.
+    d_ab, k, seed = case
+    rng = np.random.default_rng(seed)
+    shape = (k, d_ab, d_ab)
+    bases = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+    spec = ProtocolSpec(next(_SPEC_NAMES), tuple(bases))
+    trials, raw_bits, bits = 3, particles * spec.bits_per_particle, spec.bits_per_particle
+    streams, reference = role_streams(seed, scenario, eve), full_streams(seed)
+    expected = []
+    for trial in range(trials):
+        transcript = run_trial(spec, scenario, eve, raw_bits, streams)
+        full = full_trial(spec, scenario, eve, raw_bits, reference)
+        _assert_equals_masked_reference(transcript, full)
+        mask = full.mask
+        eve_values = None if full.eve_values is None else full.eve_values[mask]
+        matches = np.array_equal(full.bob_values[mask], full.control_values[mask])
+        expected.append(analysis.score(
+            trial, raw_bits, full.alice_values[mask], full.bob_values[mask], eve_values, bits,
+            matches,
+        ))
+    assert run_experiment(spec, scenario, eve, trials, raw_bits, seed) == expected
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
