@@ -87,7 +87,10 @@ def knowledge(eve_values, reference, bits_per_particle: int) -> Fraction | None:
 def intercept_resend_error(spec) -> Fraction:
     """Chance that an intercept-resend eavesdropper changes the value of a
     kept particle: she measures in a wrong basis with probability 1 - 1/k,
-    and then Bob's outcome is uniform over the d_ab values."""
+    and then Bob's outcome is uniform over the d_ab values.  That holds only
+    for mutually unbiased bases; any other spec is a ``ContractError``."""
+    if not spec.mutually_unbiased:
+        raise ContractError(f"{spec.name}: the closed form needs mutually unbiased bases")
     return (1 - Fraction(1, spec.basis_count)) * (1 - Fraction(1, spec.d_ab))
 
 

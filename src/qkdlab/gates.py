@@ -4,8 +4,9 @@ Each protocol is held once, as a :class:`ProtocolSpec` in ``PROTOCOLS``: its
 name and the ordered tuple of its basis matrices, (I, H) for BB84, (I, Phi)
 for HD-BB84 and (I, H, J) for SSP, where column v of ``bases[a]`` is the
 state encoding value v in basis a.  Everything else about a protocol is read
-from the spec: its dimensions, encode and decode, the (value, basis) index
-and its conversion circuit (:func:`conversion_circuit`).
+from the spec: its dimensions, encode and decode, the (value, basis) index,
+whether its bases are mutually unbiased, and its conversion circuit
+(:func:`conversion_circuit`).
 Registering a protocol is one more ``PROTOCOLS`` entry; ``PAPER_PROTOCOLS``
 names the three the paper studies, and only they enter the catalog and the
 paper's grid.
@@ -204,6 +205,17 @@ class ProtocolSpec:
         """The gate whose computational outcome reads a value in ``basis``."""
         return self.bases[basis].conj().T
 
+    @cached_property
+    def mutually_unbiased(self) -> bool:
+        """Whether every overlap between states of two different bases has
+        magnitude 1/sqrt(d_ab), to within ``ATOL``."""
+        magnitude = 1.0 / math.sqrt(self.d_ab)
+        return all(
+            np.max(np.abs(np.abs(self.decode(i) @ right) - magnitude)) <= ATOL
+            for i in range(self.basis_count)
+            for right in self.bases[i + 1 :]
+        )
+
 
 def spec_cached(build):
     """Memoize ``build(spec, *args)`` on the spec itself, so that a dropped
@@ -317,20 +329,17 @@ def conversion_circuit(spec: ProtocolSpec, state: np.ndarray) -> np.ndarray:
 
 
 def conversion_output(spec: ProtocolSpec, source: int) -> np.ndarray:
-    """The circuit's output for |source, 0, 0> as a (d_ab, d_e * k) array:
-    row v is the value ancilla's |v> amplitude against each (source, basis
-    ancilla) state.  For |spec.state_index(value, basis)> one column is
-    populated, and it holds ``spec.encode(value, basis)``.  This is the one
-    place that spells out the register layout.
+    """The value ancilla's (d_ab,) state after the circuit on |source, 0, 0>.
 
-    The split sends a register basis state to one, so only the (basis
-    ancilla, value ancilla) block it fills gets ``bases[basis]``: the same
-    output as :func:`conversion_circuit`, without its other blocks."""
+    The split sends that register basis state to one, |source, basis, value>,
+    so the circuit leaves |source, basis> (x) ``bases[basis] |value>``: only
+    the one (basis ancilla, value ancilla) block the split fills gets its
+    basis, and the value ancilla stays unentangled.  For a sound split and
+    source ``spec.state_index(value, basis)`` this is ``spec.encode(value,
+    basis)``.  This is the one place that spells out the register layout."""
     k, d = spec.basis_count, spec.d_ab
     block, value = divmod(int(_split_targets(spec)[source * k * d]), d)
-    output = np.zeros((d, spec.d_e * k), dtype=np.complex128)
-    output[:, block] = spec.bases[block % k] @ basis_state(d, value)
-    return output
+    return spec.bases[block % k] @ basis_state(d, value)
 
 
 # --- Circular-basis candidates ---------------------------------------------------
@@ -531,14 +540,7 @@ def validate_catalog() -> list:
     )
 
     for protocol, spec in PROTOCOLS.items():
-        # Every overlap between columns of two different bases is 1/sqrt(d).
-        magnitude = 1.0 / math.sqrt(spec.d_ab)
-        unbiased = all(
-            np.max(np.abs(np.abs(spec.decode(i) @ right) - magnitude)) <= ATOL
-            for i in range(spec.basis_count)
-            for right in spec.bases[i + 1 :]
-        )
-        _check(results, f"mub[{protocol}]", unbiased)
+        _check(results, f"mub[{protocol}]", spec.mutually_unbiased)
 
     qidx2 = gate("QidX2").matrix
     qidj = gate("QidJ").matrix
@@ -567,19 +569,13 @@ def validate_catalog() -> list:
         permutation = np.array_equal(np.sort(targets), np.arange(len(targets)))
         unitary = permutation and all(map(is_unitary, spec.bases))
         _check(results, f"conversion-unitary[{protocol}]", unitary)
-        sound = True
-        decodable = True
+        sound = decodable = True
         for k in range(spec.d_e):
-            slot_state = _pure_column(conversion_output(spec, k))
+            state = conversion_output(spec, k)
             value, basis = spec.value_basis(k)
-            if slot_state is None or not equal_up_to_global_phase(
-                slot_state, spec.encode(value, basis)
-            ):
-                sound = False
-                continue
-            decoded = spec.decode(basis) @ slot_state
-            if abs(abs(decoded[value]) ** 2 - 1.0) > ATOL:
-                decodable = False
+            sound &= equal_up_to_global_phase(state, spec.encode(value, basis))
+            decoded = spec.decode(basis) @ state
+            decodable &= abs(abs(decoded[value]) ** 2 - 1.0) <= ATOL
         _check(results, f"conversion-states[{protocol}]", sound)
         _check(results, f"conversion-decode[{protocol}]", decodable)
 
@@ -608,13 +604,3 @@ def validate_catalog() -> list:
         _check(results, f"candidate[{name}]", ok, detail)
 
     return results
-
-
-def _pure_column(output: np.ndarray):
-    """The normalized state of a :func:`conversion_output` whose value ancilla
-    is unentangled, so that exactly one column is populated; else None."""
-    populated = np.flatnonzero(np.linalg.norm(output, axis=0) > ATOL)
-    if len(populated) != 1:
-        return None
-    column = output[:, populated[0]]
-    return column / np.linalg.norm(column)

@@ -27,36 +27,35 @@ which never disturbs the channel and reads off Alice's (value, basis) pair.
 Outcome tables
 --------------
 Every channel state is one of the d_ab * k (value, basis) basis states, so
-each scenario reduces to an exact table: row [value, alice_basis,
-bob_basis] is the cumulative Born distribution of Bob's outcome, computed
-once per protocol through the state-vector code (the encode and decode
-matrices, the relabel permutations, and for conv the conversion circuit
-applied as its two factors, ``gates.conversion_output``).  A trial
-samples all of its kept particles at once by inverse CDF: a uniform draw u
-picks the first outcome whose cumulative probability exceeds u.
+a scenario is its exact table: row [value, alice_basis, bob_basis] is the
+cumulative distribution of the value Bob reads, d_ab entries in every
+scenario, computed once per protocol.  Control decodes Alice's state
+``spec.encode(value, basis)``; conv decodes the state the conversion circuit
+leaves on its value ancilla, ``gates.conversion_output``; relabel follows
+from the index convention alone: the point mass on the value when the bases
+match, uniform over the d_ab values otherwise.  A trial samples all of its
+kept particles at once by inverse CDF: a uniform draw u picks the first
+value whose cumulative probability exceeds u.
 
 The sampler reads the table flattened (``outcome_thresholds``): a read-only
-``(d - 1, d_ab * k * k)`` array whose column ``row = spec.state_index(value,
-basis) * k + bob_basis``, the C-order flat index of [value, basis, bob_basis],
-holds the first d - 1 cumulative entries of that table row.  A row is
-nondecreasing, so the number of those entries at or below u is the sampled
-outcome, and the last entry (1 up to rounding) is never needed.
+``(d_ab - 1, d_ab * k * k)`` array whose column ``row =
+spec.state_index(value, basis) * k + bob_basis``, the C-order flat index of
+[value, basis, bob_basis], holds the first d_ab - 1 cumulative entries of
+that table row.  A row is nondecreasing, so the number of those entries at
+or below u is the sampled value, and the last entry (1 up to rounding) is
+never needed.
 
 Stream layout v3
 ----------------
 A run opens one stream per (seed, role) once (``role_streams``), for the
-roles its cell reads and no other: Alice's and Bob's four in every cell,
-``relabel`` in the relabel scenario and the two eavesdropper roles under the
-standard eavesdropper.  Each trial reads the next block of exactly
-``particles`` draws from every one of them:
+roles its cell reads and no other: Alice's and Bob's four in every cell and
+the two eavesdropper roles under the standard eavesdropper.  Each trial
+reads the next block of exactly ``particles`` draws from every one of them:
 
 alice-values  ``integers(0, d_ab, particles)``, one value per particle;
 alice-bases   ``integers(0, bases, particles)`` encoding bases;
 bob-bases     ``integers(0, bases, particles)``;
 bob-measure   ``random(particles)``, one uniform per particle;
-relabel       relabel scenario only: ``integers(0, d_ab, particles)``
-              replacement values, used where the outcome is off-basis
-              (never on a kept particle, but the block is still read);
 eve-bases     standard eavesdropper only: ``integers(0, bases, particles)``
               guessed bases;
 eve-measure   standard eavesdropper only: ``random(particles)``.
@@ -76,11 +75,11 @@ Sifting and scoring
 -------------------
 Every statistic is one of the sifted key, so a trial sifts first: ``sift``
 returns the positions of the whole particles measured in matching bases, and
-only those kept particles are sampled.  The trial takes Bob's uniforms, the
-eavesdropper's bases and uniforms and the relabel replacements at the kept
-positions, and samples Bob's outcome, the reference and the standard
-eavesdropper's intercept on the kept rows alone.  Every role still reads its
-whole block, so no draw depends on which particles were kept.
+only those kept particles are sampled.  The trial takes Bob's uniforms and
+the eavesdropper's bases and uniforms at the kept positions, and samples
+Bob's value, the reference and the standard eavesdropper's intercept on the
+kept rows alone.  Every role still reads its whole block, so no draw depends
+on which particles were kept.
 
 A ``Transcript`` keeps the kept particles' arrays, read-only;
 ``analysis.score`` counts the sifted bits and the differing bits of them
@@ -96,7 +95,7 @@ from enum import Enum
 import numpy as np
 
 from . import analysis, gates
-from .core import ConfigError, RandomSource, basis_state
+from .core import ConfigError, RandomSource
 from .gates import PROTOCOLS, ProtocolSpec, spec_cached
 
 
@@ -113,11 +112,11 @@ class EveModel(str, Enum):
 
 
 # Upper bound on raw bits per trial.  A trial holds a few int64 and float64
-# arrays per particle, its full blocks of draws, and the d - 1 thresholds
+# arrays per particle, its full blocks of draws, and the d_ab - 1 thresholds
 # gathered for each kept particle, so its memory grows linearly with raw
-# bits; at this bound a one-trial `run` peaks at 68-106 MB resident for the
-# whole process (measured on numpy 2.4: hdbb84 conv/hd 67.9 MB, bb84
-# control/none 86.7, bb84 control/standard 105.8, ssp relabel/hd 94.3),
+# bits; at this bound a one-trial `run` peaks at 68-102 MB resident for the
+# whole process (measured on numpy 2.4: hdbb84 conv/hd 68.0 MB, bb84
+# control/none 90.5, bb84 control/standard 102.0, ssp relabel/hd 80.2),
 # well under 1 GB.
 MAX_RAW_BITS = 1_000_000
 
@@ -156,32 +155,29 @@ def validate_pairing(scenario: Scenario, eve: EveModel) -> tuple[Scenario, EveMo
 
 @spec_cached
 def outcome_table(spec: ProtocolSpec, scenario: Scenario) -> np.ndarray:
-    """Cumulative outcome table [value, alice_basis, bob_basis, outcome],
-    read-only: each row is the Born distribution of Bob's outcome for one
+    """Cumulative outcome table [value, alice_basis, bob_basis, bob_value],
+    read-only: each row is the distribution of the value Bob reads from one
     (value, basis) channel state.  The control table also serves the standard
     eavesdropper, who decodes in her guessed basis."""
     scenario = Scenario(scenario)
-    k, d_e = spec.basis_count, spec.d_e
+    k, d = spec.basis_count, spec.d_ab
     rows = []
-    for value, basis in np.ndindex(spec.d_ab, k):
+    for value, basis in np.ndindex(d, k):
         if scenario is Scenario.CONVERSION:
-            output = gates.conversion_output(spec, spec.state_index(value, basis))
+            state = gates.conversion_output(spec, spec.state_index(value, basis))
+        else:
+            state = spec.encode(value, basis)
         for bob_basis in range(k):
-            if scenario is Scenario.CONTROL:
-                p = np.abs(spec.decode(bob_basis) @ spec.encode(value, basis)) ** 2
-            elif scenario is Scenario.RELABEL:
-                # Bob's relabel gate for basis b sends |v * k + a> to
-                # |v * k + (a - b) mod k>: digit 0 marks an outcome in his basis.
-                pairs = np.ndindex(spec.d_ab, k)
-                targets = [spec.state_index(v, (a - bob_basis) % k) for v, a in pairs]
-                relabel = np.eye(d_e, dtype=np.complex128)[:, targets]
-                p = np.abs(relabel @ basis_state(d_e, spec.state_index(value, basis))) ** 2
+            if scenario is Scenario.RELABEL:
+                # Bob's relabel gate for basis b sends |v * k + a> to the basis
+                # state |v * k + (a - b) mod k>.  Digit 0, a = b, reads v; any
+                # other digit is off-basis, replaced by a uniformly random value.
+                p = np.eye(d)[value] if basis == bob_basis else np.full(d, 1.0 / d)
             else:
-                # Bob decodes the value ancilla; the other slots are traced out.
-                p = np.sum(np.abs(spec.decode(bob_basis) @ output) ** 2, axis=1)
+                p = np.abs(spec.decode(bob_basis) @ state) ** 2
             # Renormalizing keeps deterministic outcomes exact despite float residue.
             rows.append(np.cumsum(p / float(p.sum())))
-    table = np.array(rows).reshape(spec.d_ab, k, k, -1)
+    table = np.array(rows).reshape(d, k, k, d)
     table.setflags(write=False)
     return table
 
@@ -207,8 +203,6 @@ def role_streams(seed: int, scenario: Scenario, eve: EveModel) -> dict[str, np.r
     once per run."""
     scenario, eve = validate_pairing(scenario, eve)
     roles = ("alice-values", "alice-bases", "bob-bases", "bob-measure")
-    if scenario is Scenario.RELABEL:
-        roles += ("relabel",)
     if eve is EveModel.STANDARD:
         roles += ("eve-bases", "eve-measure")
     source = RandomSource(seed)
@@ -272,12 +266,14 @@ def run_trial(
     raw_bits: int,
     streams: dict[str, np.random.Generator],
 ) -> Transcript:
-    """Execute the next trial of a run: draw, sift, encode, optional
-    intercept, decode.
+    """Execute the next trial of a run: draw, sift, optional intercept,
+    then Bob's value from the scenario's outcome table.
 
     ``streams`` come from ``role_streams``; the trial reads the next block of
     each role its cell uses (stream layout v3, module docstring).  The kept
-    particles are sampled at once from the protocol's outcome tables.
+    particles are sampled at once.  The eavesdropper changes only the channel
+    row Bob reads: the standard one replaces it by the state she resends, the
+    high-dimensional one leaves it as it is and reads (value, basis) off it.
     """
     scenario, eve = validate_pairing(scenario, eve)
     alice_values, alice_bases = alice_draws(spec, raw_bits, streams)
@@ -289,9 +285,8 @@ def run_trial(
 
     # Flat outcome-table rows: one per (value, basis) sent, read in that basis.
     sent = spec.state_index(values, bases) * k
-    rows = sent + bases
     control = outcome_thresholds(spec, Scenario.CONTROL)
-    control_values = _sample(control, rows, u)
+    control_values = _sample(control, sent + bases, u)
     eve_values = eve_bases = None
     if eve is EveModel.STANDARD:
         # Intercept-resend: Eve decodes in a guessed basis, then resends the
@@ -299,21 +294,12 @@ def run_trial(
         eve_bases = streams["eve-bases"].integers(0, k, size=particles).take(kept)
         eve_u = streams["eve-measure"].random(particles).take(kept)
         eve_values = _sample(control, sent + eve_bases, eve_u)
-        bob_values = _sample(control, spec.state_index(eve_values, eve_bases) * k + bases, u)
-    elif scenario is Scenario.CONTROL:
-        bob_values = control_values
-    else:
-        if eve is EveModel.HD:
-            # The channel holds the basis state indexing (value, basis): the
-            # measurement reads it deterministically and resends it unchanged.
-            eve_values, eve_bases = values, bases
-        bob_values = _sample(outcome_thresholds(spec, scenario), rows, u)
-        if scenario is Scenario.RELABEL:
-            # A nonzero basis flag is an off-basis outcome, replaced by a
-            # random value.
-            bob_values, flags = spec.value_basis(bob_values)
-            replacements = streams["relabel"].integers(0, spec.d_ab, size=particles).take(kept)
-            bob_values = np.where(flags != 0, replacements, bob_values)
+        sent = spec.state_index(eve_values, eve_bases) * k
+    elif eve is EveModel.HD:
+        # The channel holds the basis state indexing (value, basis): the
+        # measurement reads it deterministically and resends it unchanged.
+        eve_values, eve_bases = values, bases
+    bob_values = _sample(outcome_thresholds(spec, scenario), sent + bases, u)
 
     return Transcript(
         spec=spec,

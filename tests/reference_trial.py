@@ -5,7 +5,8 @@ This reference samples every particle, Bob's outcome, the control reference
 and the standard eavesdropper's intercept alike, and sifts nothing, so the
 tests can check that the kernel's arrays are this reference's arrays masked
 by ``alice_bases == bob_bases``.  It also shows what the kernel never
-samples: Bob's outcomes off the kept particles.
+samples: Bob's values off the kept particles, uniform in the relabel
+scenario, where an off-basis outcome is replaced by a random value.
 """
 
 from __future__ import annotations
@@ -17,10 +18,7 @@ import numpy as np
 from qkdlab.core import RandomSource
 from qkdlab.protocols import EveModel, Scenario, _sample, alice_draws, outcome_thresholds
 
-ROLES = (
-    "alice-values", "alice-bases", "bob-bases", "bob-measure",
-    "relabel", "eve-bases", "eve-measure",
-)
+ROLES = ("alice-values", "alice-bases", "bob-bases", "bob-measure", "eve-bases", "eve-measure")
 
 
 class FullTranscript(NamedTuple):
@@ -54,24 +52,16 @@ def full_trial(spec, scenario, eve, raw_bits, streams) -> FullTranscript:
     u = streams["bob-measure"].random(particles)
 
     sent = spec.state_index(alice_values, alice_bases) * k
-    rows = sent + bob_bases
     control = outcome_thresholds(spec, Scenario.CONTROL)
-    control_values = _sample(control, rows, u)
+    control_values = _sample(control, sent + bob_bases, u)
     eve_values = eve_bases = None
     if eve is EveModel.STANDARD:
         eve_bases = streams["eve-bases"].integers(0, k, size=particles)
         eve_values = _sample(control, sent + eve_bases, streams["eve-measure"].random(particles))
-        bob_values = _sample(control, spec.state_index(eve_values, eve_bases) * k + bob_bases, u)
-    elif scenario is Scenario.CONTROL:
-        bob_values = control_values
-    else:
-        if eve is EveModel.HD:
-            eve_values, eve_bases = alice_values, alice_bases
-        bob_values = _sample(outcome_thresholds(spec, scenario), rows, u)
-        if scenario is Scenario.RELABEL:
-            bob_values, flags = spec.value_basis(bob_values)
-            replacements = streams["relabel"].integers(0, spec.d_ab, size=particles)
-            bob_values = np.where(flags != 0, replacements, bob_values)
+        sent = spec.state_index(eve_values, eve_bases) * k
+    elif eve is EveModel.HD:
+        eve_values, eve_bases = alice_values, alice_bases
+    bob_values = _sample(outcome_thresholds(spec, scenario), sent + bob_bases, u)
 
     return FullTranscript(
         alice_values, alice_bases, eve_values, eve_bases, bob_bases, bob_values, control_values

@@ -182,12 +182,16 @@ def test_criterion_9_conversion_soundness():
     with criterion(9, "conversion-gate soundness"):
         for spec in ALL_SPECS:
             assert is_unitary(conversion_matrix(spec))
+            ancillas = basis_state(spec.basis_count * spec.d_ab, 0)
             for k in range(spec.d_e):
-                output = gates.conversion_output(spec, k)
-                populated = np.flatnonzero(np.linalg.norm(output, axis=0) > 1e-9)
-                assert len(populated) == 1, (spec.name, k)
-                slot_state = output[:, populated[0]]
                 value, basis = spec.value_basis(k)
+                # The circuit on |k, 0, 0> leaves |k, basis> (x) the value
+                # ancilla's state, unentangled.
+                slot_state = gates.conversion_output(spec, k)
+                source = basis_state(spec.d_e, k)
+                got = gates.conversion_circuit(spec, np.kron(source, ancillas))
+                expected = np.kron(np.kron(source, basis_state(spec.basis_count, basis)), slot_state)
+                assert np.array_equal(got, expected), (spec.name, k)
                 encoded = spec.encode(value, basis)
                 assert equal_up_to_global_phase(slot_state, encoded), (spec.name, k)
                 decoded = spec.decode(basis) @ slot_state

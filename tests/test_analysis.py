@@ -13,6 +13,7 @@ from qkdlab.analysis import (
     qber,
 )
 from qkdlab.core import ContractError
+from qkdlab.gates import PROTOCOLS, ProtocolSpec, validate_catalog
 from qkdlab.protocols import BB84, HDBB84, SSP
 
 from oracle import intercept_resend_symbol_error
@@ -93,6 +94,29 @@ def test_intercept_resend_error_equals_oracle(spec):
     assert intercept_resend_error(spec) == expected[spec.name]
     oracle = intercept_resend_symbol_error(spec.name)
     assert float(intercept_resend_error(spec)) == pytest.approx(oracle, abs=1e-12)
+
+
+def test_closed_form_refuses_bases_that_are_not_mutually_unbiased():
+    # A random (2, 2) spec: its exact intercept-resend error, the overlap sum
+    # 1 - sum |<e_j|a_v>|^4 / (k^2 d) over both bases pairs, is 0.09, well
+    # below the closed form's 1/4, so the closed form must not answer.
+    rng = np.random.default_rng(0)
+    shape = (2, 2, 2)
+    bases = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+    spec = ProtocolSpec("random", tuple(bases))
+    overlaps = sum(np.sum(np.abs(spec.decode(e) @ basis) ** 4) for e in range(2) for basis in bases)
+    assert 1 - overlaps / 8 == pytest.approx(0.09, abs=1e-3)
+    assert not spec.mutually_unbiased
+    assert all(paper.mutually_unbiased for paper in (BB84, HDBB84, SSP))
+    with pytest.raises(ContractError, match="mutually unbiased"):
+        intercept_resend_error(spec)
+    with pytest.raises(ContractError, match="mutually unbiased"):
+        detection_probability(spec, 1)
+    # validate-gates' mub line reads the same property.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(PROTOCOLS, spec.name, spec)
+        passed = {check.name: check.passed for check in validate_catalog()}
+    assert not passed["mub[random]"] and passed["mub[bb84]"]
 
 
 def test_detection_probability_monotone_to_one():

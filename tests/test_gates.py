@@ -21,6 +21,7 @@ from qkdlab.gates import (
     catalog,
     catalog_dump,
     catalog_fingerprint,
+    conversion_circuit,
     conversion_output,
     gate,
     validate_basis_candidate,
@@ -270,12 +271,16 @@ def test_conversion_output_matches_state_table(protocol):
         )
         got = matrix @ np.kron(basis_state(spec.d_e, k), ancillas)
         np.testing.assert_allclose(got, expected, atol=1e-12)
-        # The accessor reads that value ancilla, unentangled.
+        # The accessor reads that value ancilla, unentangled: the circuit
+        # leaves |k, basis> (x) its state.
         output = conversion_output(spec, k)
-        assert output.shape == (spec.d_ab, spec.d_e * spec.basis_count)
-        populated = np.flatnonzero(np.linalg.norm(output, axis=0) > 1e-9)
-        assert len(populated) == 1, "output slot must stay unentangled"
-        np.testing.assert_allclose(output[:, populated[0]], encoded, atol=1e-12)
+        assert output.shape == (spec.d_ab,)
+        circuit = conversion_circuit(spec, np.kron(basis_state(spec.d_e, k), ancillas))
+        np.testing.assert_array_equal(
+            circuit,
+            np.kron(np.kron(basis_state(spec.d_e, k), basis_state(spec.basis_count, basis)), output),
+        )
+        np.testing.assert_allclose(output, encoded, atol=1e-12)
 
 
 def test_conversion_unitary_check_fails_on_a_split_that_is_not_a_bijection(monkeypatch):
@@ -292,6 +297,23 @@ def test_conversion_unitary_check_fails_on_a_split_that_is_not_a_bijection(monke
     passed = {check.name: check.passed for check in validate_catalog()}
     for protocol in ("bb84", "hdbb84", "ssp"):
         assert not passed[f"conversion-unitary[{protocol}]"], protocol
+
+
+def test_conversion_state_checks_fail_on_a_split_that_shifts_the_value(monkeypatch):
+    def shifted(spec):
+        # A bijection, but one that writes value + 1 onto the value ancilla.
+        k, d = spec.basis_count, spec.d_ab
+        source, b, v = np.indices((spec.d_e, k, d)).reshape(3, -1)
+        value, basis = spec.value_basis(source)
+        return (source * k + (b + basis) % k) * d + (v + value + 1) % d
+
+    catalog()  # built from the real split before the patch
+    monkeypatch.setattr(qkdlab.gates, "_split_targets", shifted)
+    passed = {check.name: check.passed for check in validate_catalog()}
+    for protocol in ("bb84", "hdbb84", "ssp"):
+        assert passed[f"conversion-unitary[{protocol}]"], protocol
+        assert not passed[f"conversion-states[{protocol}]"], protocol
+        assert not passed[f"conversion-decode[{protocol}]"], protocol
 
 
 def test_conversion_examples():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qkdlab import analysis, cli, gates, protocols
 from qkdlab.core import (
+    ATOL,
     ConfigError,
     ContractError,
     RandomSource,
@@ -370,12 +371,12 @@ def _paper_probs(spec, scenario, value, basis, bob_basis):
     return np.sum(np.abs(state.reshape(slots)) ** 2, axis=others)
 
 
-def _relabel_view(spec, probs):
-    """What relabel keeps of an outcome distribution: the value read in Bob's
-    basis (basis digit 0), and the total off-basis mass, whose value is
-    replaced by random bits."""
+def _relabel_values(spec, probs):
+    """Bob's value distribution from a relabel outcome distribution over the
+    d_e states: an outcome in his basis (basis digit 0) reads its value, and
+    the off-basis mass is replaced by a uniformly random value."""
     in_basis = probs[:: spec.basis_count]
-    return np.append(in_basis, probs.sum() - in_basis.sum())
+    return in_basis + (probs.sum() - in_basis.sum()) / spec.d_ab
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
@@ -383,19 +384,16 @@ def _relabel_view(spec, probs):
 def test_outcome_table_rows_equal_state_vector_born_probabilities(spec, scenario):
     # The reference is the paper's hand-written circuit.  Its relabel gates
     # send off-basis outcomes to other nonzero digits (and values) than the
-    # derived permutation, so relabel rows agree on what relabel keeps.
-    dim = spec.d_e if scenario is Scenario.RELABEL else spec.d_ab
+    # derived permutation; folded to the value Bob keeps, the two agree.
     table = outcome_table(spec, scenario)
-    assert table.shape == (
-        spec.d_ab, spec.basis_count, spec.basis_count, dim
-    )
+    assert table.shape == (spec.d_ab, spec.basis_count, spec.basis_count, spec.d_ab)
     for value in range(spec.d_ab):
         for basis in range(spec.basis_count):
             for bob_basis in range(spec.basis_count):
                 got = _probs(spec, scenario, value, basis, bob_basis)
                 expected = _paper_probs(spec, scenario, value, basis, bob_basis)
                 if scenario is Scenario.RELABEL:
-                    got, expected = _relabel_view(spec, got), _relabel_view(spec, expected)
+                    expected = _relabel_values(spec, expected)
                 np.testing.assert_allclose(got, expected, atol=1e-12)
                 assert table[value, basis, bob_basis, -1] == pytest.approx(1.0, abs=1e-15)
 
@@ -415,6 +413,16 @@ def test_outcome_table_rows_equal_oracle_born_rule(spec, scenario):
         )
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
+def test_the_three_scenario_tables_of_a_paper_protocol_agree(spec):
+    # The conversion circuit delivers Alice's state itself, and the paper's
+    # bases are mutually unbiased, so relabel's point masses and uniform rows
+    # are the control rows too.
+    control = outcome_table(spec, Scenario.CONTROL)
+    assert np.array_equal(outcome_table(spec, Scenario.CONVERSION), control)
+    np.testing.assert_allclose(outcome_table(spec, Scenario.RELABEL), control, rtol=0, atol=ATOL)
+
+
 _SPEC_NAMES = (f"random-{n}" for n in itertools.count())
 
 
@@ -422,19 +430,26 @@ _SPEC_NAMES = (f"random-{n}" for n in itertools.count())
 @given(st.tuples(st.sampled_from((2, 4)), st.integers(1, 3), st.integers(0, 2**32 - 1)))
 def test_conversion_table_equals_control_for_random_specs(case):
     # Any spec's conversion circuit, applied as its split and its bases,
-    # must deliver Alice's particle state; registered, the spec also passes
-    # validate-gates' conversion checks.
+    # must deliver Alice's particle state on the value ancilla; registered,
+    # the spec also passes validate-gates' conversion checks.
     d_ab, k, seed = case
     rng = np.random.default_rng(seed)
     shape = (k, d_ab, d_ab)
     bases = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
     spec = ProtocolSpec(next(_SPEC_NAMES), tuple(bases))
-    np.testing.assert_allclose(
-        outcome_table(spec, Scenario.CONVERSION),
-        outcome_table(spec, Scenario.CONTROL),
-        rtol=0,
-        atol=1e-12,
+    assert np.array_equal(
+        outcome_table(spec, Scenario.CONVERSION), outcome_table(spec, Scenario.CONTROL)
     )
+    ancillas = basis_state(k * d_ab, 0)
+    for source in range(spec.d_e):
+        basis = spec.value_basis(source)[1]
+        np.testing.assert_array_equal(
+            gates.conversion_circuit(spec, np.kron(basis_state(spec.d_e, source), ancillas)),
+            np.kron(
+                np.kron(basis_state(spec.d_e, source), basis_state(k, basis)),
+                gates.conversion_output(spec, source),
+            ),
+        )
     with pytest.MonkeyPatch.context() as patch:
         patch.setitem(PROTOCOLS, spec.name, spec)
         checks = [
@@ -647,37 +662,35 @@ def test_bob_scenario1_mismatched_basis_is_uniform():
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
 def test_bob_scenario2_matching_basis_is_exact(spec):
-    # In Bob's basis the outcome has basis flag 0 and carries the value.
+    # In Bob's basis the outcome has basis digit 0 and carries the value.
     for value in range(spec.d_ab):
         for basis in range(spec.basis_count):
-            np.testing.assert_allclose(
-                _probs(spec, Scenario.RELABEL, value, basis, basis),
-                _delta(spec.d_e, spec.state_index(value, 0)),
-                atol=1e-12,
+            np.testing.assert_array_equal(
+                _probs(spec, Scenario.RELABEL, value, basis, basis), _delta(spec.d_ab, value)
             )
-
-
-def _off_basis_mass(spec, value, basis, bob_basis):
-    probs = _probs(spec, Scenario.RELABEL, value, basis, bob_basis)
-    return sum(p for k, p in enumerate(probs) if spec.value_basis(k)[1] != 0)
 
 
 def test_bob_scenario2_concrete_relabel_rows():
     # In-basis outcomes are read out deterministically.
-    np.testing.assert_allclose(_probs(BB84, Scenario.RELABEL, 0, 1, 1), _delta(4, 0), atol=1e-12)
-    np.testing.assert_allclose(_probs(BB84, Scenario.RELABEL, 1, 0, 0), _delta(4, 2), atol=1e-12)
-    np.testing.assert_allclose(_probs(SSP, Scenario.RELABEL, 1, 2, 2), _delta(6, 3), atol=1e-12)
-    # Off-basis outcomes are always relabelled as random bits.
+    np.testing.assert_allclose(_probs(BB84, Scenario.RELABEL, 0, 1, 1), _delta(2, 0), atol=1e-12)
+    np.testing.assert_allclose(_probs(BB84, Scenario.RELABEL, 1, 0, 0), _delta(2, 1), atol=1e-12)
+    np.testing.assert_allclose(_probs(SSP, Scenario.RELABEL, 1, 2, 2), _delta(2, 1), atol=1e-12)
+    # Off-basis outcomes are always relabelled as uniformly random values.
     for spec in ALL_SPECS:
         for value in range(spec.d_ab):
             for basis in range(spec.basis_count):
                 for bob_basis in range(spec.basis_count):
                     if bob_basis != basis:
-                        assert _off_basis_mass(spec, value, basis, bob_basis) == pytest.approx(1)
+                        np.testing.assert_allclose(
+                            _probs(spec, Scenario.RELABEL, value, basis, bob_basis),
+                            np.full(spec.d_ab, 1 / spec.d_ab),
+                            atol=1e-12,
+                        )
 
 
 def test_bob_scenario2_off_basis_hdbb84_draws_two_bits():
-    # The kernel samples no off-basis outcome: the full-length reference does.
+    # The kernel samples no off-basis outcome: the full-length reference
+    # samples Bob's values there from the uniform rows.
     transcript = _full(HDBB84, Scenario.RELABEL, EveModel.NONE, 8000)
     off = transcript.bob_values[~transcript.mask]
     counts = np.bincount(off, minlength=4) / len(off)
@@ -897,7 +910,6 @@ def _role_bounds(spec):
         "alice-bases": k,
         "bob-bases": k,
         "bob-measure": None,
-        "relabel": spec.d_ab,
         "eve-bases": k,
         "eve-measure": None,
     }
@@ -952,16 +964,16 @@ def test_batched_role_draws_reproduce_trial_transcripts(spec, scenario, eve, raw
 
 
 # The roles each pairing reads, as the stream-layout docstring lists them:
-# Alice's and Bob's four everywhere, relabel in the relabel scenario, the two
-# eavesdropper roles under the standard eavesdropper.
+# Alice's and Bob's four everywhere, the two eavesdropper roles under the
+# standard eavesdropper.
 _ALICE_BOB = ("alice-values", "alice-bases", "bob-bases", "bob-measure")
 CELL_ROLES = {
     (Scenario.CONTROL, EveModel.NONE): _ALICE_BOB,
     (Scenario.CONVERSION, EveModel.NONE): _ALICE_BOB,
-    (Scenario.RELABEL, EveModel.NONE): _ALICE_BOB + ("relabel",),
+    (Scenario.RELABEL, EveModel.NONE): _ALICE_BOB,
     (Scenario.CONTROL, EveModel.STANDARD): _ALICE_BOB + ("eve-bases", "eve-measure"),
     (Scenario.CONVERSION, EveModel.HD): _ALICE_BOB,
-    (Scenario.RELABEL, EveModel.HD): _ALICE_BOB + ("relabel",),
+    (Scenario.RELABEL, EveModel.HD): _ALICE_BOB,
 }
 
 
