@@ -44,7 +44,6 @@ from .protocols import (
     EveModel,
     ProtocolSpec,
     Scenario,
-    Transcript,
     run_experiment,
     run_trial,
     sift,
@@ -65,7 +64,6 @@ __all__ = [
     "STATISTICS",
     "Scenario",
     "SimulationError",
-    "Transcript",
     "TrialResult",
     "ValidationError",
     "aggregate",

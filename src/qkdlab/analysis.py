@@ -7,7 +7,10 @@ statistic once as a (numerator, denominator) pair of them; :func:`aggregate`
 returns their means under the same names.  An empty sifted key scores QBER
 0, as every trial without an eavesdropper must, and knowledge None
 (undefined), which the means skip, as they skip trials without an
-eavesdropper.
+eavesdropper.  A trial matches when its sifted key has no errors: the key
+of the same-seed control run without an eavesdropper is Alice's key
+(``protocols`` module docstring), so Bob's key equals that run's key
+exactly when it equals Alice's.
 
 Trials are scored in integers (:func:`score`).  A ``fractions.Fraction`` is
 built only for a mean, or when a trial's statistic is read as one; every mean
@@ -73,14 +76,24 @@ def _fraction(pair: tuple[int, int] | None) -> Fraction | None:
     return None if pair is None else Fraction(*pair)
 
 
+def _check_values(bits_per_particle: int, *keys) -> None:
+    """Raise unless every value of ``keys`` lies in [0, 2**bits_per_particle)."""
+    bound = 2**bits_per_particle
+    for key in keys:
+        if len(key) and not 0 <= int(np.min(key)) <= int(np.max(key)) < bound:
+            raise ContractError(f"values must lie in [0, {bound}), got {np.min(key)}..{np.max(key)}")
+
+
 def qber(alice, bob, bits_per_particle: int) -> Fraction:
     """Differing-bit fraction between the two sifted keys (0 on empty keys)."""
+    _check_values(bits_per_particle, alice, bob)
     return Fraction(*_error_rate(*_key_errors(alice, bob, bits_per_particle)))
 
 
 def knowledge(eve_values, reference, bits_per_particle: int) -> Fraction | None:
     """Fraction of sifted bits where the eavesdropper's bit agrees (None on
     empty keys)."""
+    _check_values(bits_per_particle, eve_values, reference)
     return _fraction(_agreement(*_eve_errors(eve_values, reference, bits_per_particle)))
 
 
@@ -131,8 +144,8 @@ class TrialResult:
     differs from Alice's; ``alice_errors`` and ``bob_errors`` count those
     where the eavesdropper's differs from Alice's and from Bob's (None
     without one).  Each of :data:`STATISTICS` is an attribute of the same
-    name: ``key_size`` and ``matches`` as stored, the others as exact
-    Fractions built from :meth:`ratio`.
+    name: ``key_size`` as stored, ``matches`` as ``errors == 0`` (module
+    docstring), the others as exact Fractions built from :meth:`ratio`.
     """
 
     trial: int
@@ -141,7 +154,6 @@ class TrialResult:
     errors: int
     alice_errors: int | None
     bob_errors: int | None
-    matches: bool
 
     def __post_init__(self) -> None:
         for name in ("errors", "alice_errors", "bob_errors"):
@@ -153,6 +165,10 @@ class TrialResult:
         """Statistic ``name`` as a (numerator, denominator) pair of ints, or
         None where it is undefined."""
         return _RATIOS[name](self)
+
+    @property
+    def matches(self) -> bool:
+        return self.errors == 0
 
     @property
     def sift_fraction(self) -> Fraction:
@@ -171,9 +187,7 @@ class TrialResult:
         return _fraction(self.ratio("bob_knowledge"))
 
 
-def score(
-    trial: int, raw_len: int, alice, bob, eve_values, bits_per_particle: int, matches: bool
-) -> TrialResult:
+def score(trial: int, raw_len: int, alice, bob, eve_values, bits_per_particle: int) -> TrialResult:
     """A trial's counts: its sifted bits, the bits where Bob's sifted values
     differ from Alice's and, with an eavesdropper, where hers differ from
     Alice's and from Bob's.  Warns on an empty key as :func:`qber` and
@@ -183,7 +197,7 @@ def score(
     if eve_values is not None:
         alice_errors = _eve_errors(eve_values, alice, bits_per_particle)[0]
         bob_errors = _eve_errors(eve_values, bob, bits_per_particle)[0]
-    return TrialResult(trial, raw_len, key_size, errors, alice_errors, bob_errors, matches)
+    return TrialResult(trial, raw_len, key_size, errors, alice_errors, bob_errors)
 
 
 def aggregate(results) -> dict[str, Fraction | None]:

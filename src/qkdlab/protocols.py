@@ -67,29 +67,34 @@ and one ``(trials, particles)`` draw per role gives the same arrays as the
 trial-by-trial reads.  Alice's and Bob's roles are read the same way in every
 scenario and under every eavesdropper.
 
-The reference for the cross-scenario "matches" flag, the control run without
-an eavesdropper, reads the same alice, bob-bases and bob-measure draws, so it
-is sampled from them instead of being run again.
-
 Sifting and scoring
 -------------------
 Every statistic is one of the sifted key, so a trial sifts first: ``sift``
 returns the positions of the whole particles measured in matching bases, and
 only those kept particles are sampled.  The trial takes Bob's uniforms and
 the eavesdropper's bases and uniforms at the kept positions, and samples
-Bob's value, the reference and the standard eavesdropper's intercept on the
-kept rows alone.  Every role still reads its whole block, so no draw depends
-on which particles were kept.
+Bob's value and the standard eavesdropper's intercept on the kept rows
+alone.  Every role still reads its whole block, so no draw depends on which
+particles were kept.
 
-A ``Transcript`` keeps the kept particles' arrays, read-only;
-``analysis.score`` counts the sifted bits and the differing bits of them
-directly, as ints, into the trial's ``TrialResult``.  No Fraction is built per
-trial: ``analysis.aggregate`` builds the exact means.
+A trial returns the kept particles' values, Alice's, Bob's and the
+eavesdropper's; ``analysis.score`` counts the sifted bits and the differing
+bits of them directly, as ints, into the trial's ``TrialResult``.  No
+Fraction is built per trial: ``analysis.aggregate`` builds the exact means.
+
+A trial "matches" when Bob's sifted key equals the key of the control run
+without an eavesdropper on the same draws.  That key is Alice's: a kept
+particle is decoded in the basis it was encoded in, and every such row of a
+registered protocol's control table is exactly the step at the value sent,
+so it samples the value sent whatever the uniform.  (In an unregistered
+spec's table rounding may leave thresholds below the value sent, under
+1e-30, which only a uniform of exactly 0.0 falls under.)  A trial therefore
+matches when its key has no errors (``TrialResult.matches``), and no
+reference is sampled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -114,9 +119,9 @@ class EveModel(str, Enum):
 # Upper bound on raw bits per trial.  A trial holds a few int64 and float64
 # arrays per particle, its full blocks of draws, and the d_ab - 1 thresholds
 # gathered for each kept particle, so its memory grows linearly with raw
-# bits; at this bound a one-trial `run` peaks at 68-102 MB resident for the
-# whole process (measured on numpy 2.4: hdbb84 conv/hd 68.0 MB, bb84
-# control/none 90.5, bb84 control/standard 102.0, ssp relabel/hd 80.2),
+# bits; at this bound a one-trial `run` peaks at 66-99 MB resident for the
+# whole process (measured on numpy 2.4: hdbb84 conv/hd 66.0 MB, bb84
+# control/none 86.9, bb84 control/standard 98.2, ssp relabel/hd 77.6),
 # well under 1 GB.
 MAX_RAW_BITS = 1_000_000
 
@@ -225,35 +230,6 @@ def alice_draws(
     return values, bases
 
 
-@dataclass(frozen=True, eq=False)
-class Transcript:
-    """The random choices and measurement outcomes of one trial's kept
-    particles, those measured in matching bases: one read-only array entry
-    per kept particle (the eavesdropper's are None without one).
-
-    ``kept`` holds their positions among the trial's particles and ``bases``
-    the basis both Alice and Bob used.  ``control_values`` are Bob's outcomes
-    for the same draws in the control scenario without an eavesdropper: the
-    reference for cross-scenario matches.
-    """
-
-    spec: ProtocolSpec
-    scenario: Scenario
-    eve: EveModel
-    kept: np.ndarray
-    bases: np.ndarray
-    alice_values: np.ndarray
-    eve_values: np.ndarray | None
-    eve_bases: np.ndarray | None
-    bob_values: np.ndarray
-    control_values: np.ndarray
-
-    def __post_init__(self) -> None:
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-
-
 def sift(alice_bases: np.ndarray, bob_bases: np.ndarray) -> np.ndarray:
     """Positions of the whole particles measured in matching bases."""
     return np.flatnonzero(alice_bases == bob_bases)
@@ -265,9 +241,11 @@ def run_trial(
     eve: EveModel,
     raw_bits: int,
     streams: dict[str, np.random.Generator],
-) -> Transcript:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Execute the next trial of a run: draw, sift, optional intercept,
-    then Bob's value from the scenario's outcome table.
+    then Bob's value from the scenario's outcome table.  Returns the kept
+    particles' ``(alice_values, bob_values, eve_values)``, ``eve_values``
+    None without an eavesdropper.
 
     ``streams`` come from ``role_streams``; the trial reads the next block of
     each role its cell uses (stream layout v3, module docstring).  The kept
@@ -285,34 +263,20 @@ def run_trial(
 
     # Flat outcome-table rows: one per (value, basis) sent, read in that basis.
     sent = spec.state_index(values, bases) * k
-    control = outcome_thresholds(spec, Scenario.CONTROL)
-    control_values = _sample(control, sent + bases, u)
-    eve_values = eve_bases = None
+    eve_values = None
     if eve is EveModel.STANDARD:
         # Intercept-resend: Eve decodes in a guessed basis, then resends the
         # value she measured encoded in that basis.
         eve_bases = streams["eve-bases"].integers(0, k, size=particles).take(kept)
         eve_u = streams["eve-measure"].random(particles).take(kept)
-        eve_values = _sample(control, sent + eve_bases, eve_u)
+        eve_values = _sample(outcome_thresholds(spec, Scenario.CONTROL), sent + eve_bases, eve_u)
         sent = spec.state_index(eve_values, eve_bases) * k
     elif eve is EveModel.HD:
         # The channel holds the basis state indexing (value, basis): the
         # measurement reads it deterministically and resends it unchanged.
-        eve_values, eve_bases = values, bases
+        eve_values = values
     bob_values = _sample(outcome_thresholds(spec, scenario), sent + bases, u)
-
-    return Transcript(
-        spec=spec,
-        scenario=scenario,
-        eve=eve,
-        kept=kept,
-        bases=bases,
-        alice_values=values,
-        eve_values=eve_values,
-        eve_bases=eve_bases,
-        bob_values=bob_values,
-        control_values=control_values,
-    )
+    return values, bob_values, eve_values
 
 
 def run_experiment(
@@ -323,25 +287,19 @@ def run_experiment(
     raw_bits: int,
     seed: int,
 ) -> list[analysis.TrialResult]:
-    """Run several trials on one set of role streams and score each against
-    its same-seed control run.
+    """Run several trials on one set of role streams and score each.
 
-    The reference for the "matches" flag is the control-scenario trial without
-    an eavesdropper, which shares Alice's and Bob's randomness by construction;
-    each transcript carries it at the kept particles as ``control_values``.
+    A trial's ``matches`` flag compares Bob's sifted key with that of the
+    same-seed control run without an eavesdropper, which is Alice's (module
+    docstring, Sifting and scoring).
     """
     if trials < 1:
         raise ConfigError("trials must be at least 1")
     if trials > MAX_TRIALS:
         raise ConfigError(f"trials must be at most {MAX_TRIALS}, got {trials}")
-    scenario, eve = validate_pairing(scenario, eve)
-    bits = spec.bits_per_particle
     streams = role_streams(seed, scenario, eve)
-    results = []
-    for trial in range(trials):
-        t = run_trial(spec, scenario, eve, raw_bits, streams)
-        matches = bool((t.bob_values == t.control_values).all())
-        results.append(
-            analysis.score(trial, raw_bits, t.alice_values, t.bob_values, t.eve_values, bits, matches)
-        )
-    return results
+    bits = spec.bits_per_particle
+    return [
+        analysis.score(trial, raw_bits, *run_trial(spec, scenario, eve, raw_bits, streams), bits)
+        for trial in range(trials)
+    ]

@@ -1,12 +1,15 @@
 """Full-length reference for one trial of stream layout v3.
 
 ``protocols.run_trial`` sifts first and samples only the kept particles.
-This reference samples every particle, Bob's outcome, the control reference
-and the standard eavesdropper's intercept alike, and sifts nothing, so the
-tests can check that the kernel's arrays are this reference's arrays masked
-by ``alice_bases == bob_bases``.  It also shows what the kernel never
-samples: Bob's values off the kept particles, uniform in the relabel
-scenario, where an off-basis outcome is replaced by a random value.
+This reference samples every particle, Bob's outcome and the standard
+eavesdropper's intercept alike, and sifts nothing, so the tests can check
+that the kernel's arrays are this reference's arrays masked by
+``alice_bases == bob_bases``.  It also shows what the kernel never samples:
+Bob's values off the kept particles, uniform in the relabel scenario, where
+an off-basis outcome is replaced by a random value.  It keeps every
+particle's bases, which the kernel does not return, and ``control_values``,
+Bob's values in the control run without an eavesdropper on the same draws:
+the reference that defines a trial's "matches" flag.
 """
 
 from __future__ import annotations
@@ -68,20 +71,9 @@ def full_trial(spec, scenario, eve, raw_bits, streams) -> FullTranscript:
     )
 
 
-def masked(full: FullTranscript) -> dict:
-    """The reference's arrays at the kept particles, under the names of the
-    kernel's ``Transcript`` fields."""
+def masked(full: FullTranscript) -> tuple:
+    """The reference's values at the kept particles, as ``run_trial``
+    returns them: ``(alice_values, bob_values, eve_values)``."""
     mask = full.mask
-
-    def keep(array):
-        return None if array is None else array[mask]
-
-    return {
-        "kept": np.flatnonzero(mask),
-        "bases": full.alice_bases[mask],
-        "alice_values": full.alice_values[mask],
-        "eve_values": keep(full.eve_values),
-        "eve_bases": keep(full.eve_bases),
-        "bob_values": full.bob_values[mask],
-        "control_values": full.control_values[mask],
-    }
+    eve_values = None if full.eve_values is None else full.eve_values[mask]
+    return full.alice_values[mask], full.bob_values[mask], eve_values

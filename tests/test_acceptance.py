@@ -1,10 +1,12 @@
 """Acceptance suite: one test per exit criterion, each printing a PASS/FAIL
 line (run with -s or -rP to see them on success)."""
 
+import re
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -196,3 +198,12 @@ def test_criterion_9_conversion_soundness():
                 assert equal_up_to_global_phase(slot_state, encoded), (spec.name, k)
                 decoded = spec.decode(basis) @ slot_state
                 assert abs(abs(decoded[value]) ** 2 - 1.0) <= 1e-9, (spec.name, k)
+
+
+def test_readme_library_example_prints_the_claim(capsys):
+    # The README's library example runs against the public API as written
+    # and prints what its comments say: zero QBER and full knowledge.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"## Library example\n\n```python\n(.*?)```", readme, re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.split() == ["0.0", "1.0"]

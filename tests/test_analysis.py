@@ -55,6 +55,27 @@ def test_qber_rejects_length_mismatch():
         qber(np.array([0, 1]), np.array([0, 1, 2]), 2)
 
 
+@pytest.mark.parametrize(
+    "statistic,a,b,bits",
+    [
+        (qber, [3], [0], 1),
+        (qber, [-1], [0], 1),
+        (qber, [0], [2], 1),
+        (qber, [300], [0], 8),
+        (qber, [4, 0], [0, 0], 2),
+        (knowledge, [3, 3], [0, 0], 1),
+        (knowledge, [0], [-1], 2),
+    ],
+    ids=["above", "negative", "second-key", "above-a-byte", "two-bit", "knowledge", "knowledge-ref"],
+)
+def test_qber_and_knowledge_reject_values_outside_the_bit_width(statistic, a, b, bits):
+    # A value of b bits lies in [0, 2**b); anything else has no bit string to
+    # compare, so it fails instead of scoring a QBER above 1 or a knowledge
+    # below 0.
+    with pytest.raises(ContractError, match=rf"values must lie in \[0, {2**bits}\)"):
+        statistic(np.array(a), np.array(b), bits)
+
+
 def test_qber_rejects_unsupported_value_width():
     with pytest.raises(ContractError, match="bits per particle"):
         qber(_key("01"), _key("01"), 9)
@@ -135,7 +156,7 @@ def test_detection_probability_rejects_partial_particles():
         detection_probability(HDBB84, 3)
 
 
-def _trial(i, errors, matches, sifted=100):
+def _trial(i, errors, sifted=100):
     return TrialResult(
         trial=i,
         raw_len=200,
@@ -143,12 +164,13 @@ def _trial(i, errors, matches, sifted=100):
         errors=errors,
         alice_errors=None,
         bob_errors=None,
-        matches=matches,
     )
 
 
 def test_aggregate_means_and_match_rate():
-    stats = aggregate([_trial(0, 0, True), _trial(1, 50, False)])
+    # A trial matches exactly when its sifted key has no errors.
+    assert _trial(0, 0).matches is True and _trial(1, 1).matches is False
+    stats = aggregate([_trial(0, 0), _trial(1, 50)])
     assert stats["qber"] == Fraction(1, 4)
     assert stats["matches"] == Fraction(1, 2)
     assert stats["sift_fraction"] == Fraction(1, 2)
@@ -156,13 +178,13 @@ def test_aggregate_means_and_match_rate():
 
 
 def test_aggregate_identical_no_eve_trials():
-    stats = aggregate([_trial(i, 0, True) for i in range(25)])
+    stats = aggregate([_trial(i, 0) for i in range(25)])
     assert stats["qber"] == 0
     assert stats["matches"] == 1
 
 
 def test_aggregate_mean_stays_within_trial_range():
-    trials = [_trial(i, 10 * i, True, sifted=100 + i) for i in range(5)]
+    trials = [_trial(i, 10 * i, sifted=100 + i) for i in range(5)]
     stats = aggregate(trials)
     assert min(t.qber for t in trials) <= stats["qber"] <= max(t.qber for t in trials)
     assert 100 <= stats["key_size"] <= 104
@@ -175,8 +197,8 @@ def test_aggregate_rejects_empty_list():
 
 def test_trial_result_validates_fractions():
     with pytest.raises(ContractError):
-        TrialResult(0, 200, 100, 150, None, None, True)
+        TrialResult(0, 200, 100, 150, None, None)
 
 
 def test_sift_fraction_property():
-    assert _trial(0, 0, True, sifted=109).sift_fraction == Fraction(109, 200)
+    assert _trial(0, 0, sifted=109).sift_fraction == Fraction(109, 200)

@@ -2,7 +2,6 @@ import gc
 import itertools
 import tracemalloc
 import weakref
-from dataclasses import fields
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +27,6 @@ from qkdlab.protocols import (
     EveModel,
     ProtocolSpec,
     Scenario,
-    Transcript,
     _sample,
     alice_draws,
     outcome_table,
@@ -75,25 +73,18 @@ def _full(spec, scenario, eve, raw_bits, trial=0, seed=SEED):
     return full_trial(spec, scenario, eve, raw_bits, streams)
 
 
-def _assert_equals_masked_reference(transcript, full):
-    """The kernel's kept positions and arrays are the reference's arrays
-    masked by ``alice_bases == bob_bases``, dtypes included."""
-    for name, expected in masked(full).items():
-        got = getattr(transcript, name)
-        if expected is None:
-            assert got is None, name
-        else:
-            assert got.dtype == expected.dtype, name
-            np.testing.assert_array_equal(got, expected, err_msg=name)
+# The arrays ``run_trial`` returns, in order.
+TRIAL_ARRAYS = ("alice_values", "bob_values", "eve_values")
 
 
-def _assert_same_transcript(first, second):
-    for field in fields(Transcript):
-        a, b = getattr(first, field.name), getattr(second, field.name)
-        if isinstance(a, np.ndarray):
-            assert np.array_equal(a, b), field.name
+def _assert_same_trial(first, second):
+    """Two trials' arrays are equal, dtypes included; None matches only None."""
+    for name, a, b in zip(TRIAL_ARRAYS, first, second, strict=True):
+        if a is None or b is None:
+            assert a is b, name
         else:
-            assert a == b, field.name
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 def _probs(spec, scenario, value, basis, bob_basis):
@@ -257,10 +248,10 @@ def test_unknown_names_raise_config_error_listing_valid_values(scenario, eve, mo
         role_streams(SEED, scenario, eve)
 
     # A bad cell fails before any stream opens.
-    def no_streams(*args):
-        raise AssertionError("streams opened for an invalid cell")
+    def no_stream(*args):
+        raise AssertionError("a stream opened for an invalid cell")
 
-    monkeypatch.setattr(protocols, "role_streams", no_streams)
+    monkeypatch.setattr(RandomSource, "stream", no_stream)
     with pytest.raises(ConfigError, match=valid):
         run_experiment(BB84, scenario, eve, 1, 2, 1)
 
@@ -576,22 +567,18 @@ def test_standard_eve_is_transparent_when_bases_match():
                     _delta(spec.d_ab, value),
                     atol=1e-12,
                 )
-        transcript = _trial(spec, Scenario.CONTROL, EveModel.STANDARD, 200)
-        hits = [
-            i for i, (a, e) in enumerate(zip(transcript.bases, transcript.eve_bases))
-            if a == e
-        ]
-        assert hits
-        for i in hits:
-            assert transcript.eve_values[i] == transcript.alice_values[i]
-            assert transcript.bob_values[i] == transcript.control_values[i]
+        full = _full(spec, Scenario.CONTROL, EveModel.STANDARD, 200)
+        hits = full.mask & (full.eve_bases == full.alice_bases)
+        assert hits.any()
+        np.testing.assert_array_equal(full.eve_values[hits], full.alice_values[hits])
+        np.testing.assert_array_equal(full.bob_values[hits], full.control_values[hits])
 
 
 def test_standard_eve_wrong_basis_fraction():
     # Over the kept particles, about 1500 for BB84 and 1000 for SSP.
     for spec, expect in ((BB84, 0.5), (SSP, 2 / 3)):
-        transcript = _trial(spec, Scenario.CONTROL, EveModel.STANDARD, 3000)
-        wrong = np.mean(np.array(transcript.eve_bases) != np.array(transcript.bases))
+        full = _full(spec, Scenario.CONTROL, EveModel.STANDARD, 3000)
+        wrong = np.mean(full.eve_bases[full.mask] != full.alice_bases[full.mask])
         assert abs(wrong - expect) < 0.05
 
 
@@ -608,11 +595,10 @@ def test_hd_eve_reads_state_and_resends_it():
     assert HDBB84.value_basis(4) == (2, 0)
     for spec in ALL_SPECS:
         for scenario in (Scenario.CONVERSION, Scenario.RELABEL):
-            tapped = _trial(spec, scenario, EveModel.HD, 200)
+            alice, bob, eve = _trial(spec, scenario, EveModel.HD, 200)
             clean = _trial(spec, scenario, EveModel.NONE, 200)
-            assert np.array_equal(tapped.eve_values, tapped.alice_values)
-            assert np.array_equal(tapped.eve_bases, tapped.bases)
-            assert np.array_equal(tapped.bob_values, clean.bob_values)
+            assert np.array_equal(eve, alice)
+            assert np.array_equal(bob, clean[1])
             # The resent state is unchanged, so Bob sees exactly what he sees
             # without the tap, off-basis outcomes included (the full-length
             # reference samples those).
@@ -626,15 +612,16 @@ def test_hd_eve_reads_state_and_resends_it():
 # --- bob --------------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
+@pytest.mark.parametrize("spec", list(PROTOCOLS.values()), ids=lambda s: s.name)
 def test_bob_control_decode_matching_basis_is_exact(spec):
+    # Every matching-basis row is exactly the step at the value sent, so the
+    # control run without an eavesdropper samples Alice's value whatever the
+    # uniform: its sifted key is hers, which ``TrialResult.matches`` relies on.
+    table = outcome_table(spec, Scenario.CONTROL)
     for value in range(spec.d_ab):
+        step = (np.arange(spec.d_ab) >= value).astype(float)
         for basis in range(spec.basis_count):
-            np.testing.assert_allclose(
-                _probs(spec, Scenario.CONTROL, value, basis, basis),
-                _delta(spec.d_ab, value),
-                atol=1e-12,
-            )
+            assert np.array_equal(table[value, basis, basis], step), (value, basis)
 
 
 def test_bob_control_decode_mismatched_basis_is_uniform():
@@ -691,8 +678,8 @@ def test_bob_scenario2_concrete_relabel_rows():
 def test_bob_scenario2_off_basis_hdbb84_draws_two_bits():
     # The kernel samples no off-basis outcome: the full-length reference
     # samples Bob's values there from the uniform rows.
-    transcript = _full(HDBB84, Scenario.RELABEL, EveModel.NONE, 8000)
-    off = transcript.bob_values[~transcript.mask]
+    full = _full(HDBB84, Scenario.RELABEL, EveModel.NONE, 8000)
+    off = full.bob_values[~full.mask]
     counts = np.bincount(off, minlength=4) / len(off)
     np.testing.assert_allclose(counts, 0.25, atol=0.03)
 
@@ -715,71 +702,55 @@ def _forced(bob_bases):
     )
 
 
-def _kept_transcript(full):
-    """The kernel's transcript of full-length arrays: sift, then take every
+def _kept_values(full):
+    """The kernel's arrays of full-length ones: sift, then take every value
     array at the kept positions, as ``run_trial`` does."""
     kept = sift(full.alice_bases, full.bob_bases)
-
-    def take(array):
-        return None if array is None else array.take(kept)
-
-    return Transcript(
-        spec=BB84,
-        scenario=Scenario.CONTROL,
-        eve=EveModel.NONE,
-        kept=kept,
-        bases=full.alice_bases.take(kept),
-        alice_values=full.alice_values.take(kept),
-        eve_values=take(full.eve_values),
-        eve_bases=take(full.eve_bases),
-        bob_values=full.bob_values.take(kept),
-        control_values=full.control_values.take(kept),
-    )
+    eve_values = None if full.eve_values is None else full.eve_values.take(kept)
+    return full.alice_values.take(kept), full.bob_values.take(kept), eve_values
 
 
 def test_sift_all_bases_equal_keeps_everything():
     full = _forced((0,) * 6)
     assert np.array_equal(sift(full.alice_bases, full.bob_bases), range(6))
-    transcript = _kept_transcript(full)
-    assert len(transcript.alice_values) == 6
-    assert np.array_equal(transcript.alice_values, [1] * 6)
-    assert np.array_equal(transcript.bob_values, [1] * 6)
+    alice, bob, _ = _kept_values(full)
+    assert len(alice) == 6
+    assert np.array_equal(alice, [1] * 6)
+    assert np.array_equal(bob, [1] * 6)
 
 
 def test_sift_all_bases_different_keeps_nothing():
-    transcript = _kept_transcript(_forced((1,) * 6))
-    assert len(transcript.kept) == len(transcript.alice_values) == len(transcript.bob_values) == 0
+    full = _forced((1,) * 6)
+    alice, bob, _ = _kept_values(full)
+    assert len(sift(full.alice_bases, full.bob_bases)) == len(alice) == len(bob) == 0
 
 
 def test_sift_keeps_only_matching_bases():
-    transcript = _trial(BB84, Scenario.CONTROL, EveModel.NONE, 200)
+    alice, bob, eve = _trial(BB84, Scenario.CONTROL, EveModel.NONE, 200)
     full = _full(BB84, Scenario.CONTROL, EveModel.NONE, 200)
-    assert transcript.eve_values is None
+    assert eve is None
     pairs = zip(full.alice_bases, full.bob_bases)
     kept = [i for i, (a, b) in enumerate(pairs) if a == b]
     assert np.array_equal(sift(full.alice_bases, full.bob_bases), kept)
-    assert np.array_equal(transcript.kept, kept)
-    assert np.array_equal(transcript.alice_values, full.alice_values[kept])
-    assert np.array_equal(transcript.alice_values, transcript.bob_values)
+    assert np.array_equal(alice, full.alice_values[kept])
+    assert np.array_equal(alice, bob)
 
 
 def test_sift_discards_two_bit_chunks():
-    transcript = _trial(HDBB84, Scenario.CONTROL, EveModel.NONE, 200)
+    alice, bob, _ = _trial(HDBB84, Scenario.CONTROL, EveModel.NONE, 200)
     full = _full(HDBB84, Scenario.CONTROL, EveModel.NONE, 200)
-    alice, bob = transcript.alice_values, transcript.bob_values
     # Whole two-bit values are kept or dropped together.
     assert len(alice) == np.count_nonzero(full.mask)
     assert set(alice.tolist()) == {0, 1, 2, 3}
     assert np.array_equal(alice, bob)
 
 
-def _assert_kernel_and_matches_equal_masked_forms(transcript, full, monkeypatch):
-    _assert_equals_masked_reference(transcript, full)
-    # The run's matches flag for this transcript.
-    monkeypatch.setattr(protocols, "run_trial", lambda *args: transcript)
-    (result,) = run_experiment(
-        transcript.spec, transcript.scenario, transcript.eve, 1, 2, SEED
-    )
+def _assert_kernel_and_matches_equal_masked_forms(cell, trial, full, monkeypatch):
+    _assert_same_trial(trial, masked(full))
+    # The run's matches flag for this trial, against the reference's
+    # definition: Bob's sifted key equals the control run's.
+    monkeypatch.setattr(protocols, "run_trial", lambda *args: trial)
+    (result,) = run_experiment(*cell, 1, 2, SEED)
     mask = full.mask
     expected = np.array_equal(full.bob_values[mask], full.control_values[mask])
     assert result.matches is expected
@@ -791,13 +762,16 @@ def _assert_kernel_and_matches_equal_masked_forms(transcript, full, monkeypatch)
     "bob_bases", [(0,) * 6, (1,) * 6, (0, 1) * 3], ids=["all", "none", "alternating"]
 )
 def test_sift_and_matches_equal_masked_forms_on_forced_transcripts(bob_bases, monkeypatch):
+    cell = (BB84, Scenario.CONTROL, EveModel.NONE)
     full = _forced(bob_bases)
-    assert _assert_kernel_and_matches_equal_masked_forms(_kept_transcript(full), full, monkeypatch)
+    assert _assert_kernel_and_matches_equal_masked_forms(
+        cell, _kept_values(full), full, monkeypatch
+    )
     # Bob differs from the reference at every particle: matches fails where
     # anything is kept and holds where nothing is.
     differing = full._replace(bob_values=np.zeros(6, dtype=np.int64))
     assert _assert_kernel_and_matches_equal_masked_forms(
-        _kept_transcript(differing), differing, monkeypatch
+        cell, _kept_values(differing), differing, monkeypatch
     ) is not any(full.mask)
 
 
@@ -805,9 +779,11 @@ def test_sift_and_matches_equal_masked_forms_on_forced_transcripts(bob_bases, mo
     "spec,scenario,eve", GRID_CELLS, ids=lambda p: getattr(p, "value", getattr(p, "name", p))
 )
 def test_sift_and_matches_equal_masked_forms_on_trials(spec, scenario, eve, monkeypatch):
-    transcript = _trial(spec, scenario, eve, 200)
+    trial = _trial(spec, scenario, eve, 200)
     full = _full(spec, scenario, eve, 200)
-    matches = _assert_kernel_and_matches_equal_masked_forms(transcript, full, monkeypatch)
+    matches = _assert_kernel_and_matches_equal_masked_forms(
+        (spec, scenario, eve), trial, full, monkeypatch
+    )
     assert matches is (eve is not EveModel.STANDARD)
 
 
@@ -815,8 +791,8 @@ def test_mean_sifted_length_near_half_raw():
     lengths = []
     streams = full_streams(SEED)
     for _ in range(25):
-        transcript = run_trial(BB84, Scenario.CONTROL, EveModel.NONE, 200, streams)
-        lengths.append(len(transcript.alice_values))
+        alice, _, _ = run_trial(BB84, Scenario.CONTROL, EveModel.NONE, 200, streams)
+        lengths.append(len(alice))
     assert abs(np.mean(lengths) - 100) <= 10
 
 
@@ -824,13 +800,12 @@ def test_mean_sifted_length_near_half_raw():
 
 
 def test_run_trial_control_without_eve_is_error_free():
-    transcript = _trial(BB84, Scenario.CONTROL, EveModel.NONE, 200)
-    assert analysis.qber(transcript.alice_values, transcript.bob_values, 1) == 0
+    alice, bob, _ = _trial(BB84, Scenario.CONTROL, EveModel.NONE, 200)
+    assert analysis.qber(alice, bob, 1) == 0
 
 
 def test_run_trial_relabel_with_hd_eve_is_invisible_and_fully_known():
-    transcript = _trial(SSP, Scenario.RELABEL, EveModel.HD, 200)
-    alice, bob, eve = transcript.alice_values, transcript.bob_values, transcript.eve_values
+    alice, bob, eve = _trial(SSP, Scenario.RELABEL, EveModel.HD, 200)
     assert analysis.qber(alice, bob, 1) == 0
     assert analysis.knowledge(eve, alice, 1) == 1
     assert analysis.knowledge(eve, bob, 1) == 1
@@ -844,18 +819,7 @@ def test_run_trial_rejects_invalid_pairing():
 def test_run_trial_is_deterministic():
     first = _trial(SSP, Scenario.CONTROL, EveModel.STANDARD, 200)
     second = _trial(SSP, Scenario.CONTROL, EveModel.STANDARD, 200)
-    _assert_same_transcript(first, second)
-
-
-@pytest.mark.parametrize("eve", [EveModel.NONE, EveModel.HD], ids=lambda e: e.value)
-def test_transcript_arrays_are_read_only(eve):
-    transcript = _trial(HDBB84, Scenario.RELABEL, eve, 200)
-    arrays = [getattr(transcript, f.name) for f in fields(Transcript)]
-    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
-    assert len(arrays) == (7 if eve is EveModel.HD else 5)
-    for array in arrays:
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 1
+    _assert_same_trial(first, second)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
@@ -865,7 +829,7 @@ def test_scenarios_share_sifted_keys_without_eve(spec):
         for scenario in Scenario:
             streams = role_streams(SEED, scenario, EveModel.NONE)
             keys.append([
-                run_trial(spec, scenario, EveModel.NONE, 200, streams).bob_values
+                run_trial(spec, scenario, EveModel.NONE, 200, streams)[1]
                 for _ in range(trials)
             ])
         for control, conv, relabel in zip(*keys):
@@ -875,23 +839,28 @@ def test_scenarios_share_sifted_keys_without_eve(spec):
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
 def test_control_reference_equals_separate_control_run(spec):
-    reference = _trial(spec, Scenario.CONTROL, EveModel.NONE, 200, trial=4)
-    for scenario, eve in (
-        (Scenario.CONTROL, EveModel.STANDARD),
-        (Scenario.CONVERSION, EveModel.NONE),
-        (Scenario.RELABEL, EveModel.HD),
-    ):
-        transcript = _trial(spec, scenario, eve, 200, trial=4)
-        assert np.array_equal(transcript.control_values, reference.bob_values)
+    # A trial matches when Bob's sifted key equals that of the same-seed
+    # control run without an eavesdropper, here run on its own.
+    _, reference, _ = _trial(spec, Scenario.CONTROL, EveModel.NONE, 200, trial=4)
+    for _, scenario, eve in cli.GRID_ROWS:
+        _, bob, _ = _trial(spec, scenario, eve, 200, trial=4)
+        result = run_experiment(spec, scenario, eve, 5, 200, SEED)[4]
+        assert result.matches is np.array_equal(bob, reference)
+        assert result.matches is (eve is not EveModel.STANDARD)
 
 
 def test_alice_randomness_is_scenario_independent():
-    # Equal kept positions mean equal Bob bases at them, which are `bases`.
-    control = _trial(BB84, Scenario.CONTROL, EveModel.STANDARD, 200)
-    relabel = _trial(BB84, Scenario.RELABEL, EveModel.HD, 200)
-    assert np.array_equal(control.alice_values, relabel.alice_values)
-    assert np.array_equal(control.bases, relabel.bases)
-    assert np.array_equal(control.kept, relabel.kept)
+    # Alice's and Bob's roles draw alike in every cell, so the kept positions
+    # and their bases agree too (the full-length reference returns them).
+    cells = [(Scenario.CONTROL, EveModel.STANDARD), (Scenario.RELABEL, EveModel.HD)]
+    control, relabel = (
+        full_trial(BB84, scenario, eve, 200, role_streams(SEED, scenario, eve))
+        for scenario, eve in cells
+    )
+    for name in ("alice_values", "alice_bases", "bob_bases"):
+        assert np.array_equal(getattr(control, name), getattr(relabel, name)), name
+    control_alice, relabel_alice = (_trial(BB84, *cell, 200)[0] for cell in cells)
+    assert np.array_equal(control_alice, relabel_alice)
 
 
 # --- stream layout v3 ---------------------------------------------------------------------
@@ -957,7 +926,7 @@ def test_batched_role_draws_reproduce_trial_transcripts(spec, scenario, eve, raw
         batched[role] = _BatchRows(batch, bound)
     streams = role_streams(SEED, scenario, eve)
     for _ in range(trials):
-        _assert_same_transcript(
+        _assert_same_trial(
             run_trial(spec, scenario, eve, raw_bits, streams),
             run_trial(spec, scenario, eve, raw_bits, batched),
         )
@@ -1018,19 +987,17 @@ def test_sifted_kernel_equals_the_masked_full_length_reference(scenario, eve, pa
     spec = ProtocolSpec(next(_SPEC_NAMES), tuple(bases))
     trials, raw_bits, bits = 3, particles * spec.bits_per_particle, spec.bits_per_particle
     streams, reference = role_streams(seed, scenario, eve), full_streams(seed)
-    expected = []
+    expected, matches = [], []
     for trial in range(trials):
-        transcript = run_trial(spec, scenario, eve, raw_bits, streams)
         full = full_trial(spec, scenario, eve, raw_bits, reference)
-        _assert_equals_masked_reference(transcript, full)
+        _assert_same_trial(run_trial(spec, scenario, eve, raw_bits, streams), masked(full))
+        expected.append(analysis.score(trial, raw_bits, *masked(full), bits))
+        # The matches flag as defined: Bob's sifted key equals the control run's.
         mask = full.mask
-        eve_values = None if full.eve_values is None else full.eve_values[mask]
-        matches = np.array_equal(full.bob_values[mask], full.control_values[mask])
-        expected.append(analysis.score(
-            trial, raw_bits, full.alice_values[mask], full.bob_values[mask], eve_values, bits,
-            matches,
-        ))
-    assert run_experiment(spec, scenario, eve, trials, raw_bits, seed) == expected
+        matches.append(np.array_equal(full.bob_values[mask], full.control_values[mask]))
+    results = run_experiment(spec, scenario, eve, trials, raw_bits, seed)
+    assert results == expected
+    assert [result.matches for result in results] == matches
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
