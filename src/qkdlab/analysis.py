@@ -7,10 +7,8 @@ statistic once as a (numerator, denominator) pair of them; :func:`aggregate`
 returns their means under the same names.  An empty sifted key scores QBER
 0, as every trial without an eavesdropper must, and knowledge None
 (undefined), which the means skip, as they skip trials without an
-eavesdropper.  A trial matches when its sifted key has no errors: the key
-of the same-seed control run without an eavesdropper is Alice's key
-(``protocols`` module docstring), so Bob's key equals that run's key
-exactly when it equals Alice's.
+eavesdropper.  A trial matches when its sifted key has no errors, as the
+``protocols`` module docstring argues (Sifting and scoring).
 
 Trials are scored in integers (:func:`score`).  A ``fractions.Fraction`` is
 built only for a mean, or when a trial's statistic is read as one; every mean
@@ -76,24 +74,29 @@ def _fraction(pair: tuple[int, int] | None) -> Fraction | None:
     return None if pair is None else Fraction(*pair)
 
 
-def _check_values(bits_per_particle: int, *keys) -> None:
-    """Raise unless every value of ``keys`` lies in [0, 2**bits_per_particle)."""
+def _checked(bits_per_particle: int, *keys) -> list[np.ndarray]:
+    """``keys`` as arrays; raise unless each holds integers or bools, every
+    one in [0, 2**bits_per_particle)."""
     bound = 2**bits_per_particle
+    keys = [np.asarray(key) for key in keys]
     for key in keys:
-        if len(key) and not 0 <= int(np.min(key)) <= int(np.max(key)) < bound:
-            raise ContractError(f"values must lie in [0, {bound}), got {np.min(key)}..{np.max(key)}")
+        if key.size and key.dtype.kind not in "biu":
+            raise ContractError(f"values must be integers, got dtype {key.dtype}")
+        if key.size and not 0 <= int(key.min()) <= int(key.max()) < bound:
+            raise ContractError(f"values must lie in [0, {bound}), got {key.min()}..{key.max()}")
+    return keys
 
 
 def qber(alice, bob, bits_per_particle: int) -> Fraction:
     """Differing-bit fraction between the two sifted keys (0 on empty keys)."""
-    _check_values(bits_per_particle, alice, bob)
+    alice, bob = _checked(bits_per_particle, alice, bob)
     return Fraction(*_error_rate(*_key_errors(alice, bob, bits_per_particle)))
 
 
 def knowledge(eve_values, reference, bits_per_particle: int) -> Fraction | None:
     """Fraction of sifted bits where the eavesdropper's bit agrees (None on
     empty keys)."""
-    _check_values(bits_per_particle, eve_values, reference)
+    eve_values, reference = _checked(bits_per_particle, eve_values, reference)
     return _fraction(_agreement(*_eve_errors(eve_values, reference, bits_per_particle)))
 
 
@@ -156,6 +159,10 @@ class TrialResult:
     bob_errors: int | None
 
     def __post_init__(self) -> None:
+        if self.raw_len < 1:
+            raise ContractError(f"raw_len must be at least 1, got {self.raw_len}")
+        if not 0 <= self.key_size <= self.raw_len:
+            raise ContractError(f"key_size must lie in [0, {self.raw_len}], got {self.key_size}")
         for name in ("errors", "alice_errors", "bob_errors"):
             count = getattr(self, name)
             if count is not None and not 0 <= count <= self.key_size:

@@ -12,7 +12,6 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, analysis, gates, protocols
@@ -27,19 +26,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 
-# Row layout of the standard experiment grid: each protocol runs every
-# scenario without an eavesdropper plus the eavesdropper model each scenario
-# admits (standard intercept-resend in control, high-dimensional otherwise).
-GRID_ROWS = (
-    ("control", protocols.Scenario.CONTROL, protocols.EveModel.NONE),
-    ("scenario1", protocols.Scenario.CONVERSION, protocols.EveModel.NONE),
-    ("scenario2", protocols.Scenario.RELABEL, protocols.EveModel.NONE),
-    ("control_eve", protocols.Scenario.CONTROL, protocols.EveModel.STANDARD),
-    ("scenario1_eve", protocols.Scenario.CONVERSION, protocols.EveModel.HD),
-    ("scenario2_eve", protocols.Scenario.RELABEL, protocols.EveModel.HD),
-)
-
-
 def _resolve_seed(seed: int | None) -> int:
     """The ``--seed`` value, else ``QKDLAB_SEED``, else ``DEFAULT_SEED``;
     a negative seed is a ``ConfigError``."""
@@ -53,20 +39,16 @@ def _resolve_seed(seed: int | None) -> int:
     return seed
 
 
-def _round(value):
-    """A Fraction to four decimals; ints, bools and None unchanged."""
-    return round(float(value), 4) if isinstance(value, Fraction) else value
+def _ratio4(pair):
+    """A (numerator, denominator) pair to four decimals, or None: the one
+    rounding rule of trial rows and means."""
+    return None if pair is None else round(pair[0] / pair[1], 4)
 
 
 def _rounded(means: dict) -> dict:
-    return {name: _round(value) for name, value in means.items()}
-
-
-def _ratio4(pair):
-    """A (numerator, denominator) pair to four decimals, or None.  ``n / d``
-    and ``float(Fraction(n, d))`` both round correctly, so this is the float
-    ``_round`` gives for the same Fraction."""
-    return None if pair is None else round(pair[0] / pair[1], 4)
+    """``aggregate``'s Fractions through ``_ratio4``; ``n / d`` rounds
+    correctly, as ``float(Fraction(n, d))`` does."""
+    return {name: _ratio4(m if m is None else m.as_integer_ratio()) for name, m in means.items()}
 
 
 # The statistics a trial row writes to four decimals; key_size stays an int
@@ -202,13 +184,9 @@ def _emit(text: str, out: str | Path | None) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     _check_writable(args.out)
+    spec = protocols.PROTOCOLS[args.protocol]
     results = protocols.run_experiment(
-        protocols.PROTOCOLS[args.protocol],
-        protocols.Scenario(args.scenario),
-        protocols.EveModel(args.eve),
-        args.trials,
-        args.raw_bits,
-        args.seed,
+        spec, args.scenario, args.eve, args.trials, args.raw_bits, args.seed
     )
     config = {
         "protocol": args.protocol,
@@ -257,7 +235,7 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
     for name, table_path in table_paths.items():
         spec = protocols.PROTOCOLS[name]
         rows = []
-        for label, scenario, eve in GRID_ROWS:
+        for (scenario, eve), label in protocols.CELLS.items():
             results = protocols.run_experiment(
                 spec, scenario, eve, DEFAULT_TRIALS, DEFAULT_RAW_BITS, args.seed
             )

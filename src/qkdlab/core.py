@@ -15,6 +15,7 @@ interact.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,15 @@ class ValidationError(SimulationError):
 
 class ConfigError(SimulationError):
     """An invalid run configuration was supplied."""
+
+
+def integral(value, name: str) -> int:
+    """``value`` as an int, if ``operator.index`` takes it (a Python or numpy
+    integer); anything else is a ``ConfigError`` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def basis_state(dim: int, k: int) -> np.ndarray:
@@ -87,7 +97,7 @@ class RandomSource:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
+        if integral(self.seed, "seed") < 0:
             raise ConfigError("seed must be a non-negative integer")
 
     def stream(self, role: str) -> np.random.Generator:

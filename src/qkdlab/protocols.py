@@ -100,7 +100,7 @@ from enum import Enum
 import numpy as np
 
 from . import analysis, gates
-from .core import ConfigError, RandomSource
+from .core import ConfigError, RandomSource, integral
 from .gates import PROTOCOLS, ProtocolSpec, spec_cached
 
 
@@ -145,16 +145,30 @@ def _member(kind: type[Enum], name, what: str):
         raise ConfigError(f"unknown {what} {name!r}; valid: {valid}") from None
 
 
+# The (scenario, eavesdropper) cells that run, with their paper row labels, in
+# `reproduce-paper` order: every scenario without an eavesdropper, plus
+# intercept-resend in control and the high-dimensional attack in conv and
+# relabel, which carry the d_e qudit.
+CELLS = {
+    (Scenario.CONTROL, EveModel.NONE): "control",
+    (Scenario.CONVERSION, EveModel.NONE): "scenario1",
+    (Scenario.RELABEL, EveModel.NONE): "scenario2",
+    (Scenario.CONTROL, EveModel.STANDARD): "control_eve",
+    (Scenario.CONVERSION, EveModel.HD): "scenario1_eve",
+    (Scenario.RELABEL, EveModel.HD): "scenario2_eve",
+}
+
+
 def validate_pairing(scenario: Scenario, eve: EveModel) -> tuple[Scenario, EveModel]:
-    """The scenario and eavesdropper for their names, if they pair: standard
-    intercept-resend runs only in the control scenario; the high-dimensional
-    eavesdropper needs a d_e channel."""
+    """The scenario and eavesdropper for their names, if they form a cell of ``CELLS``."""
     scenario = _member(Scenario, scenario, "scenario")
     eve = _member(EveModel, eve, "eavesdropper")
-    if eve is EveModel.STANDARD and scenario is not Scenario.CONTROL:
-        raise ConfigError("a standard eavesdropper only applies to the control scenario")
-    if eve is EveModel.HD and scenario is Scenario.CONTROL:
-        raise ConfigError("a high-dimensional eavesdropper needs the conv or relabel scenario")
+    if (scenario, eve) not in CELLS:
+        valid = ", ".join(f"{s.value}/{e.value}" for s, e in CELLS)
+        raise ConfigError(
+            f"eavesdropper {eve.value!r} does not pair with scenario {scenario.value!r}; "
+            f"valid scenario/eavesdropper cells: {valid}"
+        )
     return scenario, eve
 
 
@@ -218,6 +232,7 @@ def alice_draws(
     spec: ProtocolSpec, raw_bits: int, streams: dict[str, np.random.Generator]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw one value and one encoding basis per particle."""
+    raw_bits = integral(raw_bits, "raw_bits")
     if raw_bits <= 0 or raw_bits % spec.bits_per_particle:
         raise ConfigError(
             f"raw_bits must be a positive multiple of {spec.bits_per_particle}"
@@ -287,12 +302,10 @@ def run_experiment(
     raw_bits: int,
     seed: int,
 ) -> list[analysis.TrialResult]:
-    """Run several trials on one set of role streams and score each.
-
-    A trial's ``matches`` flag compares Bob's sifted key with that of the
-    same-seed control run without an eavesdropper, which is Alice's (module
-    docstring, Sifting and scoring).
-    """
+    """Run several trials on one set of role streams and score each; a
+    trial's ``matches`` is defined in the module docstring (Sifting and
+    scoring)."""
+    trials = integral(trials, "trials")
     if trials < 1:
         raise ConfigError("trials must be at least 1")
     if trials > MAX_TRIALS:

@@ -200,5 +200,26 @@ def test_trial_result_validates_fractions():
         TrialResult(0, 200, 100, 150, None, None)
 
 
+@pytest.mark.parametrize(
+    "raw_len,key_size,bad",
+    [(4, 9, "key_size"), (4, -1, "key_size"), (0, 0, "raw_len"), (-2, 0, "raw_len")],
+)
+def test_trial_result_rejects_impossible_counts(raw_len, key_size, bad):
+    # More sifted bits than raw bits, or no raw bits, is checked before the
+    # error counts, which would otherwise name a misleading bound.
+    with pytest.raises(ContractError, match=f"^{bad} must"):
+        TrialResult(0, raw_len, key_size, 0, None, None)
+
+
+@pytest.mark.parametrize("statistic", [qber, knowledge])
+def test_key_statistics_take_lists_and_bools_but_not_floats(statistic):
+    assert statistic([1, 0], [0, 0], 1) == Fraction(1, 2)
+    assert statistic(np.array([True, True]), np.array([True, False]), 1) == Fraction(1, 2)
+    with pytest.raises(ContractError, match="integers"):
+        statistic(np.array([1.0]), np.array([0.0]), 1)
+    with pytest.raises(ContractError, match="integers"):
+        statistic([1, 0], [0.5, 0], 1)
+
+
 def test_sift_fraction_property():
     assert _trial(0, 0, sifted=109).sift_fraction == Fraction(109, 200)

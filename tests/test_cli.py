@@ -105,6 +105,9 @@ def test_run_rejects_invalid_pairing(capsys):
     )
     assert code == cli.EXIT_CONFIG
     assert "eavesdropper" in err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    cells = ("control/none", "conv/none", "relabel/none", "control/standard", "conv/hd", "relabel/hd")
+    assert all(cell in err for cell in cells)
 
 
 def test_run_rejects_unknown_protocol():
@@ -388,7 +391,7 @@ def test_render_json_equals_indented_json_dumps(doc):
 GRID_CELLS = [
     (protocols.PROTOCOLS[name], scenario, eve)
     for name in gates.PAPER_PROTOCOLS
-    for _, scenario, eve in cli.GRID_ROWS
+    for scenario, eve in protocols.CELLS
 ]
 
 

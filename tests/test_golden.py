@@ -24,14 +24,14 @@ from pathlib import Path
 
 import pytest
 
-from qkdlab import analysis, cli, gates
+from qkdlab import analysis, cli, gates, protocols
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SEED = "7"
 CELLS = [
     (protocol, scenario.value, eve.value)
     for protocol in ("bb84", "hdbb84", "ssp")
-    for _, scenario, eve in cli.GRID_ROWS
+    for scenario, eve in protocols.CELLS
 ]
 PAPER_FILES = ("results_bb84.csv", "results_hdbb84.csv", "results_ssp.csv", "qber_with_eve.csv")
 STDOUT_FILES = {

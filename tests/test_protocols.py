@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdlab import analysis, cli, gates, protocols
+from qkdlab import analysis, gates, protocols
 from qkdlab.core import (
     ATOL,
     ConfigError,
@@ -20,6 +20,7 @@ from qkdlab.core import (
 )
 from qkdlab.protocols import (
     BB84,
+    CELLS,
     HDBB84,
     MAX_RAW_BITS,
     PROTOCOLS,
@@ -48,9 +49,7 @@ SEED = 2
 TRIAL_COUNTS = (1, 7, 25)
 SQRT2 = 2**-0.5
 ALL_SPECS = (BB84, HDBB84, SSP)
-GRID_CELLS = [
-    (spec, scenario, eve) for spec in ALL_SPECS for _, scenario, eve in cli.GRID_ROWS
-]
+GRID_CELLS = [(spec, scenario, eve) for spec in ALL_SPECS for scenario, eve in CELLS]
 
 
 def _rng(tag, seed=SEED):
@@ -254,6 +253,48 @@ def test_unknown_names_raise_config_error_listing_valid_values(scenario, eve, mo
     monkeypatch.setattr(RandomSource, "stream", no_stream)
     with pytest.raises(ConfigError, match=valid):
         run_experiment(BB84, scenario, eve, 1, 2, 1)
+
+
+# The paper's six (scenario, eavesdropper) cells, written out here rather
+# than read from CELLS.
+PAPER_CELLS = [
+    ("control", "none"),
+    ("conv", "none"),
+    ("relabel", "none"),
+    ("control", "standard"),
+    ("conv", "hd"),
+    ("relabel", "hd"),
+]
+
+
+@pytest.mark.parametrize("scenario", [s.value for s in Scenario])
+@pytest.mark.parametrize("eve", [e.value for e in EveModel])
+def test_exactly_the_paper_cells_pair(scenario, eve):
+    if (scenario, eve) in PAPER_CELLS:
+        assert validate_pairing(scenario, eve) == (Scenario(scenario), EveModel(eve))
+        return
+    with pytest.raises(ConfigError, match="eavesdropper") as excinfo:
+        validate_pairing(scenario, eve)
+    message = str(excinfo.value)
+    assert repr(scenario) in message and repr(eve) in message
+    for cell in PAPER_CELLS:
+        assert "/".join(cell) in message
+
+
+@pytest.mark.parametrize("bad", [1.5, 4.0, "4", None])
+def test_non_integral_run_sizes_and_seeds_are_config_errors(bad):
+    with pytest.raises(ConfigError, match="trials must be an integer"):
+        run_experiment(BB84, "control", "none", bad, 200, 1)
+    with pytest.raises(ConfigError, match="raw_bits must be an integer"):
+        run_experiment(BB84, "control", "none", 2, bad, 1)
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        run_experiment(BB84, "control", "none", 2, 200, bad)
+
+
+def test_numpy_integer_run_sizes_and_seeds_are_accepted():
+    results = run_experiment(BB84, "control", "none", np.int64(3), np.int32(8), np.uint8(1))
+    assert [r.raw_len for r in results] == [8, 8, 8]
+    assert results == run_experiment(BB84, "control", "none", 3, 8, 1)
 
 
 def test_validate_pairing_converts_names():
@@ -750,7 +791,8 @@ def _assert_kernel_and_matches_equal_masked_forms(cell, trial, full, monkeypatch
     # The run's matches flag for this trial, against the reference's
     # definition: Bob's sifted key equals the control run's.
     monkeypatch.setattr(protocols, "run_trial", lambda *args: trial)
-    (result,) = run_experiment(*cell, 1, 2, SEED)
+    raw_bits = len(full.alice_values) * cell[0].bits_per_particle
+    (result,) = run_experiment(*cell, 1, raw_bits, SEED)
     mask = full.mask
     expected = np.array_equal(full.bob_values[mask], full.control_values[mask])
     assert result.matches is expected
@@ -842,7 +884,7 @@ def test_control_reference_equals_separate_control_run(spec):
     # A trial matches when Bob's sifted key equals that of the same-seed
     # control run without an eavesdropper, here run on its own.
     _, reference, _ = _trial(spec, Scenario.CONTROL, EveModel.NONE, 200, trial=4)
-    for _, scenario, eve in cli.GRID_ROWS:
+    for scenario, eve in CELLS:
         _, bob, _ = _trial(spec, scenario, eve, 200, trial=4)
         result = run_experiment(spec, scenario, eve, 5, 200, SEED)[4]
         assert result.matches is np.array_equal(bob, reference)
@@ -947,7 +989,7 @@ CELL_ROLES = {
 
 
 def test_cell_roles_cover_the_grid_pairings():
-    assert sorted(CELL_ROLES) == sorted((s, e) for _, s, e in cli.GRID_ROWS)
+    assert sorted(CELL_ROLES) == sorted(CELLS)
 
 
 @pytest.mark.parametrize(
