@@ -75,11 +75,13 @@ def _fraction(pair: tuple[int, int] | None) -> Fraction | None:
 
 
 def _checked(bits_per_particle: int, *keys) -> list[np.ndarray]:
-    """``keys`` as arrays; raise unless each holds integers or bools, every
-    one in [0, 2**bits_per_particle)."""
+    """``keys`` as arrays; raise unless each is one-dimensional and holds
+    integers or bools, every one in [0, 2**bits_per_particle)."""
     bound = 2**bits_per_particle
     keys = [np.asarray(key) for key in keys]
     for key in keys:
+        if key.ndim != 1:
+            raise ContractError(f"a key must be one-dimensional, got shape {key.shape}")
         if key.size and key.dtype.kind not in "biu":
             raise ContractError(f"values must be integers, got dtype {key.dtype}")
         if key.size and not 0 <= int(key.min()) <= int(key.max()) < bound:

@@ -2,12 +2,20 @@
 
 Exit codes: 0 on success, 1 when a validation suite fails, 2 for
 configuration/usage errors and for output that cannot be written.
+
+``main(argv)`` builds its parser once per process, on first use, so repeated
+calls (tests, the benchmark harness) pay only the parse; a one-shot
+``qkdlab`` command builds it once, as before.  ``--protocol`` reads the
+registry ``protocols.PROTOCOLS`` when it parses, so a protocol registered
+after that first call is accepted too, and usage lists the protocols in
+registration order.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -259,6 +267,7 @@ def cmd_hypothesis_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qkdlab",
@@ -267,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one experiment configuration")
-    run.add_argument("--protocol", required=True, choices=sorted(protocols.PROTOCOLS))
+    run.add_argument("--protocol", required=True, choices=protocols.PROTOCOLS)
     run.add_argument("--scenario", default="control", choices=[s.value for s in protocols.Scenario])
     run.add_argument("--eve", default="none", choices=[e.value for e in protocols.EveModel])
     run.add_argument("--trials", type=int, default=DEFAULT_TRIALS)

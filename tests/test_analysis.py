@@ -221,5 +221,17 @@ def test_key_statistics_take_lists_and_bools_but_not_floats(statistic):
         statistic([1, 0], [0.5, 0], 1)
 
 
+@pytest.mark.parametrize("statistic", [qber, knowledge])
+def test_key_statistics_reject_keys_that_are_not_one_dimensional(statistic):
+    # The bit total counts rows, the popcount every element: a 2-D key would
+    # read one differing bit of four as 1/2.
+    with pytest.raises(ContractError, match=r"one-dimensional, got shape \(2, 2\)"):
+        statistic(np.array([[1, 0], [0, 0]]), np.zeros((2, 2), int), 1)
+    with pytest.raises(ContractError, match=r"one-dimensional, got shape \(\)"):
+        statistic(1, 0, 1)
+    with pytest.raises(ContractError, match="one-dimensional"):
+        statistic([1, 0], np.zeros((2, 1), int), 1)
+
+
 def test_sift_fraction_property():
     assert _trial(0, 0, sifted=109).sift_fraction == Fraction(109, 200)

@@ -1,5 +1,7 @@
+import argparse
 import csv
 import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -114,6 +116,60 @@ def test_run_rejects_unknown_protocol():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["run", "--protocol", "b92"])
     assert excinfo.value.code == cli.EXIT_CONFIG
+
+
+def test_main_calls_share_one_parser(capsys, monkeypatch):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    for _ in range(2):
+        _run(capsys, ["hypothesis-table"])
+    assert len(parsers) == 2
+    assert parsers[0] is parsers[1] is cli.build_parser()
+
+
+def test_the_parser_accepts_a_protocol_registered_after_it_was_built(capsys, monkeypatch):
+    _run(capsys, ["hypothesis-table"])  # builds the parser
+    copy = gates.ProtocolSpec("bb84copy", gates.PROTOCOLS["bb84"].bases)
+    monkeypatch.setitem(gates.PROTOCOLS, copy.name, copy)
+    code, out, _ = _run(
+        capsys,
+        ["run", "--protocol", copy.name, "--trials", "1", "--raw-bits", "2", "--seed", "1",
+         "--format", "json"],
+    )
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["config"]["protocol"] == copy.name
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["run", "--help"])
+    assert excinfo.value.code == cli.EXIT_OK
+    assert "{bb84,hdbb84,ssp,bb84copy}" in capsys.readouterr().out
+
+
+def test_a_usage_error_leaves_later_calls_unchanged(capsys, monkeypatch):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["run", "--protocol", "nope"])
+    assert excinfo.value.code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "qkdlab run: error: argument --protocol: invalid choice: 'nope' "
+        "(choose from 'bb84', 'hdbb84', 'ssp')"
+    )
+    golden = json.loads((Path(__file__).parent / "golden" / "short_digests.json").read_text())
+    argv = ["run", "--protocol", "bb84", "--format", "json", "--trials", "150", "--raw-bits", "16"]
+    code, out, _ = _run(capsys, [*argv, "--seed", "1"])
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == golden["bb84/control/none"]
+    # A seed is never carried over from an earlier call.
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    _, out, _ = _run(capsys, argv)
+    assert json.loads(out)["config"]["seed"] == cli.DEFAULT_SEED != 1
+    monkeypatch.setenv(cli.SEED_ENV, "123")
+    _, out, _ = _run(capsys, argv)
+    assert json.loads(out)["config"]["seed"] == 123
 
 
 def test_run_writes_out_file(tmp_path, capsys):
