@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import ContractError
+from .core import ContractError, integral
 
 
 class EmptySiftWarning(UserWarning):
@@ -36,10 +36,8 @@ _POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uin
 
 
 def _bit_errors(a, b, bits_per_particle: int, what: str, empty: str) -> tuple[int, int]:
-    """Differing and total bits of two per-particle value arrays; the
+    """Differing and total bits of two value arrays of checked width; the
     differing bits are the popcount of ``a ^ b``.  Warns on empty keys."""
-    if not 1 <= bits_per_particle <= 8:
-        raise ContractError(f"bits per particle must be 1..8, got {bits_per_particle}")
     if len(a) != len(b):
         raise ContractError(
             f"{what} lengths differ: {len(a) * bits_per_particle} vs {len(b) * bits_per_particle}"
@@ -74,10 +72,11 @@ def _fraction(pair: tuple[int, int] | None) -> Fraction | None:
     return None if pair is None else Fraction(*pair)
 
 
-def _checked(bits_per_particle: int, *keys) -> list[np.ndarray]:
-    """``keys`` as arrays; raise unless each is one-dimensional and holds
-    integers or bools, every one in [0, 2**bits_per_particle)."""
-    bound = 2**bits_per_particle
+def _checked(bits_per_particle: int, *keys) -> tuple[int, list[np.ndarray]]:
+    """``bits_per_particle`` (1..8) as an int and ``keys`` as arrays; raise unless
+    each is one-dimensional and holds integers or bools, all in [0, 2**bits)."""
+    bits = integral(bits_per_particle, "bits per particle", low=1, high=8, error=ContractError)
+    bound = 2**bits
     keys = [np.asarray(key) for key in keys]
     for key in keys:
         if key.ndim != 1:
@@ -86,20 +85,20 @@ def _checked(bits_per_particle: int, *keys) -> list[np.ndarray]:
             raise ContractError(f"values must be integers, got dtype {key.dtype}")
         if key.size and not 0 <= int(key.min()) <= int(key.max()) < bound:
             raise ContractError(f"values must lie in [0, {bound}), got {key.min()}..{key.max()}")
-    return keys
+    return bits, keys
 
 
 def qber(alice, bob, bits_per_particle: int) -> Fraction:
     """Differing-bit fraction between the two sifted keys (0 on empty keys)."""
-    alice, bob = _checked(bits_per_particle, alice, bob)
-    return Fraction(*_error_rate(*_key_errors(alice, bob, bits_per_particle)))
+    bits, (alice, bob) = _checked(bits_per_particle, alice, bob)
+    return Fraction(*_error_rate(*_key_errors(alice, bob, bits)))
 
 
 def knowledge(eve_values, reference, bits_per_particle: int) -> Fraction | None:
     """Fraction of sifted bits where the eavesdropper's bit agrees (None on
     empty keys)."""
-    eve_values, reference = _checked(bits_per_particle, eve_values, reference)
-    return _fraction(_agreement(*_eve_errors(eve_values, reference, bits_per_particle)))
+    bits, (eve_values, reference) = _checked(bits_per_particle, eve_values, reference)
+    return _fraction(_agreement(*_eve_errors(eve_values, reference, bits)))
 
 
 def intercept_resend_error(spec) -> Fraction:
@@ -117,15 +116,15 @@ def detection_probability(spec, compared_bits: int) -> float:
     eavesdropper: 1 - (1 - e)^(K / bits_per_particle), with e the
     per-particle :func:`intercept_resend_error`.  That is 1 - (3/4)^K for
     BB84, 1 - (2/3)^K for SSP and 1 - (5/8)^(K/2) for HD-BB84, whose bit
-    pairs are compared whole."""
-    if compared_bits < 0:
-        raise ContractError("compared bit count must be non-negative")
-    if compared_bits % spec.bits_per_particle:
-        raise ContractError(
-            f"compared bit count must be a multiple of {spec.bits_per_particle}"
-        )
-    particles = compared_bits // spec.bits_per_particle
-    return 1.0 - float(1 - intercept_resend_error(spec)) ** particles
+    pairs are compared whole.  A K beyond the float range gives the limit."""
+    compared_bits = integral(
+        compared_bits, "compared bits", low=0, multiple=spec.bits_per_particle, error=ContractError
+    )
+    error = intercept_resend_error(spec)
+    try:
+        return 1.0 - float(1 - error) ** (compared_bits // spec.bits_per_particle)
+    except OverflowError:  # float ** int converts the int: the power is its limit
+        return 1.0 if error else 0.0
 
 
 # Each statistic of a trial as a (numerator, denominator) pair of its counts,
@@ -161,14 +160,12 @@ class TrialResult:
     bob_errors: int | None
 
     def __post_init__(self) -> None:
-        if self.raw_len < 1:
-            raise ContractError(f"raw_len must be at least 1, got {self.raw_len}")
-        if not 0 <= self.key_size <= self.raw_len:
-            raise ContractError(f"key_size must lie in [0, {self.raw_len}], got {self.key_size}")
-        for name in ("errors", "alice_errors", "bob_errors"):
-            count = getattr(self, name)
-            if count is not None and not 0 <= count <= self.key_size:
-                raise ContractError(f"{name} must lie in [0, {self.key_size}], got {count}")
+        integral(self.raw_len, "raw_len", low=1, error=ContractError)
+        integral(self.key_size, "key_size", low=0, high=self.raw_len, error=ContractError)
+        integral(self.errors, "errors", low=0, high=self.key_size, error=ContractError)
+        for name in ("alice_errors", "bob_errors"):
+            if getattr(self, name) is not None:
+                integral(getattr(self, name), name, low=0, high=self.key_size, error=ContractError)
 
     def ratio(self, name: str) -> tuple[int, int] | None:
         """Statistic ``name`` as a (numerator, denominator) pair of ints, or
@@ -201,11 +198,12 @@ def score(trial: int, raw_len: int, alice, bob, eve_values, bits_per_particle: i
     differ from Alice's and, with an eavesdropper, where hers differ from
     Alice's and from Bob's.  Warns on an empty key as :func:`qber` and
     :func:`knowledge` do."""
-    errors, key_size = _key_errors(alice, bob, bits_per_particle)
+    bits = integral(bits_per_particle, "bits per particle", low=1, high=8, error=ContractError)
+    errors, key_size = _key_errors(alice, bob, bits)
     alice_errors = bob_errors = None
     if eve_values is not None:
-        alice_errors = _eve_errors(eve_values, alice, bits_per_particle)[0]
-        bob_errors = _eve_errors(eve_values, bob, bits_per_particle)[0]
+        alice_errors = _eve_errors(eve_values, alice, bits)[0]
+        bob_errors = _eve_errors(eve_values, bob, bits)[0]
     return TrialResult(trial, raw_len, key_size, errors, alice_errors, bob_errors)
 
 

@@ -5,6 +5,8 @@ States are 1-D ``complex128`` numpy arrays and gates are square
 Kronecker product of its parts, row-major with the first part most significant.
 This module builds basis states and checks unitarity and equality up to a
 global phase, both within ``ATOL``, the one tolerance of every gate check.
+:func:`integral` is the one rule for counts: an integer in range, or an error
+that reads ``<name> must be <rule>, got <value>``.
 
 All randomness flows through :class:`RandomSource`, which hands out disjoint,
 reproducible generator streams, one per role (a named consumer of random draws,
@@ -39,13 +41,23 @@ class ConfigError(SimulationError):
     """An invalid run configuration was supplied."""
 
 
-def integral(value, name: str) -> int:
-    """``value`` as an int, if ``operator.index`` takes it (a Python or numpy
-    integer); anything else is a ``ConfigError`` naming ``name``."""
+def integral(value, name: str, *, low=None, high=None, multiple=1, error=ConfigError) -> int:
+    """``value`` as an int if ``operator.index`` takes it (a Python or numpy integer)
+    and it is at least ``low``, at most ``high`` and a multiple of ``multiple``,
+    tested in that order; otherwise an ``error`` in the module docstring's shape."""
     try:
-        return operator.index(value)
+        number = operator.index(value)
     except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and number < low:
+        rule = f"at least {low}"
+    elif high is not None and number > high:
+        rule = f"at most {high}"
+    elif number % multiple:
+        rule = f"a multiple of {multiple}"
+    else:
+        return number
+    raise error(f"{name} must be {rule}, got {number}")
 
 
 def basis_state(dim: int, k: int) -> np.ndarray:
@@ -97,8 +109,7 @@ class RandomSource:
     seed: int
 
     def __post_init__(self) -> None:
-        if integral(self.seed, "seed") < 0:
-            raise ConfigError("seed must be a non-negative integer")
+        integral(self.seed, "seed", low=0)
 
     def stream(self, role: str) -> np.random.Generator:
         code = int.from_bytes(role.encode("utf-8"), "big")

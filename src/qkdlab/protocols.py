@@ -178,7 +178,7 @@ def outcome_table(spec: ProtocolSpec, scenario: Scenario) -> np.ndarray:
     read-only: each row is the distribution of the value Bob reads from one
     (value, basis) channel state.  The control table also serves the standard
     eavesdropper, who decodes in her guessed basis."""
-    scenario = Scenario(scenario)
+    scenario = _member(Scenario, scenario, "scenario")
     k, d = spec.basis_count, spec.d_ab
     rows = []
     for value, basis in np.ndindex(d, k):
@@ -232,14 +232,8 @@ def alice_draws(
     spec: ProtocolSpec, raw_bits: int, streams: dict[str, np.random.Generator]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw one value and one encoding basis per particle."""
-    raw_bits = integral(raw_bits, "raw_bits")
-    if raw_bits <= 0 or raw_bits % spec.bits_per_particle:
-        raise ConfigError(
-            f"raw_bits must be a positive multiple of {spec.bits_per_particle}"
-        )
-    if raw_bits > MAX_RAW_BITS:
-        raise ConfigError(f"raw_bits must be at most {MAX_RAW_BITS}, got {raw_bits}")
-    particles = raw_bits // spec.bits_per_particle
+    bits = spec.bits_per_particle
+    particles = integral(raw_bits, "raw_bits", low=1, high=MAX_RAW_BITS, multiple=bits) // bits
     values = streams["alice-values"].integers(0, spec.d_ab, size=particles)
     bases = streams["alice-bases"].integers(0, spec.basis_count, size=particles)
     return values, bases
@@ -305,11 +299,7 @@ def run_experiment(
     """Run several trials on one set of role streams and score each; a
     trial's ``matches`` is defined in the module docstring (Sifting and
     scoring)."""
-    trials = integral(trials, "trials")
-    if trials < 1:
-        raise ConfigError("trials must be at least 1")
-    if trials > MAX_TRIALS:
-        raise ConfigError(f"trials must be at most {MAX_TRIALS}, got {trials}")
+    trials = integral(trials, "trials", low=1, high=MAX_TRIALS)
     streams = role_streams(seed, scenario, eve)
     bits = spec.bits_per_particle
     return [

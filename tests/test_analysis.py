@@ -81,6 +81,15 @@ def test_qber_rejects_unsupported_value_width():
         qber(_key("01"), _key("01"), 9)
 
 
+@pytest.mark.parametrize("statistic", [qber, knowledge])
+@pytest.mark.parametrize("bits", [1.5, "4", 0])
+def test_key_statistics_reject_bit_widths_that_are_not_counts(statistic, bits):
+    # 1.5 used to score 1/3.0 into a TypeError from Fraction, "4" a TypeError
+    # from 2 ** "4".
+    with pytest.raises(ContractError, match="^bits per particle must be"):
+        statistic(_key("01"), _key("00"), bits)
+
+
 def test_qber_empty_keys_warn_and_return_zero():
     with pytest.warns(EmptySiftWarning):
         assert qber(_key(""), _key(""), 1) == 0
@@ -156,6 +165,23 @@ def test_detection_probability_rejects_partial_particles():
         detection_probability(HDBB84, 3)
 
 
+@pytest.mark.parametrize("bad", [4.0, "4", None])
+def test_detection_probability_rejects_counts_that_are_not_integers(bad):
+    # 4.0 used to return 0.68359375, "4" to raise TypeError.
+    with pytest.raises(ContractError, match="^compared bits must be an integer"):
+        detection_probability(BB84, bad)
+
+
+def test_detection_probability_beyond_the_float_range_is_its_limit():
+    # (1 - e) ** K converts K to a float, which overflows past about 1.8e308.
+    assert detection_probability(BB84, 10**400) == 1.0
+    assert detection_probability(HDBB84, 2 * 10**400) == 1.0
+    # One basis: the eavesdropper always guesses it, so e = 0 and nothing shows.
+    one_basis = ProtocolSpec("one-basis", (np.eye(2),))
+    assert intercept_resend_error(one_basis) == 0
+    assert detection_probability(one_basis, 10**400) == 0.0
+
+
 def _trial(i, errors, sifted=100):
     return TrialResult(
         trial=i,
@@ -202,13 +228,36 @@ def test_trial_result_validates_fractions():
 
 @pytest.mark.parametrize(
     "raw_len,key_size,bad",
-    [(4, 9, "key_size"), (4, -1, "key_size"), (0, 0, "raw_len"), (-2, 0, "raw_len")],
+    [
+        (4, 9, "key_size"),
+        (4, -1, "key_size"),
+        (0, 0, "raw_len"),
+        (-2, 0, "raw_len"),
+        (2.5, 1, "raw_len"),
+        (4, 1.0, "key_size"),
+    ],
 )
 def test_trial_result_rejects_impossible_counts(raw_len, key_size, bad):
     # More sifted bits than raw bits, or no raw bits, is checked before the
-    # error counts, which would otherwise name a misleading bound.
+    # error counts, which would otherwise name a misleading bound; so is a
+    # count that is not an integer.
     with pytest.raises(ContractError, match=f"^{bad} must"):
         TrialResult(0, raw_len, key_size, 0, None, None)
+
+
+@pytest.mark.parametrize("name", ["errors", "alice_errors", "bob_errors"])
+def test_trial_result_rejects_error_counts_that_are_not_integers(name):
+    counts = {"errors": 0, "alice_errors": 0, "bob_errors": 0, name: 1.0}
+    with pytest.raises(ContractError, match=f"^{name} must be an integer, got 1.0"):
+        TrialResult(0, 4, 2, **counts)
+    # Only the eavesdropper's counts may be None (no eavesdropper); Bob's
+    # errors always exist, and None used to fail later, in the QBER.
+    counts[name] = None
+    if name == "errors":
+        with pytest.raises(ContractError, match="^errors must be an integer, got None"):
+            TrialResult(0, 4, 2, **counts)
+    else:
+        assert getattr(TrialResult(0, 4, 2, **counts), name) is None
 
 
 @pytest.mark.parametrize("statistic", [qber, knowledge])

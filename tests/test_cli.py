@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdlab import analysis, cli, gates, protocols
+from qkdlab.core import ContractError
 
 
 def _run(capsys, argv):
@@ -110,6 +111,24 @@ def test_run_rejects_invalid_pairing(capsys):
     assert err.count("\n") == 1 and err.startswith("error: ")
     cells = ("control/none", "conv/none", "relabel/none", "control/standard", "conv/hd", "relabel/hd")
     assert all(cell in err for cell in cells)
+
+
+def test_run_rejects_a_partial_particle_in_one_line(capsys):
+    code, out, err = _run(capsys, ["run", "--protocol", "hdbb84", "--raw-bits", "3"])
+    assert code == cli.EXIT_CONFIG
+    assert err == "error: raw_bits must be a multiple of 2, got 3\n"
+    assert out == ""
+
+
+def test_run_reports_a_simulation_error_in_one_line(capsys, monkeypatch):
+    def boom(*args):
+        raise ContractError("boom")
+
+    monkeypatch.setattr(protocols, "run_experiment", boom)
+    code, out, err = _run(capsys, ["run", "--protocol", "bb84"])
+    assert code == cli.EXIT_VALIDATION == 1
+    assert err == "error: boom\n"
+    assert out == ""
 
 
 def test_run_rejects_unknown_protocol():

@@ -7,6 +7,7 @@ from qkdlab.core import (
     RandomSource,
     basis_state,
     equal_up_to_global_phase,
+    integral,
 )
 from qkdlab.gates import catalog, gate
 from qkdlab.protocols import _sample
@@ -105,6 +106,9 @@ def test_equal_up_to_global_phase():
     assert equal_up_to_global_phase(j @ j @ basis_state(2, 1), basis_state(2, 1))
     with pytest.raises(ContractError):
         equal_up_to_global_phase(basis_state(2, 0), basis_state(3, 0))
+    zeros = np.zeros(2)
+    assert equal_up_to_global_phase(zeros, zeros)
+    assert not equal_up_to_global_phase(basis_state(2, 0), zeros)
 
 
 def test_random_source_is_reproducible():
@@ -134,6 +138,25 @@ def test_random_source_string_party_tags():
 def test_random_source_rejects_negative_seed():
     with pytest.raises(ConfigError):
         RandomSource(-1)
+
+
+def test_integral_checks_the_integer_then_low_high_and_multiple():
+    assert integral(6, "n", low=0, high=6, multiple=3) == 6
+    assert type(integral(np.int64(6), "n")) is int and integral(True, "n") == 1
+    cases = [
+        (6.0, "n must be an integer, got 6.0"),
+        ("6", "n must be an integer, got '6'"),
+        # low before high before multiple: -1 breaks low and multiple.
+        (-1, "n must be at least 0, got -1"),
+        (9, "n must be at most 8, got 9"),
+        (np.int64(5), "n must be a multiple of 2, got 5"),
+    ]
+    for value, message in cases:
+        with pytest.raises(ConfigError) as excinfo:
+            integral(value, "n", low=0, high=8, multiple=2)
+        assert str(excinfo.value) == message
+    with pytest.raises(ContractError, match="^n must be at most 1, got 2$"):
+        integral(2, "n", high=1, error=ContractError)
 
 
 def test_measurement_sequence_is_bit_for_bit_reproducible():

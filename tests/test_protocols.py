@@ -255,6 +255,12 @@ def test_unknown_names_raise_config_error_listing_valid_values(scenario, eve, mo
         run_experiment(BB84, scenario, eve, 1, 2, 1)
 
 
+@pytest.mark.parametrize("table", [outcome_table, outcome_thresholds])
+def test_outcome_tables_reject_unknown_scenarios_listing_valid_values(table):
+    with pytest.raises(ConfigError, match="^unknown scenario 'bogus'; valid: control, conv, relabel$"):
+        table(BB84, "bogus")
+
+
 # The paper's six (scenario, eavesdropper) cells, written out here rather
 # than read from CELLS.
 PAPER_CELLS = [
@@ -295,6 +301,16 @@ def test_numpy_integer_run_sizes_and_seeds_are_accepted():
     results = run_experiment(BB84, "control", "none", np.int64(3), np.int32(8), np.uint8(1))
     assert [r.raw_len for r in results] == [8, 8, 8]
     assert results == run_experiment(BB84, "control", "none", 3, 8, 1)
+    # Every other count checked by core.integral takes numpy integers too.
+    a, b = np.array([1, 0, 3]), np.array([1, 2, 3])
+    assert analysis.qber(a, b, np.int64(2)) == analysis.qber(a, b, 2)
+    assert analysis.knowledge(a, b, np.uint8(2)) == analysis.knowledge(a, b, 2)
+    assert analysis.score(0, 6, a, b, a, np.int32(2)) == analysis.score(0, 6, a, b, a, 2)
+    assert analysis.detection_probability(HDBB84, np.int64(10)) == analysis.detection_probability(
+        HDBB84, 10
+    )
+    counts = analysis.TrialResult(0, np.int64(6), np.int32(6), np.uint8(1), np.int16(0), None)
+    assert counts.qber == analysis.TrialResult(0, 6, 6, 1, 0, None).qber
 
 
 def test_validate_pairing_converts_names():
