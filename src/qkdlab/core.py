@@ -61,11 +61,11 @@ def integral(value, name: str, *, low=None, high=None, multiple=1, error=ConfigE
 
 
 def basis_state(dim: int, k: int) -> np.ndarray:
-    """Return the computational basis state |k> of a dim-level qudit."""
-    if dim < 1:
-        raise ContractError(f"dimension must be positive, got {dim}")
-    if not 0 <= k < dim:
-        raise IndexError(f"basis index {k} out of range for dimension {dim}")
+    """Return the computational basis state |k> of a dim-level qudit: a
+    ``ContractError`` unless ``dim`` is a positive integer, an ``IndexError``
+    unless ``k`` is an integer in 0..dim-1."""
+    dim = integral(dim, "dimension", low=1, error=ContractError)
+    k = integral(k, "basis index", low=0, high=dim - 1, error=IndexError)
     state = np.zeros(dim, dtype=np.complex128)
     state[k] = 1.0
     return state

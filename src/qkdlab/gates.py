@@ -17,9 +17,12 @@ The catalog holds every named unitary, each wrapped in a
 fingerprint hashes them, and :func:`gate` looks an entry up by name.
 :func:`validate_catalog` is the one place a gate is checked: every entry for
 unitarity, and the gates in ``GATE_ACTIONS`` against intended columns
-written apart from their matrices.  The gates transcribed from the paper
-(the Qid gates and the conditional gates) stay in the catalog as fixtures;
-the tests check them against the derived forms.
+written apart from their matrices.  It also gives the verdict on each
+circular-basis candidate (jgate, bennett, bruss) from one table,
+``_CANDIDATES``: a candidate passes when its probe readings equal its row.
+The gates transcribed from the paper (the Qid gates and the conditional
+gates) stay in the catalog as fixtures; the tests check them against the
+derived forms.
 
 Index conventions
 -----------------
@@ -218,8 +221,9 @@ class ProtocolSpec:
 
 
 def spec_cached(build):
-    """Memoize ``build(spec, *args)`` on the spec itself, so that a dropped
-    spec frees its tables, which a module-level cache would keep alive."""
+    """Memoize the array ``build(spec, *args)`` on the spec itself, so that a
+    dropped spec frees its tables, which a module-level cache would keep
+    alive.  Every later call shares the array, so it is made read-only."""
 
     @wraps(build)
     def cached(spec: ProtocolSpec, *args):
@@ -227,6 +231,7 @@ def spec_cached(build):
         built = spec._memo.get(key)
         if built is None:
             built = spec._memo[key] = build(spec, *args)
+            built.setflags(write=False)
         return built
 
     return cached
@@ -311,9 +316,7 @@ def _split_targets(spec: ProtocolSpec) -> np.ndarray:
     k, d = spec.basis_count, spec.d_ab
     source, b, v = np.indices((spec.d_e, k, d)).reshape(3, -1)
     value, basis = spec.value_basis(source)
-    targets = (source * k + (b + basis) % k) * d + (v + value) % d
-    targets.setflags(write=False)
-    return targets
+    return (source * k + (b + basis) % k) * d + (v + value) % d
 
 
 def conversion_circuit(spec: ProtocolSpec, state: np.ndarray) -> np.ndarray:
@@ -354,14 +357,17 @@ class BasisCandidate:
     gate: np.ndarray
 
 
-# Each candidate's two states and the axis its original gate stacks them
-# on: jgate and bennett carry them as columns (1).  The bruss gate is
-# transcribed with its states as rows (0); only this form exhibits the
-# deterministic H-probe outcome the candidate is rejected for.
+# Each candidate's two states, the axis its original gate stacks them on, the
+# zero fractions of X.g|0>, H.g|0> and g.g|0> that give the paper's verdict,
+# and the verdict's detail line.  jgate and bennett carry the states as
+# columns (1).  The bruss gate is transcribed with its states as rows (0);
+# only this form exhibits the deterministic H-probe outcome it is rejected for.
 _CANDIDATES = {
-    "jgate": ((KET_CIRC_PLUS, KET_CIRC_MINUS), 1),
-    "bennett": ((_SQRT2 * np.array([1, 1j]), _SQRT2 * np.array([1j, 1])), 1),
-    "bruss": ((_SQRT2 * np.array([1, 1j]), _SQRT2 * np.array([1, -1j])), 0),
+    "jgate": ((KET_CIRC_PLUS, KET_CIRC_MINUS), 1, (0.5, 0.5, 1.0), "passes both criteria"),
+    "bennett": ((_SQRT2 * np.array([1, 1j]), _SQRT2 * np.array([1j, 1])), 1, (0.5, 0.5, 0.0),
+                "random under X/H but double application flips the bit"),
+    "bruss": ((_SQRT2 * np.array([1, 1j]), _SQRT2 * np.array([1, -1j])), 0, (0.5, 1.0, 0.5),
+              "H probe is deterministic (zero-fraction 1.0)"),
 }
 
 
@@ -370,7 +376,7 @@ def basis_candidate(name: str) -> BasisCandidate:
     """Candidate ``name`` for the circular basis, one of ``_CANDIDATES``."""
     if name not in _CANDIDATES:
         raise CatalogError(f"unknown basis candidate {name!r}")
-    states, axis = _CANDIDATES[name]
+    states, axis, *_ = _CANDIDATES[name]
     states = tuple(np.array(s, dtype=np.complex128) for s in states)
     return BasisCandidate(name, states, _readonly(np.stack(states, axis=axis)))
 
@@ -381,6 +387,11 @@ class CandidateReport:
     zero_fraction: dict
     randomness_pass: dict
     double_application_pass: bool
+    squared_zero_fraction: float
+
+
+def _zero_fraction(state: np.ndarray) -> float:
+    return round(float(abs(state[0]) ** 2), 9)
 
 
 def validate_basis_candidate(candidate: BasisCandidate) -> CandidateReport:
@@ -388,21 +399,20 @@ def validate_basis_candidate(candidate: BasisCandidate) -> CandidateReport:
 
     Randomness: measuring X.g|0> and H.g|0> must give outcome 0 with
     probability 1/2 to the nine decimals of ``ATOL``.  Double application: g.g
-    must restore both computational basis states up to a global phase.
+    must restore both computational basis states up to a global phase.  The
+    report also reads the zero fraction of g.g|0>, to the same decimals.
     """
     encoded = candidate.gate @ basis_state(2, 0)
-    zero_fraction = {}
-    randomness_pass = {}
-    for probe_name in ("X", "H"):
-        probed = gate(probe_name).matrix @ encoded
-        zero_fraction[probe_name] = round(float(abs(probed[0]) ** 2), 9)
-        randomness_pass[probe_name] = zero_fraction[probe_name] == 0.5
+    zero_fraction = {p: _zero_fraction(gate(p).matrix @ encoded) for p in ("X", "H")}
+    randomness_pass = {p: fraction == 0.5 for p, fraction in zero_fraction.items()}
     squared = candidate.gate @ candidate.gate
     double_ok = all(
         equal_up_to_global_phase(squared @ basis_state(2, b), basis_state(2, b))
         for b in (0, 1)
     )
-    return CandidateReport(candidate.name, zero_fraction, randomness_pass, double_ok)
+    return CandidateReport(
+        candidate.name, zero_fraction, randomness_pass, double_ok, _zero_fraction(squared[:, 0])
+    )
 
 
 # --- Catalog, fingerprint and property suite -------------------------------------
@@ -576,28 +586,9 @@ def validate_catalog() -> list:
         _check(results, f"conversion-states[{protocol}]", sound)
         _check(results, f"conversion-decode[{protocol}]", decodable)
 
-    for name in ("jgate", "bennett", "bruss"):
+    for name, (*_, readings, detail) in _CANDIDATES.items():
         report = validate_basis_candidate(basis_candidate(name))
-        if name == "jgate":
-            ok = (
-                report.randomness_pass["X"]
-                and report.randomness_pass["H"]
-                and report.double_application_pass
-            )
-            detail = "passes both criteria"
-        elif name == "bennett":
-            squared = basis_candidate(name).gate @ basis_candidate(name).gate
-            flips = equal_up_to_global_phase(squared @ basis_state(2, 0), basis_state(2, 1))
-            ok = (
-                report.randomness_pass["X"]
-                and report.randomness_pass["H"]
-                and not report.double_application_pass
-                and flips
-            )
-            detail = "random under X/H but double application flips the bit"
-        else:
-            ok = report.zero_fraction["H"] == 1.0 and not report.randomness_pass["H"]
-            detail = "H probe is deterministic (zero-fraction 1.0)"
-        _check(results, f"candidate[{name}]", ok, detail)
+        measured = (*report.zero_fraction.values(), report.squared_zero_fraction)
+        _check(results, f"candidate[{name}]", measured == readings, detail)
 
     return results

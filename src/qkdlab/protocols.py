@@ -196,9 +196,7 @@ def outcome_table(spec: ProtocolSpec, scenario: Scenario) -> np.ndarray:
                 p = np.abs(spec.decode(bob_basis) @ state) ** 2
             # Renormalizing keeps deterministic outcomes exact despite float residue.
             rows.append(np.cumsum(p / float(p.sum())))
-    table = np.array(rows).reshape(d, k, k, d)
-    table.setflags(write=False)
-    return table
+    return np.array(rows).reshape(d, k, k, d)
 
 
 @spec_cached
@@ -206,9 +204,7 @@ def outcome_thresholds(spec: ProtocolSpec, scenario: Scenario) -> np.ndarray:
     """``outcome_table`` flattened for ``_sample``, read-only (layout in the
     module docstring, Outcome tables)."""
     table = outcome_table(spec, scenario)
-    thresholds = np.ascontiguousarray(table.reshape(-1, table.shape[-1])[:, :-1].T)
-    thresholds.setflags(write=False)
-    return thresholds
+    return np.ascontiguousarray(table.reshape(-1, table.shape[-1])[:, :-1].T)
 
 
 def _sample(thresholds: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:

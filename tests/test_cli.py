@@ -428,6 +428,26 @@ def test_full_stdout_is_one_error_line(unbuffered):
     assert proc.stderr == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+def test_a_full_out_file_is_one_error_line(capsys):
+    code, out, err = _run(capsys, ["run", "--protocol", "bb84", "--out", "/dev/full"])
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err == f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+def test_a_full_stdout_in_process_leaves_nothing_to_fail_at_close(capsys, monkeypatch):
+    # The failed flush leaves the report buffered; closing the stream flushes
+    # it again, as the interpreter does at exit, and must now succeed.
+    with open("/dev/full", "w") as full:
+        monkeypatch.setattr(sys, "stdout", full)
+        code = cli.main(["run", "--protocol", "bb84"])
+        monkeypatch.undo()
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
 # --- the result document: exact rows, exact means, the same JSON bytes ------
 
 _VALUES = st.one_of(

@@ -44,6 +44,17 @@ def test_basis_state_out_of_range():
         basis_state(0, 0)
 
 
+@pytest.mark.parametrize("dim,k,error", [
+    (2.5, 1, ContractError),
+    ("2", 0, ContractError),
+    (2, 1.0, IndexError),
+    (2, "1", IndexError),
+])
+def test_basis_state_rejects_a_non_integer_dimension_or_index(dim, k, error):
+    with pytest.raises(error, match="must be an integer"):
+        basis_state(dim, k)
+
+
 def test_apply_hadamard_prepares_plus():
     plus = gate("H").matrix @ basis_state(2, 0)
     np.testing.assert_allclose(plus, [2**-0.5, 2**-0.5], atol=1e-9)

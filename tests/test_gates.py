@@ -316,6 +316,14 @@ def test_conversion_state_checks_fail_on_a_split_that_shifts_the_value(monkeypat
         assert not passed[f"conversion-decode[{protocol}]"], protocol
 
 
+def test_split_targets_are_cached_and_read_only():
+    for spec in PROTOCOLS.values():
+        targets = qkdlab.gates._split_targets(spec)
+        assert qkdlab.gates._split_targets(spec) is targets
+        with pytest.raises(ValueError, match="read-only"):
+            targets[0] = 0
+
+
 def test_conversion_examples():
     bb84 = PROTOCOLS["bb84"]
     np.testing.assert_allclose(bb84.encode(*bb84.value_basis(1)), [SQRT2, SQRT2], atol=1e-12)
@@ -397,6 +405,29 @@ def test_bennett_candidate_random_but_double_application_flips():
     assert not report.double_application_pass
     squared = candidate.gate @ candidate.gate
     assert equal_up_to_global_phase(squared @ basis_state(2, 0), basis_state(2, 1))
+
+
+@pytest.mark.parametrize("name,reading", [("jgate", 1.0), ("bennett", 0.0), ("bruss", 0.5)])
+def test_candidate_reports_the_zero_fraction_of_the_squared_gate(name, reading):
+    # g.g|0> stays |0> for jgate (g.g = -I), flips to |1> for bennett and
+    # lands halfway for bruss.  For a unitary g, g.g|0> staying |0> makes g.g
+    # diagonal, so the reading of 1.0 is the double-application criterion.
+    candidate = basis_candidate(name)
+    assert is_unitary(candidate.gate)
+    assert validate_basis_candidate(candidate).squared_zero_fraction == reading
+
+
+@pytest.mark.parametrize("reading", [0, 1, 2], ids=["X", "H", "squared"])
+@pytest.mark.parametrize("name", ["jgate", "bennett", "bruss"])
+def test_a_changed_candidate_reading_fails_only_that_candidate(monkeypatch, name, reading):
+    states, axis, readings, detail = qkdlab.gates._CANDIDATES[name]
+    wrong = list(readings)
+    wrong[reading] += 0.25
+    monkeypatch.setitem(qkdlab.gates._CANDIDATES, name, (states, axis, tuple(wrong), detail))
+    candidates = {
+        check.name: check.passed for check in validate_catalog() if check.name.startswith("candidate[")
+    }
+    assert candidates == {f"candidate[{other}]": other != name for other in ("jgate", "bennett", "bruss")}
 
 
 def test_candidate_states_are_normalized():
