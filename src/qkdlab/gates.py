@@ -6,7 +6,8 @@ for HD-BB84 and (I, H, J) for SSP, where column v of ``bases[a]`` is the
 state encoding value v in basis a.  Everything else about a protocol is read
 from the spec: its dimensions, encode and decode, the (value, basis) index,
 whether its bases are mutually unbiased, and its conversion circuit
-(:func:`conversion_circuit`).
+(:func:`conversion_circuit`), whose output on |source, 0, 0> the conv
+scenario reads as rows over the value ancilla (:func:`conversion_output`).
 Registering a protocol is one more ``PROTOCOLS`` entry; ``PAPER_PROTOCOLS``
 names the three the paper studies, and only they enter the catalog and the
 paper's grid.
@@ -98,7 +99,7 @@ def _permutation(dim: int, mapping: dict[int, int | tuple[int, float]]) -> np.nd
     for src, dst in mapping.items():
         row, sign = dst if isinstance(dst, tuple) else (dst, 1.0)
         matrix[row, src] = sign
-    return matrix
+    return _readonly(matrix)
 
 
 def _perm_entry(name, dim, mapping) -> GateCatalogEntry:
@@ -121,10 +122,10 @@ _H2 = _SQRT2 * np.array([[1, 1], [1, -1]], dtype=np.complex128)
 # J prepares the circular (y-axis) basis: J|0> = (i,1)/sqrt2, J|1> = (-1,-i)/sqrt2.
 _J2 = _SQRT2 * np.array([[1j, -1], [1, -1j]], dtype=np.complex128)
 
-KET_PLUS = _SQRT2 * np.array([1, 1], dtype=np.complex128)
-KET_MINUS = _SQRT2 * np.array([1, -1], dtype=np.complex128)
-KET_CIRC_PLUS = _SQRT2 * np.array([1j, 1], dtype=np.complex128)
-KET_CIRC_MINUS = _SQRT2 * np.array([-1, -1j], dtype=np.complex128)
+KET_PLUS = _readonly(_SQRT2 * np.array([1, 1]))
+KET_MINUS = _readonly(_SQRT2 * np.array([1, -1]))
+KET_CIRC_PLUS = _readonly(_SQRT2 * np.array([1j, 1]))
+KET_CIRC_MINUS = _readonly(_SQRT2 * np.array([-1, -1j]))
 
 
 # --- Protocol specs -------------------------------------------------------------
@@ -290,7 +291,7 @@ _QIDJ = np.array(
 )
 
 # The CHJ matrix written out, kept for entrywise regression checks.
-CHJ_LITERAL = np.array(
+CHJ_LITERAL = _readonly(
     [
         [1, 0, 0, 0, 0, 0],
         [0, 1, 0, 0, 0, 0],
@@ -298,8 +299,7 @@ CHJ_LITERAL = np.array(
         [0, 0, _SQRT2, -_SQRT2, 0, 0],
         [0, 0, 0, 0, 1j * _SQRT2, -_SQRT2],
         [0, 0, 0, 0, _SQRT2, -1j * _SQRT2],
-    ],
-    dtype=np.complex128,
+    ]
 )
 
 
@@ -332,17 +332,13 @@ def conversion_circuit(spec: ProtocolSpec, state: np.ndarray) -> np.ndarray:
 
 
 def conversion_output(spec: ProtocolSpec, source: int) -> np.ndarray:
-    """The value ancilla's (d_ab,) state after the circuit on |source, 0, 0>.
-
-    The split sends that register basis state to one, |source, basis, value>,
-    so the circuit leaves |source, basis> (x) ``bases[basis] |value>``: only
-    the one (basis ancilla, value ancilla) block the split fills gets its
-    basis, and the value ancilla stays unentangled.  For a sound split and
-    source ``spec.state_index(value, basis)`` this is ``spec.encode(value,
-    basis)``.  This is the one place that spells out the register layout."""
+    """The circuit's output on |source, 0, 0> as rows over (source, basis
+    ancilla), shape ``(d_e * k, d_ab)``: row ``s * k + b`` is the value ancilla
+    at |s, b>, and Bob's outcome sums his decode probabilities over the rows.
+    This is the one place that spells out the register layout."""
     k, d = spec.basis_count, spec.d_ab
-    block, value = divmod(int(_split_targets(spec)[source * k * d]), d)
-    return spec.bases[block % k] @ basis_state(d, value)
+    register = basis_state(spec.d_e * k * d, source * k * d)
+    return conversion_circuit(spec, register).reshape(-1, d)
 
 
 # --- Circular-basis candidates ---------------------------------------------------
@@ -377,7 +373,7 @@ def basis_candidate(name: str) -> BasisCandidate:
     if name not in _CANDIDATES:
         raise CatalogError(f"unknown basis candidate {name!r}")
     states, axis, *_ = _CANDIDATES[name]
-    states = tuple(np.array(s, dtype=np.complex128) for s in states)
+    states = tuple(map(_readonly, states))
     return BasisCandidate(name, states, _readonly(np.stack(states, axis=axis)))
 
 
@@ -420,9 +416,9 @@ def validate_basis_candidate(candidate: BasisCandidate) -> CandidateReport:
 # Intended actions written apart from the matrices: column i is the gate's
 # image of |i>, up to a global phase.
 GATE_ACTIONS = {
-    "X": np.stack([basis_state(2, 1), basis_state(2, 0)], axis=1),
-    "H": np.stack([KET_PLUS, KET_MINUS], axis=1),
-    "J": np.stack([KET_CIRC_PLUS, KET_CIRC_MINUS], axis=1),
+    "X": _readonly(np.stack([basis_state(2, 1), basis_state(2, 0)], axis=1)),
+    "H": _readonly(np.stack([KET_PLUS, KET_MINUS], axis=1)),
+    "J": _readonly(np.stack([KET_CIRC_PLUS, KET_CIRC_MINUS], axis=1)),
     "QidX2": _permutation(6, {0: 3, 1: 1, 2: (5, -1.0), 3: 0, 4: (4, -1.0), 5: (2, -1.0)}),
     "QidJ": _permutation(6, {0: 2, 1: 4, 2: (0, -1.0), 3: 5, 4: (1, -1.0), 5: (3, -1.0)}),
 }
@@ -577,12 +573,13 @@ def validate_catalog() -> list:
         unitary = permutation and all(map(is_unitary, spec.bases))
         _check(results, f"conversion-unitary[{protocol}]", unitary)
         sound = decodable = True
-        for k in range(spec.d_e):
-            state = conversion_output(spec, k)
-            value, basis = spec.value_basis(k)
-            sound &= equal_up_to_global_phase(state, spec.encode(value, basis))
-            decoded = spec.decode(basis) @ state
-            decodable &= abs(abs(decoded[value]) ** 2 - 1.0) <= ATOL
+        for source in range(spec.d_e):
+            rows = conversion_output(spec, source)
+            value, basis = spec.value_basis(source)
+            at = basis_state(len(rows), source * spec.basis_count + basis)  # |source, basis>
+            sound &= equal_up_to_global_phase(rows.ravel(), np.kron(at, spec.encode(value, basis)))
+            decoded = sum(np.abs(spec.decode(basis) @ row) ** 2 for row in rows)
+            decodable &= abs(decoded[value] - 1.0) <= ATOL
         _check(results, f"conversion-states[{protocol}]", sound)
         _check(results, f"conversion-decode[{protocol}]", decodable)
 

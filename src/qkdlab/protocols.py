@@ -30,12 +30,12 @@ Every channel state is one of the d_ab * k (value, basis) basis states, so
 a scenario is its exact table: row [value, alice_basis, bob_basis] is the
 cumulative distribution of the value Bob reads, d_ab entries in every
 scenario, computed once per protocol.  Control decodes Alice's state
-``spec.encode(value, basis)``; conv decodes the state the conversion circuit
-leaves on its value ancilla, ``gates.conversion_output``; relabel follows
-from the index convention alone: the point mass on the value when the bases
-match, uniform over the d_ab values otherwise.  A trial samples all of its
-kept particles at once by inverse CDF: a uniform draw u picks the first
-value whose cumulative probability exceeds u.
+``spec.encode(value, basis)``; conv sums Bob's decode probabilities over the
+rows of the conversion circuit's output, ``gates.conversion_output``;
+relabel follows from the index convention alone: the point mass on the value
+when the bases match, uniform over the d_ab values otherwise.  A trial
+samples all of its kept particles at once by inverse CDF: a uniform draw u
+picks the first value whose cumulative probability exceeds u.
 
 The sampler reads the table flattened (``outcome_thresholds``): a read-only
 ``(d_ab - 1, d_ab * k * k)`` array whose column ``row =
@@ -180,12 +180,13 @@ def outcome_table(spec: ProtocolSpec, scenario: Scenario) -> np.ndarray:
     eavesdropper, who decodes in her guessed basis."""
     scenario = _member(Scenario, scenario, "scenario")
     k, d = spec.basis_count, spec.d_ab
-    rows = []
+    table = []
     for value, basis in np.ndindex(d, k):
         if scenario is Scenario.CONVERSION:
-            state = gates.conversion_output(spec, spec.state_index(value, basis))
+            output = gates.conversion_output(spec, spec.state_index(value, basis))
+            rows = output[output.any(axis=1)]  # zero rows add nothing to what Bob reads
         else:
-            state = spec.encode(value, basis)
+            rows = spec.encode(value, basis)[None]
         for bob_basis in range(k):
             if scenario is Scenario.RELABEL:
                 # Bob's relabel gate for basis b sends |v * k + a> to the basis
@@ -193,10 +194,10 @@ def outcome_table(spec: ProtocolSpec, scenario: Scenario) -> np.ndarray:
                 # other digit is off-basis, replaced by a uniformly random value.
                 p = np.eye(d)[value] if basis == bob_basis else np.full(d, 1.0 / d)
             else:
-                p = np.abs(spec.decode(bob_basis) @ state) ** 2
+                p = sum(np.abs(spec.decode(bob_basis) @ row) ** 2 for row in rows)
             # Renormalizing keeps deterministic outcomes exact despite float residue.
-            rows.append(np.cumsum(p / float(p.sum())))
-    return np.array(rows).reshape(d, k, k, d)
+            table.append(np.cumsum(p / float(p.sum())))
+    return np.array(table).reshape(d, k, k, d)
 
 
 @spec_cached

@@ -187,9 +187,12 @@ def test_criterion_9_conversion_soundness():
             ancillas = basis_state(spec.basis_count * spec.d_ab, 0)
             for k in range(spec.d_e):
                 value, basis = spec.value_basis(k)
-                # The circuit on |k, 0, 0> leaves |k, basis> (x) the value
-                # ancilla's state, unentangled.
-                slot_state = gates.conversion_output(spec, k)
+                # The circuit on |k, 0, 0> fills only row |k, basis> of its
+                # output, so it leaves |k, basis> (x) that row's state.
+                rows = gates.conversion_output(spec, k)
+                filled = k * spec.basis_count + basis
+                assert np.flatnonzero(rows.any(axis=1)).tolist() == [filled], (spec.name, k)
+                slot_state = rows[filled]
                 source = basis_state(spec.d_e, k)
                 got = gates.conversion_circuit(spec, np.kron(source, ancillas))
                 expected = np.kron(np.kron(source, basis_state(spec.basis_count, basis)), slot_state)

@@ -271,16 +271,23 @@ def test_conversion_output_matches_state_table(protocol):
         )
         got = matrix @ np.kron(basis_state(spec.d_e, k), ancillas)
         np.testing.assert_allclose(got, expected, atol=1e-12)
-        # The accessor reads that value ancilla, unentangled: the circuit
-        # leaves |k, basis> (x) its state.
-        output = conversion_output(spec, k)
-        assert output.shape == (spec.d_ab,)
+        # The accessor is the circuit's output as rows over (source, basis
+        # ancilla); only row |k, basis> is filled, so the circuit leaves
+        # |k, basis> (x) that row's state.
+        rows = conversion_output(spec, k)
+        assert rows.shape == (spec.d_e * spec.basis_count, spec.d_ab)
         circuit = conversion_circuit(spec, np.kron(basis_state(spec.d_e, k), ancillas))
+        np.testing.assert_array_equal(rows.ravel(), circuit)
+        filled = k * spec.basis_count + basis
+        assert np.flatnonzero(rows.any(axis=1)).tolist() == [filled]
         np.testing.assert_array_equal(
             circuit,
-            np.kron(np.kron(basis_state(spec.d_e, k), basis_state(spec.basis_count, basis)), output),
+            np.kron(
+                np.kron(basis_state(spec.d_e, k), basis_state(spec.basis_count, basis)),
+                rows[filled],
+            ),
         )
-        np.testing.assert_allclose(output, encoded, atol=1e-12)
+        np.testing.assert_allclose(rows[filled], encoded, atol=1e-12)
 
 
 def test_conversion_unitary_check_fails_on_a_split_that_is_not_a_bijection(monkeypatch):
@@ -314,6 +321,23 @@ def test_conversion_state_checks_fail_on_a_split_that_shifts_the_value(monkeypat
         assert passed[f"conversion-unitary[{protocol}]"], protocol
         assert not passed[f"conversion-states[{protocol}]"], protocol
         assert not passed[f"conversion-decode[{protocol}]"], protocol
+
+
+def test_conversion_state_check_fails_on_a_split_that_moves_the_source(monkeypatch):
+    def moved(spec):
+        # A bijection that writes the right ancillas but sends the source
+        # digit to (source + 1) mod d_e.
+        k, d = spec.basis_count, spec.d_ab
+        source, b, v = np.indices((spec.d_e, k, d)).reshape(3, -1)
+        value, basis = spec.value_basis(source)
+        return (((source + 1) % spec.d_e) * k + (b + basis) % k) * d + (v + value) % d
+
+    catalog()  # built from the real split before the patch
+    monkeypatch.setattr(qkdlab.gates, "_split_targets", moved)
+    passed = {check.name: check.passed for check in validate_catalog()}
+    for protocol in ("bb84", "hdbb84", "ssp"):
+        assert passed[f"conversion-unitary[{protocol}]"], protocol
+        assert not passed[f"conversion-states[{protocol}]"], protocol
 
 
 def test_split_targets_are_cached_and_read_only():
@@ -434,6 +458,20 @@ def test_candidate_states_are_normalized():
     for name in ("jgate", "bennett", "bruss"):
         for state in basis_candidate(name).states:
             assert abs(np.linalg.norm(state) - 1.0) <= 1e-12
+
+
+def test_shared_gate_arrays_are_read_only():
+    # Every caller shares the cached candidates and the module's constants, so
+    # a write to one must fail rather than change what the next caller reads.
+    # Each write puts back the values already there.
+    kets = [getattr(qkdlab.gates, f"KET_{n}") for n in ("PLUS", "MINUS", "CIRC_PLUS", "CIRC_MINUS")]
+    shared = [CHJ_LITERAL, *GATE_ACTIONS.values(), *kets]
+    for name in ("jgate", "bennett", "bruss"):
+        candidate = basis_candidate(name)
+        shared += [*candidate.states, candidate.gate]
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = array
 
 
 # --- catalog ----------------------------------------------------------------------------

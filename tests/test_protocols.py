@@ -491,12 +491,12 @@ def test_conversion_table_equals_control_for_random_specs(case):
     ancillas = basis_state(k * d_ab, 0)
     for source in range(spec.d_e):
         basis = spec.value_basis(source)[1]
+        rows = gates.conversion_output(spec, source)
+        filled = source * k + basis
+        assert np.flatnonzero(rows.any(axis=1)).tolist() == [filled]
         np.testing.assert_array_equal(
             gates.conversion_circuit(spec, np.kron(basis_state(spec.d_e, source), ancillas)),
-            np.kron(
-                np.kron(basis_state(spec.d_e, source), basis_state(k, basis)),
-                gates.conversion_output(spec, source),
-            ),
+            np.kron(np.kron(basis_state(spec.d_e, source), basis_state(k, basis)), rows[filled]),
         )
     with pytest.MonkeyPatch.context() as patch:
         patch.setitem(PROTOCOLS, spec.name, spec)
