@@ -43,6 +43,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
+from types import MappingProxyType
 
 import numpy as np
 
@@ -414,14 +415,14 @@ def validate_basis_candidate(candidate: BasisCandidate) -> CandidateReport:
 # --- Catalog, fingerprint and property suite -------------------------------------
 
 # Intended actions written apart from the matrices: column i is the gate's
-# image of |i>, up to a global phase.
-GATE_ACTIONS = {
+# image of |i>, up to a global phase.  Read-only, as every shared array here.
+GATE_ACTIONS = MappingProxyType({
     "X": _readonly(np.stack([basis_state(2, 1), basis_state(2, 0)], axis=1)),
     "H": _readonly(np.stack([KET_PLUS, KET_MINUS], axis=1)),
     "J": _readonly(np.stack([KET_CIRC_PLUS, KET_CIRC_MINUS], axis=1)),
     "QidX2": _permutation(6, {0: 3, 1: 1, 2: (5, -1.0), 3: 0, 4: (4, -1.0), 5: (2, -1.0)}),
     "QidJ": _permutation(6, {0: 2, 1: 4, 2: (0, -1.0), 3: 5, 4: (1, -1.0), 5: (3, -1.0)}),
-}
+})
 
 
 @lru_cache(maxsize=None)

@@ -64,8 +64,10 @@ The block size is fixed, so trial t reads elements [t * particles,
 (t + 1) * particles) of each role's sequence.  Its draws do not depend on the
 number of trials (the first T' trials of a T-trial run are a T'-trial run),
 and one ``(trials, particles)`` draw per role gives the same arrays as the
-trial-by-trial reads.  Alice's and Bob's roles are read the same way in every
-scenario and under every eavesdropper.
+trial-by-trial reads.  ``run_experiment`` reads each role that way, once per
+block of at most ``BLOCK_PARTICLES`` (2**14) particles, at least one trial a
+block, so its draws are the same as one call a trial.  Alice's and Bob's
+roles are read the same way in every scenario and under every eavesdropper.
 
 Sifting and scoring
 -------------------
@@ -100,7 +102,7 @@ from enum import Enum
 import numpy as np
 
 from . import analysis, gates
-from .core import ConfigError, RandomSource, integral
+from .core import ConfigError, ContractError, RandomSource, integral
 from .gates import PROTOCOLS, ProtocolSpec, spec_cached
 
 
@@ -241,6 +243,46 @@ def sift(alice_bases: np.ndarray, bob_bases: np.ndarray) -> np.ndarray:
     return np.flatnonzero(alice_bases == bob_bases)
 
 
+# Particles per block of trials in ``run_experiment``: 2**14 int64 draws
+# are 128 KB, glibc's default mmap threshold.  Larger blocks made long keys
+# slower (bb84 control/standard at 20,000 particles a block).
+BLOCK_PARTICLES = 2**14
+
+
+class _BlockReader:
+    """Stands in for one role's generator for the next ``trials`` equal
+    draws.  The first ``integers`` or ``random`` call draws the whole
+    ``(trials, size)`` block from the stream and returns row 0, each later
+    call the next row; stream layout v3 makes these rows the draws that
+    ``trials`` calls on the stream would return.  The block is dropped with
+    its last row, so a one-trial block allocates and frees as the stream
+    call does."""
+
+    def __init__(self, stream: np.random.Generator, trials: int):
+        self.stream, self.trials, self.row = stream, trials, 0
+        self.call = self.block = None
+
+    def integers(self, low, high, size):
+        return self._next("integers", (low, high), size)
+
+    def random(self, size):
+        return self._next("random", (), size)
+
+    def _next(self, name, bounds, size):
+        call = (name, *bounds, size)
+        if self.call is None:
+            self.call = call
+            self.block = getattr(self.stream, name)(*bounds, size=(self.trials, size))
+        elif call != self.call or self.row == self.trials:
+            raise ContractError(
+                f"draw {self.row + 1} of a block of {self.trials} {self.call} asked for {call}"
+            )
+        row, self.row = self.block[self.row], self.row + 1
+        if self.row == self.trials:
+            self.block = None
+        return row
+
+
 def run_trial(
     spec: ProtocolSpec,
     scenario: Scenario,
@@ -295,11 +337,20 @@ def run_experiment(
 ) -> list[analysis.TrialResult]:
     """Run several trials on one set of role streams and score each; a
     trial's ``matches`` is defined in the module docstring (Sifting and
-    scoring)."""
+    scoring).  The trials run in blocks of at most ``BLOCK_PARTICLES``
+    particles, at least one trial a block, and each role is read once per
+    block (stream layout v3)."""
     trials = integral(trials, "trials", low=1, high=MAX_TRIALS)
     streams = role_streams(seed, scenario, eve)
     bits = spec.bits_per_particle
-    return [
-        analysis.score(trial, raw_bits, *run_trial(spec, scenario, eve, raw_bits, streams), bits)
-        for trial in range(trials)
-    ]
+    particles = integral(raw_bits, "raw_bits", low=1, high=MAX_RAW_BITS, multiple=bits) // bits
+    per_block = max(1, BLOCK_PARTICLES // particles)
+    results = []
+    for start in range(0, trials, per_block):
+        stop = min(start + per_block, trials)
+        readers = {role: _BlockReader(stream, stop - start) for role, stream in streams.items()}
+        results += [
+            analysis.score(trial, raw_bits, *run_trial(spec, scenario, eve, raw_bits, readers), bits)
+            for trial in range(start, stop)
+        ]
+    return results

@@ -535,3 +535,14 @@ def test_validate_catalog_all_pass():
     checks = validate_catalog()
     failed = [c.name for c in checks if not c.passed]
     assert not failed
+
+
+def test_gate_actions_cannot_be_replaced():
+    # validate_catalog reads GATE_ACTIONS on every call, so a replaced or
+    # dropped entry would fail its action check for the rest of the process.
+    with pytest.raises(TypeError):
+        GATE_ACTIONS["X"] = np.eye(2)
+    with pytest.raises(TypeError):
+        del GATE_ACTIONS["QidJ"]
+    checks = validate_catalog()
+    assert len(checks) == 53 and all(c.passed for c in checks)

@@ -6,14 +6,16 @@ catalog, byte for byte.
 grid cell, ``render_digests.json`` the same for ``--format csv`` and
 ``--format table``, ``short_digests.json`` the same for ``--format json
 --trials 150 --raw-bits 16 --seed 1`` (the one shape with empty sifted keys,
-whose knowledges are null), and ``tests/golden/paper/`` the four
-``reproduce-paper --seed 7`` tables.  ``validate_gates.txt`` and
-``hypothesis_table.txt`` are the stdout of ``validate-gates`` and
-``hypothesis-table``, which take no seed and draw no random number, and
-``catalog_dump.sha256`` the SHA-256 of the ``validate-gates --dump`` file
-(320 kB of JSON), which pins every catalog matrix.  A change that alters any
-of them must do so on purpose and say why;
-``PYTHONPATH=src python tests/test_golden.py`` rewrites them.
+whose knowledges are null), ``block_digests.json`` the same for ``--format
+json --trials 200 --raw-bits 200 --seed 3`` (20,000 to 40,000 particles a
+run, two or three of ``run_experiment``'s blocks of draws), and
+``tests/golden/paper/`` the four ``reproduce-paper --seed 7`` tables.
+``validate_gates.txt`` and ``hypothesis_table.txt`` are the stdout of
+``validate-gates`` and ``hypothesis-table``, which take no seed and draw no
+random number, and ``catalog_dump.sha256`` the SHA-256 of the
+``validate-gates --dump`` file (320 kB of JSON), which pins every catalog
+matrix.  A change that alters any of them must do so on purpose and say
+why; ``PYTHONPATH=src python tests/test_golden.py`` rewrites them.
 """
 
 import contextlib
@@ -49,6 +51,7 @@ def _stdout(argv) -> bytes:
 
 RENDER_FORMATS = ("csv", "table")
 SHORT_SHAPE = ("--trials", "150", "--raw-bits", "16", "--seed", "1")
+BLOCK_SHAPE = ("--trials", "200", "--raw-bits", "200", "--seed", "3")
 
 
 def _run_document(cell, fmt: str = "json", shape=("--seed", SEED)) -> bytes:
@@ -99,6 +102,12 @@ def test_short_run_document_matches_golden_digest(cell):
         document = _run_document(cell, shape=SHORT_SHAPE)
     assert hashlib.sha256(document).hexdigest() == golden["/".join(cell)]
     assert any(trial["key_size"] == 0 for trial in json.loads(document)["trials"]) == empty
+
+
+@pytest.mark.parametrize("cell", CELLS, ids="/".join)
+def test_multi_block_run_document_matches_golden_digest(cell):
+    golden = json.loads((GOLDEN / "block_digests.json").read_text())
+    assert _run_digest(cell, shape=BLOCK_SHAPE) == golden["/".join(cell)]
 
 
 @pytest.mark.parametrize("fmt", RENDER_FORMATS)
@@ -169,6 +178,8 @@ if __name__ == "__main__":
     (GOLDEN / "run_digests.json").write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     short = {"/".join(cell): _run_digest(cell, shape=SHORT_SHAPE) for cell in CELLS}
     (GOLDEN / "short_digests.json").write_text(json.dumps(short, indent=2, sort_keys=True) + "\n")
+    block = {"/".join(cell): _run_digest(cell, shape=BLOCK_SHAPE) for cell in CELLS}
+    (GOLDEN / "block_digests.json").write_text(json.dumps(block, indent=2, sort_keys=True) + "\n")
     (GOLDEN / "render_digests.json").write_text(
         json.dumps(_render_digests(), indent=2, sort_keys=True) + "\n"
     )

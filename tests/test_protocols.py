@@ -1027,6 +1027,96 @@ def test_a_run_opens_one_stream_per_role_its_cell_reads(spec, scenario, eve, mon
     assert opened == list(CELL_ROLES[scenario, eve])
 
 
+class _CountedStream:
+    """One role's generator that counts its draw calls into ``calls[role]``."""
+
+    def __init__(self, rng, calls, role):
+        self.rng, self.calls, self.role = rng, calls, role
+
+    def integers(self, *args, **kwargs):
+        self.calls[self.role] += 1
+        return self.rng.integers(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        self.calls[self.role] += 1
+        return self.rng.random(*args, **kwargs)
+
+
+def _count_draw_calls(monkeypatch):
+    """Make every stream a run opens count its draw calls; returns the counts."""
+    calls = {}
+    stream = RandomSource.stream
+
+    def counted(source, role):
+        calls[role] = 0
+        return _CountedStream(stream(source, role), calls, role)
+
+    monkeypatch.setattr(RandomSource, "stream", counted)
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore::qkdlab.analysis.EmptySiftWarning")
+@pytest.mark.parametrize(
+    "spec,scenario,eve", GRID_CELLS, ids=lambda p: getattr(p, "value", getattr(p, "name", p))
+)
+def test_a_short_run_draws_each_role_once(spec, scenario, eve, monkeypatch):
+    # 150 trials of 16 raw bits fit in one block, so each role is read once,
+    # not once a trial.
+    calls = _count_draw_calls(monkeypatch)
+    run_experiment(spec, scenario, eve, 150, 16, SEED)
+    assert calls == dict.fromkeys(CELL_ROLES[scenario, eve], 1)
+
+
+def test_a_long_key_draws_each_role_once_a_trial(monkeypatch):
+    # 20,000 particles are more than a block, so each trial is a block of one.
+    calls = _count_draw_calls(monkeypatch)
+    run_experiment(BB84, Scenario.CONTROL, EveModel.STANDARD, 2, 20_000, SEED)
+    assert protocols.BLOCK_PARTICLES < 20_000
+    assert calls == dict.fromkeys(CELL_ROLES[Scenario.CONTROL, EveModel.STANDARD], 2)
+
+
+# (particles a trial, blocks) for a 7-trial run in blocks of 42 particles:
+# one full block of 7 trials, seven blocks that one trial fills, blocks of 3,
+# 3 and a partial last 1, and trials larger than a block, one to a block.
+BLOCK_CASES = {"one-full": (6, 1), "one-trial-full": (42, 7), "partial-last": (12, 3),
+               "trial-over-block": (50, 7)}
+
+
+@pytest.mark.filterwarnings("ignore::qkdlab.analysis.EmptySiftWarning")
+@pytest.mark.parametrize("case", BLOCK_CASES.values(), ids=BLOCK_CASES)
+@pytest.mark.parametrize(
+    "spec,scenario,eve", GRID_CELLS, ids=lambda p: getattr(p, "value", getattr(p, "name", p))
+)
+def test_a_blocked_run_equals_its_trials_run_one_by_one(spec, scenario, eve, case, monkeypatch):
+    particles, blocks = case
+    trials, bits = 7, spec.bits_per_particle
+    raw_bits = particles * bits
+    streams = role_streams(SEED, scenario, eve)
+    expected = [
+        analysis.score(trial, raw_bits, *run_trial(spec, scenario, eve, raw_bits, streams), bits)
+        for trial in range(trials)
+    ]
+    monkeypatch.setattr(protocols, "BLOCK_PARTICLES", 42)
+    calls = _count_draw_calls(monkeypatch)
+    assert run_experiment(spec, scenario, eve, trials, raw_bits, SEED) == expected
+    assert calls == dict.fromkeys(CELL_ROLES[scenario, eve], blocks)
+
+
+def test_a_block_reader_hands_out_the_rows_of_one_draw_then_drops_it():
+    reader = protocols._BlockReader(_rng("alice-values"), 3)
+    rows = [reader.integers(0, 4, size=5), reader.integers(0, 4, 5)]
+    for other in (lambda: reader.integers(0, 2, size=5), lambda: reader.integers(0, 4, size=6),
+                  lambda: reader.random(5)):
+        with pytest.raises(ContractError, match="of a block of 3"):
+            other()
+    assert reader.block is not None
+    rows.append(reader.integers(0, 4, size=5))
+    assert reader.block is None
+    np.testing.assert_array_equal(np.stack(rows), _rng("alice-values").integers(0, 4, size=(3, 5)))
+    with pytest.raises(ContractError, match="of a block of 3"):
+        reader.integers(0, 4, size=5)
+
+
 @pytest.mark.filterwarnings("ignore::qkdlab.analysis.EmptySiftWarning")
 @pytest.mark.parametrize("particles", (1, 7, 200))
 @pytest.mark.parametrize(
