@@ -10,6 +10,7 @@ __version__ = "0.1.0"
 
 from .analysis import (
     STATISTICS,
+    RunCounts,
     TrialResult,
     aggregate,
     detection_probability,
@@ -60,6 +61,7 @@ __all__ = [
     "PROTOCOLS",
     "ProtocolSpec",
     "RandomSource",
+    "RunCounts",
     "SSP",
     "STATISTICS",
     "Scenario",

@@ -47,39 +47,36 @@ def _resolve_seed(seed: int | None) -> int:
     return seed
 
 
-def _ratio4(pair):
-    """A (numerator, denominator) pair to four decimals, or None: the one
-    rounding rule of trial rows and means."""
-    return None if pair is None else round(pair[0] / pair[1], 4)
-
-
 def _rounded(means: dict) -> dict:
-    """``aggregate``'s Fractions through ``_ratio4``; ``n / d`` rounds
+    """``aggregate``'s Fractions to four decimals, by the one rounding rule of
+    trial rows and means: ``round(n / d, 4)``, since ``n / d`` rounds
     correctly, as ``float(Fraction(n, d))`` does."""
-    return {name: _ratio4(m if m is None else m.as_integer_ratio()) for name, m in means.items()}
+    return {
+        name: m if m is None else round(m.numerator / m.denominator, 4) for name, m in means.items()
+    }
 
 
 # The statistics a trial row writes to four decimals; key_size stays an int
-# and matches a bool.
+# and matches a bool, as their numerators.
 _ROUNDED = tuple(name for name in analysis.STATISTICS if name not in ("key_size", "matches"))
 
 
 def build_document(config: dict, results) -> dict:
-    trials = [
-        {
-            "trial": r.trial,
-            "key_size": r.key_size,
-            **{name: _ratio4(r.ratio(name)) for name in _ROUNDED},
-            "matches": r.matches,
-        }
-        for r in results
-    ]
+    """The result document of a run's counts: one row a trial, built from
+    the record's columns, and the means."""
+    counts = analysis.RunCounts.of(results)
+    columns = {"trial": counts.trial.tolist()}
+    for name in analysis.STATISTICS:
+        numerators, denominators, defined = counts.ratio(name)
+        columns[name] = numerators if name not in _ROUNDED else [
+            round(n / d, 4) if ok else None for n, d, ok in zip(numerators, denominators, defined)
+        ]
     return {
         "artifact_version": __version__,
         "catalog_fingerprint": gates.catalog_fingerprint(),
         "config": config,
-        "trials": trials,
-        "aggregate": {"trials": len(results), **_rounded(analysis.aggregate(results))},
+        "trials": [dict(zip(columns, row)) for row in zip(*columns.values())],
+        "aggregate": {"trials": len(counts), **_rounded(analysis.aggregate(counts))},
     }
 
 
@@ -206,6 +203,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "format": args.format,
     }
     doc = build_document(config, results)
+    del results  # the document holds what the renderer reads; free the record first
     _emit(_RENDERERS[args.format](doc), args.out)
     return EXIT_OK
 

@@ -80,9 +80,11 @@ alone.  Every role still reads its whole block, so no draw depends on which
 particles were kept.
 
 A trial returns the kept particles' values, Alice's, Bob's and the
-eavesdropper's; ``analysis.score`` counts the sifted bits and the differing
-bits of them directly, as ints, into the trial's ``TrialResult``.  No
-Fraction is built per trial: ``analysis.aggregate`` builds the exact means.
+eavesdropper's.  A block's trials are scored together: one
+``analysis.score`` call counts every trial's sifted and differing bits as
+ints, and the run returns all of its counts as one ``analysis.RunCounts``
+record of int arrays, checked once.  No Fraction and no per-trial object is
+built: ``analysis.aggregate`` builds the exact means from the arrays.
 
 A trial "matches" when Bob's sifted key equals the key of the control run
 without an eavesdropper on the same draws.  That key is Alice's: a kept
@@ -91,8 +93,7 @@ registered protocol's control table is exactly the step at the value sent,
 so it samples the value sent whatever the uniform.  (In an unregistered
 spec's table rounding may leave thresholds below the value sent, under
 1e-30, which only a uniform of exactly 0.0 falls under.)  A trial therefore
-matches when its key has no errors (``TrialResult.matches``), and no
-reference is sampled.
+matches when its key has no errors, and no reference is sampled.
 """
 
 from __future__ import annotations
@@ -127,10 +128,11 @@ class EveModel(str, Enum):
 # well under 1 GB.
 MAX_RAW_BITS = 1_000_000
 
-# Upper bound on trials per run.  Every trial's counts, document row and JSON
-# text stay in memory until the document is written, about 1 KB each:
-# `run --protocol bb84 --raw-bits 2 --format json` peaks at 58 MB resident
-# with 20,000 trials and at 137 MB with 100,000 (numpy 2.4).
+# Upper bound on trials per run.  A run's counts are a few int arrays, but
+# every trial's document row and JSON text stay in memory until the document
+# is written, about 1 KB each: `run --protocol bb84 --raw-bits 2 --format
+# json` peaks at 57-60 MB resident with 20,000 trials and at 131 MB with
+# 100,000 (numpy 2.4).
 MAX_TRIALS = 100_000
 
 
@@ -300,8 +302,11 @@ def run_trial(
     particles are sampled at once.  The eavesdropper changes only the channel
     row Bob reads: the standard one replaces it by the state she resends, the
     high-dimensional one leaves it as it is and reads (value, basis) off it.
+    Names are checked as ``validate_pairing`` does; a paired Scenario and
+    EveModel, which ``run_experiment`` validated once, are taken as given.
     """
-    scenario, eve = validate_pairing(scenario, eve)
+    if (type(scenario), type(eve)) != (Scenario, EveModel) or (scenario, eve) not in CELLS:
+        scenario, eve = validate_pairing(scenario, eve)
     alice_values, alice_bases = alice_draws(spec, raw_bits, streams)
     particles, k = len(alice_bases), spec.basis_count
     bob_bases = streams["bob-bases"].integers(0, k, size=particles)
@@ -334,23 +339,32 @@ def run_experiment(
     trials: int,
     raw_bits: int,
     seed: int,
-) -> list[analysis.TrialResult]:
-    """Run several trials on one set of role streams and score each; a
-    trial's ``matches`` is defined in the module docstring (Sifting and
-    scoring).  The trials run in blocks of at most ``BLOCK_PARTICLES``
-    particles, at least one trial a block, and each role is read once per
-    block (stream layout v3)."""
+) -> analysis.RunCounts:
+    """Run several trials on one set of role streams and return their counts
+    as one record; a trial's ``matches`` is defined in the module docstring
+    (Sifting and scoring).  The trials run in blocks of at most
+    ``BLOCK_PARTICLES`` particles, at least one trial a block; each role is
+    read, and the block's kept values scored, once per block."""
     trials = integral(trials, "trials", low=1, high=MAX_TRIALS)
+    scenario, eve = validate_pairing(scenario, eve)
     streams = role_streams(seed, scenario, eve)
     bits = spec.bits_per_particle
-    particles = integral(raw_bits, "raw_bits", low=1, high=MAX_RAW_BITS, multiple=bits) // bits
-    per_block = max(1, BLOCK_PARTICLES // particles)
-    results = []
+    raw_len = integral(raw_bits, "raw_bits", low=1, high=MAX_RAW_BITS, multiple=bits)
+    per_block = max(1, BLOCK_PARTICLES // (raw_len // bits))
+    blocks = []
     for start in range(0, trials, per_block):
-        stop = min(start + per_block, trials)
-        readers = {role: _BlockReader(stream, stop - start) for role, stream in streams.items()}
-        results += [
-            analysis.score(trial, raw_bits, *run_trial(spec, scenario, eve, raw_bits, readers), bits)
-            for trial in range(start, stop)
-        ]
-    return results
+        count = min(per_block, trials - start)
+        readers = {role: _BlockReader(stream, count) for role, stream in streams.items()}
+        kept = [run_trial(spec, scenario, eve, raw_bits, readers) for _ in range(count)]
+        blocks.append(analysis.score(*_joined(kept), [len(values[0]) for values in kept], bits))
+        del kept  # freed before the next block draws, as one trial's values were
+    return analysis.RunCounts(np.arange(trials), np.full(trials, raw_len), *_joined(blocks))
+
+
+def _joined(rows) -> list[np.ndarray | None]:
+    """Each column of ``rows`` as one array, concatenated unless it holds one
+    (or None); a trial as long as a block is not copied."""
+    return [
+        column[0] if len(column) == 1 or column[0] is None else np.concatenate(column)
+        for column in zip(*rows)
+    ]

@@ -1,16 +1,23 @@
+import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qkdlab import analysis
 from qkdlab.analysis import (
     EmptySiftWarning,
+    RunCounts,
     TrialResult,
     aggregate,
     detection_probability,
     intercept_resend_error,
     knowledge,
     qber,
+    score,
 )
 from qkdlab.core import ContractError
 from qkdlab.gates import PROTOCOLS, ProtocolSpec, validate_catalog
@@ -260,6 +267,28 @@ def test_trial_result_rejects_error_counts_that_are_not_integers(name):
         assert getattr(TrialResult(0, 4, 2, **counts), name) is None
 
 
+_RECORD = {"trial": np.array([0, 1]), "raw_len": np.array([4, 4]), "key_size": np.array([2, 4]),
+           "errors": np.array([0, 1]), "alice_errors": np.array([0, 2]), "bob_errors": np.array([1, 1])}
+
+
+@pytest.mark.parametrize(
+    "bad,counts",
+    [
+        ("errors", np.array([0, 5])),  # more errors than sifted bits in trial 1
+        ("key_size", np.array([2, 9])),  # more sifted bits than raw bits
+        ("alice_errors", np.array([0, -1])),
+        ("bob_errors", np.array([0.0, 1.0])),
+        ("raw_len", np.array([4])),  # one entry short
+        ("trial", np.array([[0, 1]])),  # not one-dimensional
+    ],
+)
+def test_run_counts_check_every_trial_at_once(bad, counts):
+    record = RunCounts(**_RECORD)
+    assert record == [TrialResult(0, 4, 2, 0, 0, 1), TrialResult(1, 4, 4, 1, 2, 1)]
+    with pytest.raises(ContractError, match="^a run's counts must"):
+        RunCounts(**{**_RECORD, bad: counts})
+
+
 @pytest.mark.parametrize("statistic", [qber, knowledge])
 def test_key_statistics_take_lists_and_bools_but_not_floats(statistic):
     assert statistic([1, 0], [0, 0], 1) == Fraction(1, 2)
@@ -284,3 +313,56 @@ def test_key_statistics_reject_keys_that_are_not_one_dimensional(statistic):
 
 def test_sift_fraction_property():
     assert _trial(0, 0, sifted=109).sift_fraction == Fraction(109, 200)
+
+
+# A block: bits per particle, then per trial its kept (alice, bob, eve)
+# values, some trials keeping none, and whether an eavesdropper listened.
+_BLOCKS = st.integers(1, 3).flatmap(
+    lambda bits: st.tuples(
+        st.just(bits),
+        st.lists(
+            st.lists(st.tuples(*3 * [st.integers(0, 2**bits - 1)]), max_size=5),
+            min_size=1,
+            max_size=20,
+        ),
+        st.booleans(),
+    )
+)
+
+
+def _empty_sift_messages(caught):
+    return Counter(str(w.message) for w in caught if issubclass(w.category, EmptySiftWarning))
+
+
+@pytest.mark.parametrize("long_trial", [0, analysis._LONG_TRIAL], ids=["slice-sums", "running-sum"])
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(block=_BLOCKS)
+def test_block_scores_equal_each_trials_qber_and_knowledge(long_trial, block):
+    bits, trials, eavesdropper = block
+    kept = [len(trial) for trial in trials]
+    alice, bob, eve = (
+        np.array([values[i] for trial in trials for values in trial], dtype=np.int64)
+        for i in range(3)
+    )
+    with warnings.catch_warnings(record=True) as caught, pytest.MonkeyPatch.context() as patch:
+        warnings.simplefilter("always")
+        patch.setattr(analysis, "_LONG_TRIAL", long_trial)
+        key_size, errors, alice_errors, bob_errors = score(
+            alice, bob, eve if eavesdropper else None, kept, bits
+        )
+    assert (alice_errors is None) is (bob_errors is None) is (not eavesdropper)
+    ends = np.cumsum([0, *kept])
+    with warnings.catch_warnings(record=True) as oracle:
+        warnings.simplefilter("always")
+        for i, (start, stop) in enumerate(zip(ends, ends[1:])):
+            a, b, e = alice[start:stop], bob[start:stop], eve[start:stop]
+            total = int(key_size[i])
+            assert total == len(a) * bits
+            assert qber(a, b, bits) == Fraction(int(errors[i]), max(total, 1))
+            if eavesdropper:
+                for reference, counted in ((a, alice_errors[i]), (b, bob_errors[i])):
+                    expected = Fraction(total - int(counted), total) if total else None
+                    assert knowledge(e, reference, bits) == expected
+    # The same warnings, one set per empty trial, as scoring each trial alone.
+    assert _empty_sift_messages(caught) == _empty_sift_messages(oracle)
+    assert sum(_empty_sift_messages(caught).values()) == kept.count(0) * (3 if eavesdropper else 1)

@@ -56,6 +56,12 @@ def _rng(tag, seed=SEED):
     return RandomSource(seed).stream(tag)
 
 
+def _scored(trial, raw_bits, values, bits):
+    """Trial ``trial``'s counts from its kept values, scored as a block of one."""
+    scores = analysis.score(*values, [len(values[0])], bits)
+    return analysis.RunCounts(np.array([trial]), np.array([raw_bits]), *scores)[0]
+
+
 def _trial(spec, scenario, eve, raw_bits, trial=0, seed=SEED):
     """Trial ``trial`` of a run: the earlier trials read their blocks first."""
     streams = role_streams(seed, scenario, eve)
@@ -305,7 +311,9 @@ def test_numpy_integer_run_sizes_and_seeds_are_accepted():
     a, b = np.array([1, 0, 3]), np.array([1, 2, 3])
     assert analysis.qber(a, b, np.int64(2)) == analysis.qber(a, b, 2)
     assert analysis.knowledge(a, b, np.uint8(2)) == analysis.knowledge(a, b, 2)
-    assert analysis.score(0, 6, a, b, a, np.int32(2)) == analysis.score(0, 6, a, b, a, 2)
+    assert [c.tolist() for c in analysis.score(a, b, a, [np.int64(3)], np.int32(2))] == [
+        c.tolist() for c in analysis.score(a, b, a, [3], 2)
+    ]
     assert analysis.detection_probability(HDBB84, np.int64(10)) == analysis.detection_probability(
         HDBB84, 10
     )
@@ -1093,7 +1101,7 @@ def test_a_blocked_run_equals_its_trials_run_one_by_one(spec, scenario, eve, cas
     raw_bits = particles * bits
     streams = role_streams(SEED, scenario, eve)
     expected = [
-        analysis.score(trial, raw_bits, *run_trial(spec, scenario, eve, raw_bits, streams), bits)
+        _scored(trial, raw_bits, run_trial(spec, scenario, eve, raw_bits, streams), bits)
         for trial in range(trials)
     ]
     monkeypatch.setattr(protocols, "BLOCK_PARTICLES", 42)
@@ -1139,7 +1147,7 @@ def test_sifted_kernel_equals_the_masked_full_length_reference(scenario, eve, pa
     for trial in range(trials):
         full = full_trial(spec, scenario, eve, raw_bits, reference)
         _assert_same_trial(run_trial(spec, scenario, eve, raw_bits, streams), masked(full))
-        expected.append(analysis.score(trial, raw_bits, *masked(full), bits))
+        expected.append(_scored(trial, raw_bits, masked(full), bits))
         # The matches flag as defined: Bob's sifted key equals the control run's.
         mask = full.mask
         matches.append(np.array_equal(full.bob_values[mask], full.control_values[mask]))
@@ -1225,6 +1233,43 @@ def test_run_experiment_scores_trials_without_fractions(monkeypatch):
     monkeypatch.undo()
     for results in runs:
         assert analysis.aggregate(results)["qber"] is not None
+
+
+# Trials a block holds at 150 x 16 (one block) and at 200 x 200, the shape
+# of tests/golden/block_digests.json, by bits per particle.
+SCORED_BLOCKS = {(150, 16): {1: [150], 2: [150]}, (200, 200): {1: [81, 81, 38], 2: [163, 37]}}
+
+
+@pytest.mark.filterwarnings("ignore::qkdlab.analysis.EmptySiftWarning")
+@pytest.mark.parametrize("shape", SCORED_BLOCKS, ids=lambda s: "x".join(map(str, s)))
+def test_run_experiment_scores_each_block_once_and_builds_no_trial_result(shape, monkeypatch):
+    blocks, score = [], analysis.score
+
+    def counted(alice, bob, eve_values, kept, bits):
+        blocks.append(len(kept))
+        return score(alice, bob, eve_values, kept, bits)
+
+    def no_trial_result(*args):
+        raise AssertionError("a TrialResult was built inside run_experiment")
+
+    monkeypatch.setattr(analysis, "score", counted)
+    monkeypatch.setattr(analysis, "TrialResult", no_trial_result)
+    for spec, scenario, eve in GRID_CELLS:
+        blocks.clear()
+        results = run_experiment(spec, scenario, eve, *shape, 3)
+        assert blocks == SCORED_BLOCKS[shape][spec.bits_per_particle]
+        assert len(results) == shape[0]
+
+
+def test_a_run_validates_its_cell_once_whatever_its_trials(monkeypatch):
+    # run_experiment checks the names once; its trials take the members as given.
+    calls, validate = [], protocols.validate_pairing
+    monkeypatch.setattr(protocols, "validate_pairing", lambda *cell: calls.append(cell) or validate(*cell))
+    run_experiment(BB84, "control", "standard", 1, 16, SEED)
+    once = len(calls)
+    calls.clear()
+    run_experiment(BB84, "control", "standard", 150, 16, SEED)
+    assert len(calls) == once
 
 
 @pytest.mark.parametrize("spec,low,high", [(BB84, 0.45, 0.55), (SSP, 0.28, 0.39)])
