@@ -9,6 +9,16 @@ calls (tests, the benchmark harness) pay only the parse; a one-shot
 registry ``protocols.PROTOCOLS`` when it parses, so a protocol registered
 after that first call is accepted too, and usage lists the protocols in
 registration order.
+
+A result document (``build_document``) keeps its trial table as columns:
+``doc["trials"]`` maps each of ``_CSV_FIELDS`` to a list, one value a trial:
+ints for ``trial`` and ``key_size``, bools for ``matches``, and floats
+rounded to four decimals, or None where undefined, for the other statistics.
+No per-trial dict is built.  ``render_json`` writes, byte for byte,
+``json.dumps`` of the document with row dicts for its trial table,
+``indent=2, sort_keys=True``, plus a newline.  It looks each token up by
+value, so this holds while every column has a value, all of one type or None
+(a dict key cannot tell True from 1, or 0.0 from -0.0).
 """
 
 from __future__ import annotations
@@ -62,20 +72,23 @@ _ROUNDED = tuple(name for name in analysis.STATISTICS if name not in ("key_size"
 
 
 def build_document(config: dict, results) -> dict:
-    """The result document of a run's counts: one row a trial, built from
-    the record's columns, and the means."""
+    """The result document of a run's counts: the trial table as columns
+    (module docstring) and the means."""
     counts = analysis.RunCounts.of(results)
     columns = {"trial": counts.trial.tolist()}
     for name in analysis.STATISTICS:
-        numerators, denominators, defined = counts.ratio(name)
-        columns[name] = numerators if name not in _ROUNDED else [
-            round(n / d, 4) if ok else None for n, d, ok in zip(numerators, denominators, defined)
-        ]
+        ratios = counts.ratio(name)
+        if name not in _ROUNDED:
+            columns[name] = list(ratios[0])
+            continue
+        # Rounded once per distinct (numerator, denominator, defined) triple.
+        rounded = {r: round(r[0] / r[1], 4) if r[2] else None for r in set(zip(*ratios))}
+        columns[name] = [rounded[r] for r in zip(*ratios)]
     return {
         "artifact_version": __version__,
         "catalog_fingerprint": gates.catalog_fingerprint(),
         "config": config,
-        "trials": [dict(zip(columns, row)) for row in zip(*columns.values())],
+        "trials": columns,
         "aggregate": {"trials": len(counts), **_rounded(analysis.aggregate(counts))},
     }
 
@@ -105,46 +118,40 @@ def render_table(doc: dict) -> str:
 _CSV_FIELDS = ("trial", *analysis.STATISTICS)
 
 
-def _csv_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return int(value)
-    return value
-
-
 def _csv_text(fields, rows) -> str:
-    """A header line and one line per row dict, CRLF-terminated."""
+    """A header line and one line per row of values in ``fields`` order,
+    CRLF-terminated; None is written empty and a bool as 0 or 1."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\r\n")
     writer.writerow(fields)
-    for row in rows:
-        writer.writerow([_csv_cell(row[field]) for field in fields])
+    writer.writerows([int(v) if isinstance(v, bool) else v for v in row] for row in rows)
     return buffer.getvalue()
 
 
 def render_csv(doc: dict) -> str:
-    agg = dict(doc["aggregate"])
-    agg["trial"] = "mean"
-    return _csv_text(_CSV_FIELDS, [*doc["trials"], agg])
+    trials, agg = doc["trials"], {**doc["aggregate"], "trial": "mean"}
+    rows = zip(*(trials[field] for field in _CSV_FIELDS))
+    return _csv_text(_CSV_FIELDS, [*rows, [agg[field] for field in _CSV_FIELDS]])
 
 
-# The trial rows in one call of the C encoder, which ``indent`` would turn
-# off: each row is a flat dict of scalars, so its items are already at the
-# depth and separator of ``indent=2``, and only the braces need line breaks.
-_ROWS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
-
-
-def _trials_json(rows: list) -> str:
-    # A newline inside a JSON string is escaped, so this pattern is only ever
-    # the break between two rows.
-    inner = _ROWS_ENCODER.encode(rows)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
-    return "[\n    {\n      " + inner + "\n    }\n  ]"
+def _trials_json(columns: dict) -> str:
+    """The trial rows at the depth and separators of ``indent=2``: each
+    column's distinct values in one call of the C encoder, then one row
+    template, its keys sorted, filled once a trial."""
+    names = sorted(columns)
+    template = "{\n      " + ",\n      ".join(f"{json.dumps(n)}: %s" for n in names) + "\n    }"
+    tokens = []
+    for name in names:
+        distinct = list(dict.fromkeys(columns[name]))
+        # A scalar's JSON token never holds ", ", the encoder's item separator.
+        token = dict(zip(distinct, json.dumps(distinct)[1:-1].split(", ")))
+        tokens.append(map(token.__getitem__, columns[name]))
+    return "[\n    " + ",\n    ".join(map(template.__mod__, zip(*tokens))) + "\n  ]"
 
 
 def render_json(doc: dict) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte,
-    for a document with at least one trial row, each a non-empty flat dict."""
+    """The bytes of ``json.dumps`` of the document with row dicts for its
+    trial table, ``indent=2, sort_keys=True``, plus a newline (module docstring)."""
     text = json.dumps({**doc, "trials": None}, indent=2, sort_keys=True)
     # Only a top-level key starts a line indented by two spaces.
     slot = '\n  "trials": '
@@ -245,10 +252,10 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
             results = protocols.run_experiment(
                 spec, scenario, eve, DEFAULT_TRIALS, DEFAULT_RAW_BITS, args.seed
             )
-            row = {"scenario": label, **_rounded(analysis.aggregate(results))}
-            rows.append(row)
+            means = _rounded(analysis.aggregate(results))
+            rows.append([label, *means.values()])
             if eve is not protocols.EveModel.NONE:
-                qber_rows.append({"protocol": name, "scenario": label, "qber": row["qber"]})
+                qber_rows.append([name, label, means["qber"]])
         _emit(_csv_text(_TABLE_FIELDS, rows), table_path)
         _emit(f"wrote {table_path}\n", None)
     _emit(_csv_text(("protocol", "scenario", "qber"), qber_rows), figure_path)

@@ -64,20 +64,29 @@ The block size is fixed, so trial t reads elements [t * particles,
 (t + 1) * particles) of each role's sequence.  Its draws do not depend on the
 number of trials (the first T' trials of a T-trial run are a T'-trial run),
 and one ``(trials, particles)`` draw per role gives the same arrays as the
-trial-by-trial reads.  ``run_experiment`` reads each role that way, once per
+trial-by-trial reads.  ``run_experiment`` draws each role that way, once per
 block of at most ``BLOCK_PARTICLES`` (2**14) particles, at least one trial a
-block, so its draws are the same as one call a trial.  Alice's and Bob's
-roles are read the same way in every scenario and under every eavesdropper.
+block (``trial_draws``), and hands each trial its row of every block.
+Alice's and Bob's roles are read the same way in every scenario and under
+every eavesdropper.
+
+Integer roles are drawn with ``dtype=np.int32``.  For the bounds used here
+numpy fills an int32 array with exactly the values of the int64 call and
+consumes the same raw words, so the stream stays in step for the draws
+that follow; ``test_int32_draws_equal_int64_draws_and_keep_the_stream_in_step``
+pins this rule for every registered spec's d_ab and basis count.
 
 Sifting and scoring
 -------------------
 Every statistic is one of the sifted key, so a trial sifts first: ``sift``
 returns the positions of the whole particles measured in matching bases, and
-only those kept particles are sampled.  The trial takes Bob's uniforms and
-the eavesdropper's bases and uniforms at the kept positions, and samples
-Bob's value and the standard eavesdropper's intercept on the kept rows
-alone.  Every role still reads its whole block, so no draw depends on which
-particles were kept.
+only those kept particles are sampled.  ``run_trial`` reads one 1-D row per
+role, a view of that role's block: it takes Bob's uniforms and the
+eavesdropper's bases and uniforms at the kept positions, and samples Bob's
+value and the standard eavesdropper's intercept on the kept rows alone, as
+int32 like the drawn values.  Every role is still drawn whole, so no draw
+depends on which particles were kept.  A block's draws are freed once its
+last trial has run, before its trials are scored.
 
 A trial returns the kept particles' values, Alice's, Bob's and the
 eavesdropper's.  A block's trials are scored together: one
@@ -98,12 +107,13 @@ matches when its key has no errors, and no reference is sampled.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from enum import Enum
 
 import numpy as np
 
 from . import analysis, gates
-from .core import ConfigError, ContractError, RandomSource, integral
+from .core import ConfigError, RandomSource, integral
 from .gates import PROTOCOLS, ProtocolSpec, spec_cached
 
 
@@ -119,20 +129,20 @@ class EveModel(str, Enum):
     HD = "hd"
 
 
-# Upper bound on raw bits per trial.  A trial holds a few int64 and float64
-# arrays per particle, its full blocks of draws, and the d_ab - 1 thresholds
-# gathered for each kept particle, so its memory grows linearly with raw
-# bits; at this bound a one-trial `run` peaks at 66-99 MB resident for the
-# whole process (measured on numpy 2.4: hdbb84 conv/hd 66.0 MB, bb84
-# control/none 86.9, bb84 control/standard 98.2, ssp relabel/hd 77.6),
-# well under 1 GB.
+# Upper bound on raw bits per trial.  A trial holds its full blocks of
+# draws (int32 integers and float64 uniforms), a few int32 and float64
+# arrays per kept particle, and the d_ab - 1 thresholds gathered for each
+# kept particle, so its memory grows linearly with raw bits; at this bound
+# a one-trial `run` peaks at 62-96 MB resident for the whole process
+# (measured on numpy 2.4: hdbb84 conv/hd 61.6 MB, bb84 control/none 78.8,
+# bb84 control/standard 96.0, ssp relabel/hd 71.0), well under 1 GB.
 MAX_RAW_BITS = 1_000_000
 
-# Upper bound on trials per run.  A run's counts are a few int arrays, but
-# every trial's document row and JSON text stay in memory until the document
-# is written, about 1 KB each: `run --protocol bb84 --raw-bits 2 --format
-# json` peaks at 57-60 MB resident with 20,000 trials and at 131 MB with
-# 100,000 (numpy 2.4).
+# Upper bound on trials per run.  A run's counts are a few int arrays and the
+# document's trial table a few lists, but every trial's JSON text stays in
+# memory until the document is written, a few hundred bytes each: `run
+# --protocol bb84 --raw-bits 2 --format json` peaks at 55 MB resident with
+# 20,000 trials and at 115 MB with 100,000 (numpy 2.4).
 MAX_TRIALS = 100_000
 
 
@@ -214,8 +224,9 @@ def outcome_thresholds(spec: ProtocolSpec, scenario: Scenario) -> np.ndarray:
 
 def _sample(thresholds: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF sample of one outcome per particle from uniforms ``u``: the
-    number of thresholds of column ``rows[i]`` at or below ``u[i]``."""
-    return (u >= thresholds.take(rows, axis=1)).sum(0)
+    number of thresholds of column ``rows[i]`` at or below ``u[i]``, as int32
+    like the drawn values."""
+    return (u >= thresholds.take(rows, axis=1)).sum(0, dtype=np.int32)
 
 
 def role_streams(seed: int, scenario: Scenario, eve: EveModel) -> dict[str, np.random.Generator]:
@@ -230,89 +241,70 @@ def role_streams(seed: int, scenario: Scenario, eve: EveModel) -> dict[str, np.r
 
 
 def alice_draws(
-    spec: ProtocolSpec, raw_bits: int, streams: dict[str, np.random.Generator]
+    spec: ProtocolSpec, raw_bits: int, streams: dict[str, np.random.Generator], trials: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one value and one encoding basis per particle."""
+    """Draw one value and one encoding basis per particle for the next
+    ``trials`` trials, as two int32 ``(trials, particles)`` blocks."""
     bits = spec.bits_per_particle
     particles = integral(raw_bits, "raw_bits", low=1, high=MAX_RAW_BITS, multiple=bits) // bits
-    values = streams["alice-values"].integers(0, spec.d_ab, size=particles)
-    bases = streams["alice-bases"].integers(0, spec.basis_count, size=particles)
+    shape = (trials, particles)
+    values = streams["alice-values"].integers(0, spec.d_ab, size=shape, dtype=np.int32)
+    bases = streams["alice-bases"].integers(0, spec.basis_count, size=shape, dtype=np.int32)
     return values, bases
 
 
+def trial_draws(
+    spec: ProtocolSpec, raw_bits: int, streams: dict[str, np.random.Generator], trials: int
+) -> Iterator[dict[str, np.ndarray]]:
+    """Draw the next ``trials`` trials of every role in ``streams`` as one
+    ``(trials, particles)`` block per role (stream layout v3); returns an
+    iterator of one dict a trial, each role's 1-D row of its block.  The
+    blocks are freed once the iterator is exhausted or dropped."""
+    values, bases = alice_draws(spec, raw_bits, streams, trials)
+    draws = {"alice-values": values, "alice-bases": bases}
+    k, shape = spec.basis_count, values.shape
+    for party in ("bob", "eve"):
+        if f"{party}-bases" in streams:  # the eavesdropper's under the standard one alone
+            draws[f"{party}-bases"] = streams[f"{party}-bases"].integers(0, k, shape, dtype=np.int32)
+            draws[f"{party}-measure"] = streams[f"{party}-measure"].random(shape)
+    return (dict(zip(draws, rows)) for rows in zip(*draws.values()))
+
+
 def sift(alice_bases: np.ndarray, bob_bases: np.ndarray) -> np.ndarray:
-    """Positions of the whole particles measured in matching bases."""
-    return np.flatnonzero(alice_bases == bob_bases)
+    """Positions of the whole particles measured in matching bases, for one
+    trial's 1-D arrays."""
+    return (alice_bases == bob_bases).nonzero()[0]
 
 
-# Particles per block of trials in ``run_experiment``: 2**14 int64 draws
+# Particles per block of trials in ``run_experiment``: 2**14 float64 draws
 # are 128 KB, glibc's default mmap threshold.  Larger blocks made long keys
 # slower (bb84 control/standard at 20,000 particles a block).
 BLOCK_PARTICLES = 2**14
 
 
-class _BlockReader:
-    """Stands in for one role's generator for the next ``trials`` equal
-    draws.  The first ``integers`` or ``random`` call draws the whole
-    ``(trials, size)`` block from the stream and returns row 0, each later
-    call the next row; stream layout v3 makes these rows the draws that
-    ``trials`` calls on the stream would return.  The block is dropped with
-    its last row, so a one-trial block allocates and frees as the stream
-    call does."""
-
-    def __init__(self, stream: np.random.Generator, trials: int):
-        self.stream, self.trials, self.row = stream, trials, 0
-        self.call = self.block = None
-
-    def integers(self, low, high, size):
-        return self._next("integers", (low, high), size)
-
-    def random(self, size):
-        return self._next("random", (), size)
-
-    def _next(self, name, bounds, size):
-        call = (name, *bounds, size)
-        if self.call is None:
-            self.call = call
-            self.block = getattr(self.stream, name)(*bounds, size=(self.trials, size))
-        elif call != self.call or self.row == self.trials:
-            raise ContractError(
-                f"draw {self.row + 1} of a block of {self.trials} {self.call} asked for {call}"
-            )
-        row, self.row = self.block[self.row], self.row + 1
-        if self.row == self.trials:
-            self.block = None
-        return row
-
-
 def run_trial(
-    spec: ProtocolSpec,
-    scenario: Scenario,
-    eve: EveModel,
-    raw_bits: int,
-    streams: dict[str, np.random.Generator],
+    spec: ProtocolSpec, scenario: Scenario, eve: EveModel, draws: dict[str, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Execute the next trial of a run: draw, sift, optional intercept,
-    then Bob's value from the scenario's outcome table.  Returns the kept
-    particles' ``(alice_values, bob_values, eve_values)``, ``eve_values``
-    None without an eavesdropper.
+    """Execute one trial on its draws: sift, optional intercept, then Bob's
+    value from the scenario's outcome table.  Returns the kept particles'
+    ``(alice_values, bob_values, eve_values)``, ``eve_values`` None without
+    an eavesdropper.
 
-    ``streams`` come from ``role_streams``; the trial reads the next block of
-    each role its cell uses (stream layout v3, module docstring).  The kept
-    particles are sampled at once.  The eavesdropper changes only the channel
-    row Bob reads: the standard one replaces it by the state she resends, the
-    high-dimensional one leaves it as it is and reads (value, basis) off it.
-    Names are checked as ``validate_pairing`` does; a paired Scenario and
-    EveModel, which ``run_experiment`` validated once, are taken as given.
+    ``draws`` maps each role its cell reads to the trial's 1-D row of draws,
+    as ``trial_draws`` yields them (stream layout v3, module docstring).
+    The kept particles are sampled at once.  The eavesdropper changes only
+    the channel row Bob reads: the standard one replaces it by the state she
+    resends, the high-dimensional one leaves it as it is and reads (value,
+    basis) off it.  Names are checked as ``validate_pairing`` does; a paired
+    Scenario and EveModel, which ``run_experiment`` validated once, are
+    taken as given.
     """
     if (type(scenario), type(eve)) != (Scenario, EveModel) or (scenario, eve) not in CELLS:
         scenario, eve = validate_pairing(scenario, eve)
-    alice_values, alice_bases = alice_draws(spec, raw_bits, streams)
-    particles, k = len(alice_bases), spec.basis_count
-    bob_bases = streams["bob-bases"].integers(0, k, size=particles)
-    u = streams["bob-measure"].random(particles)
-    kept = sift(alice_bases, bob_bases)
-    values, bases, u = alice_values.take(kept), alice_bases.take(kept), u.take(kept)
+    k = spec.basis_count
+    kept = sift(draws["alice-bases"], draws["bob-bases"])
+    values, bases = draws["alice-values"].take(kept), draws["alice-bases"].take(kept)
+    u = draws["bob-measure"].take(kept)
 
     # Flat outcome-table rows: one per (value, basis) sent, read in that basis.
     sent = spec.state_index(values, bases) * k
@@ -320,9 +312,9 @@ def run_trial(
     if eve is EveModel.STANDARD:
         # Intercept-resend: Eve decodes in a guessed basis, then resends the
         # value she measured encoded in that basis.
-        eve_bases = streams["eve-bases"].integers(0, k, size=particles).take(kept)
-        eve_u = streams["eve-measure"].random(particles).take(kept)
+        eve_bases, eve_u = draws["eve-bases"].take(kept), draws["eve-measure"].take(kept)
         eve_values = _sample(outcome_thresholds(spec, Scenario.CONTROL), sent + eve_bases, eve_u)
+        del eve_u  # freed before Bob's sample, the peak of a long trial
         sent = spec.state_index(eve_values, eve_bases) * k
     elif eve is EveModel.HD:
         # The channel holds the basis state indexing (value, basis): the
@@ -353,11 +345,11 @@ def run_experiment(
     per_block = max(1, BLOCK_PARTICLES // (raw_len // bits))
     blocks = []
     for start in range(0, trials, per_block):
-        count = min(per_block, trials - start)
-        readers = {role: _BlockReader(stream, count) for role, stream in streams.items()}
-        kept = [run_trial(spec, scenario, eve, raw_bits, readers) for _ in range(count)]
+        # Exhausted, the iterator frees the block's draws before they are scored.
+        draws = trial_draws(spec, raw_bits, streams, min(per_block, trials - start))
+        kept = [run_trial(spec, scenario, eve, trial) for trial in draws]
         blocks.append(analysis.score(*_joined(kept), [len(values[0]) for values in kept], bits))
-        del kept  # freed before the next block draws, as one trial's values were
+        del kept  # freed before the next block draws
     return analysis.RunCounts(np.arange(trials), np.full(trials, raw_len), *_joined(blocks))
 
 

@@ -49,7 +49,7 @@ def full_streams(seed):
 def full_trial(spec, scenario, eve, raw_bits, streams) -> FullTranscript:
     """The next trial of a run, every particle sampled."""
     scenario, eve = Scenario(scenario), EveModel(eve)
-    alice_values, alice_bases = alice_draws(spec, raw_bits, streams)
+    (alice_values,), (alice_bases,) = alice_draws(spec, raw_bits, streams, 1)
     particles, k = len(alice_bases), spec.basis_count
     bob_bases = streams["bob-bases"].integers(0, k, size=particles)
     u = streams["bob-measure"].random(particles)

@@ -2,6 +2,7 @@ import argparse
 import csv
 import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,16 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _rows(columns: dict) -> list[dict]:
+    """A document's trial table as the row dicts its output writes."""
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
+def _columns(rows: list[dict]) -> dict:
+    """Row dicts as a document's trial table of columns."""
+    return {name: [row[name] for row in rows] for name in rows[0]}
+
+
 def test_run_json_round_trips(capsys):
     code, out, _ = _run(
         capsys,
@@ -32,7 +44,7 @@ def test_run_json_round_trips(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert cli.render_json(doc) == out
+    assert cli.render_json({**doc, "trials": _columns(doc["trials"])}) == out
     assert doc["aggregate"]["qber"] == 0.0
     assert doc["aggregate"]["alice_knowledge"] == 1.0
     assert doc["aggregate"]["matches"] == 1.0
@@ -450,26 +462,30 @@ def test_a_full_stdout_in_process_leaves_nothing_to_fail_at_close(capsys, monkey
 
 # --- the result document: exact rows, exact means, the same JSON bytes ------
 
-_VALUES = st.one_of(
-    st.none(),
+_KINDS = (
     st.booleans(),
     st.integers(-(10**6), 10**6),
-    st.sampled_from([0.0, 1.0, 0.5, 0.0001, 1e-05, 0.3333, 12.5]),
-    st.floats(0, 1),
+    st.sampled_from([0.0, 1.0, 0.5, 0.0001, 1e-05, 0.3333, 12.5]) | st.floats(0, 1),
 )
-_ROWS = st.fixed_dictionaries(
-    {"trial": st.integers(0, protocols.MAX_TRIALS), **{name: _VALUES for name in analysis.STATISTICS}}
+_VALUES = st.one_of(st.none(), *_KINDS)
+# A column's values: scalars of one kind, or None, as build_document writes
+# them (the column writer looks a token up by value, and True == 1).
+_COLUMN = st.sampled_from(_KINDS).flatmap(
+    lambda kind: st.lists(st.none() | kind, min_size=1, max_size=8)
 )
 _DOCUMENTS = st.fixed_dictionaries(
     {
         "artifact_version": st.text(max_size=8),
         "catalog_fingerprint": st.text("0123456789abcdef", min_size=64, max_size=64),
         "config": st.dictionaries(st.text(max_size=8), st.one_of(st.text(max_size=8), _VALUES), max_size=7),
-        # 1 to 300 rows cycling through a few drawn ones: st.lists alone
-        # rarely draws more than a few dozen rows.
-        "trials": st.tuples(st.lists(_ROWS, min_size=1, max_size=8), st.integers(1, 300)).map(
-            lambda drawn: [drawn[0][i % len(drawn[0])] for i in range(drawn[1])]
-        ),
+        # 1 to 300 rows cycling through a few drawn values a column: st.lists
+        # alone rarely draws more than a few dozen.
+        "trials": st.tuples(
+            st.fixed_dictionaries(dict.fromkeys(cli._CSV_FIELDS, _COLUMN)), st.integers(1, 300)
+        ).map(lambda drawn: {
+            name: [values[i % len(values)] for i in range(drawn[1])]
+            for name, values in drawn[0].items()
+        }),
         "aggregate": st.fixed_dictionaries(
             {"trials": st.integers(1, 300), **{name: _VALUES for name in analysis.STATISTICS}}
         ),
@@ -480,7 +496,47 @@ _DOCUMENTS = st.fixed_dictionaries(
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(_DOCUMENTS)
 def test_render_json_equals_indented_json_dumps(doc):
-    assert cli.render_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    rows = {**doc, "trials": _rows(doc["trials"])}
+    assert cli.render_json(doc) == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+
+
+@st.composite
+def _records(draw) -> analysis.RunCounts:
+    """A run's counts: 1 to 40 trials, some with empty keys, with or
+    without an eavesdropper."""
+    raw_len = draw(st.integers(1, 64))
+    key_sizes = draw(st.lists(st.just(0) | st.integers(0, raw_len), min_size=1, max_size=40))
+    errors = [
+        np.array([draw(st.integers(0, key_size)) for key_size in key_sizes])
+        for _ in range(3 if draw(st.booleans()) else 1)
+    ]
+    trials, eve = len(key_sizes), [None] * (3 - len(errors))
+    return analysis.RunCounts(
+        np.arange(trials), np.full(trials, raw_len), np.array(key_sizes), *errors, *eve
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_records())
+def test_the_column_writer_equals_the_row_writers(record):
+    doc = cli.build_document({"protocol": "bb84"}, record)
+    rows = _rows(doc["trials"])
+    assert cli.render_json(doc) == (
+        json.dumps({**doc, "trials": rows}, indent=2, sort_keys=True) + "\n"
+    )
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    writer.writerow(cli._CSV_FIELDS)
+    for row in [*rows, {**doc["aggregate"], "trial": "mean"}]:
+        writer.writerow(["" if v is None else int(v) if isinstance(v, bool) else v
+                         for v in map(row.get, cli._CSV_FIELDS)])
+    assert cli.render_csv(doc) == buffer.getvalue()
+    for result, row in zip(record, rows, strict=True):
+        assert row["trial"] == result.trial and row["key_size"] == result.key_size
+        assert row["matches"] is result.matches
+        for name in ("sift_fraction", "qber", "alice_knowledge", "bob_knowledge"):
+            value = getattr(result, name)
+            assert row[name] == (None if value is None else round(float(value), 4)), name
 
 
 GRID_CELLS = [
@@ -497,7 +553,7 @@ def test_means_and_rows_equal_their_exact_fractions(trials, raw_bits):
             warnings.simplefilter("ignore", analysis.EmptySiftWarning)
             results = protocols.run_experiment(spec, scenario, eve, trials, raw_bits, 3)
         means = analysis.aggregate(results)
-        rows = cli.build_document({}, results)["trials"]
+        rows = _rows(cli.build_document({}, results)["trials"])
         for name in analysis.STATISTICS:
             # The oracle: every trial's value as an exact Fraction, then one mean.
             values = [value for r in results if (value := getattr(r, name)) is not None]

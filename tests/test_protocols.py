@@ -36,6 +36,7 @@ from qkdlab.protocols import (
     run_experiment,
     run_trial,
     sift,
+    trial_draws,
     validate_pairing,
 )
 
@@ -62,12 +63,20 @@ def _scored(trial, raw_bits, values, bits):
     return analysis.RunCounts(np.array([trial]), np.array([raw_bits]), *scores)[0]
 
 
+def _draws(spec, raw_bits, streams):
+    """The next trial's rows of every role in ``streams``, drawn as a block of one."""
+    return next(trial_draws(spec, raw_bits, streams, 1))
+
+
+def _next_trial(spec, scenario, eve, raw_bits, streams):
+    """The next trial of a run, drawn as a block of one."""
+    return run_trial(spec, scenario, eve, _draws(spec, raw_bits, streams))
+
+
 def _trial(spec, scenario, eve, raw_bits, trial=0, seed=SEED):
-    """Trial ``trial`` of a run: the earlier trials read their blocks first."""
-    streams = role_streams(seed, scenario, eve)
-    for _ in range(trial):
-        run_trial(spec, scenario, eve, raw_bits, streams)
-    return run_trial(spec, scenario, eve, raw_bits, streams)
+    """Trial ``trial`` of a run, on its rows of one block of ``trial + 1`` trials."""
+    draws = trial_draws(spec, raw_bits, role_streams(seed, scenario, eve), trial + 1)
+    return run_trial(spec, scenario, eve, list(draws)[trial])
 
 
 def _full(spec, scenario, eve, raw_bits, trial=0, seed=SEED):
@@ -248,7 +257,7 @@ def test_unknown_names_raise_config_error_listing_valid_values(scenario, eve, mo
     with pytest.raises(ConfigError, match=valid):
         validate_pairing(scenario, eve)
     with pytest.raises(ConfigError, match=valid):
-        run_trial(BB84, scenario, eve, 2, full_streams(SEED))
+        run_trial(BB84, scenario, eve, _draws(BB84, 2, full_streams(SEED)))
     with pytest.raises(ConfigError, match=valid):
         role_streams(SEED, scenario, eve)
 
@@ -329,34 +338,36 @@ def test_validate_pairing_converts_names():
 
 
 def test_alice_draws_is_deterministic():
-    values_a, bases_a = alice_draws(BB84, 200, full_streams(SEED))
-    values_b, bases_b = alice_draws(BB84, 200, full_streams(SEED))
+    values_a, bases_a = alice_draws(BB84, 200, full_streams(SEED), 3)
+    values_b, bases_b = alice_draws(BB84, 200, full_streams(SEED), 3)
     np.testing.assert_array_equal(values_a, values_b)
     np.testing.assert_array_equal(bases_a, bases_b)
 
 
 def test_alice_draws_ssp_uses_three_bases():
-    _, bases = alice_draws(SSP, 200, full_streams(SEED))
-    assert set(bases) == {0, 1, 2}
+    _, bases = alice_draws(SSP, 200, full_streams(SEED), 1)
+    assert set(bases.ravel().tolist()) == {0, 1, 2}
 
 
 def test_alice_draws_hdbb84_packs_two_bits_per_particle():
-    # Two raw bits per particle: 100 values, each one of the four 2-bit values.
-    values, bases = alice_draws(HDBB84, 200, full_streams(SEED))
-    assert len(values) == len(bases) == 100
-    assert set(values.tolist()) == {0, 1, 2, 3}
+    # Two raw bits per particle: 100 values a trial, each one of the four
+    # 2-bit values, one int32 row a trial.
+    values, bases = alice_draws(HDBB84, 200, full_streams(SEED), 3)
+    assert values.shape == bases.shape == (3, 100)
+    assert values.dtype == bases.dtype == np.int32
+    assert set(values.ravel().tolist()) == {0, 1, 2, 3}
 
 
 def test_alice_draws_rejects_indivisible_length():
     with pytest.raises(ConfigError):
-        alice_draws(HDBB84, 201, full_streams(SEED))
+        alice_draws(HDBB84, 201, full_streams(SEED), 1)
     with pytest.raises(ConfigError):
-        alice_draws(BB84, 0, full_streams(SEED))
+        alice_draws(BB84, 0, full_streams(SEED), 1)
 
 
 def test_alice_draws_rejects_oversized_length():
     with pytest.raises(ConfigError, match="at most"):
-        alice_draws(BB84, MAX_RAW_BITS + 1, full_streams(SEED))
+        alice_draws(BB84, MAX_RAW_BITS + 1, full_streams(SEED), 1)
 
 
 # --- encoding ---------------------------------------------------------------------------
@@ -855,9 +866,8 @@ def test_sift_and_matches_equal_masked_forms_on_trials(spec, scenario, eve, monk
 
 def test_mean_sifted_length_near_half_raw():
     lengths = []
-    streams = full_streams(SEED)
-    for _ in range(25):
-        alice, _, _ = run_trial(BB84, Scenario.CONTROL, EveModel.NONE, 200, streams)
+    for draws in trial_draws(BB84, 200, full_streams(SEED), 25):
+        alice, _, _ = run_trial(BB84, Scenario.CONTROL, EveModel.NONE, draws)
         lengths.append(len(alice))
     assert abs(np.mean(lengths) - 100) <= 10
 
@@ -879,7 +889,7 @@ def test_run_trial_relabel_with_hd_eve_is_invisible_and_fully_known():
 
 def test_run_trial_rejects_invalid_pairing():
     with pytest.raises(ConfigError):
-        run_trial(BB84, Scenario.RELABEL, EveModel.STANDARD, 200, full_streams(SEED))
+        run_trial(BB84, Scenario.RELABEL, EveModel.STANDARD, _draws(BB84, 200, full_streams(SEED)))
 
 
 def test_run_trial_is_deterministic():
@@ -895,8 +905,8 @@ def test_scenarios_share_sifted_keys_without_eve(spec):
         for scenario in Scenario:
             streams = role_streams(SEED, scenario, EveModel.NONE)
             keys.append([
-                run_trial(spec, scenario, EveModel.NONE, 200, streams)[1]
-                for _ in range(trials)
+                run_trial(spec, scenario, EveModel.NONE, draws)[1]
+                for draws in trial_draws(spec, 200, streams, trials)
             ])
         for control, conv, relabel in zip(*keys):
             assert np.array_equal(control, conv)
@@ -950,26 +960,19 @@ def _role_bounds(spec):
     }
 
 
-class _BatchRows:
-    """Stands in for one role's generator: hands out the rows of a single
-    ``(trials, particles)`` draw, one row per call, and checks that each call
-    asks for exactly that draw."""
-
-    def __init__(self, batch, bound):
-        self.rows, self.bound = iter(batch), bound
-
-    def integers(self, low, high, size):
-        assert (low, high) == (0, self.bound)
-        return self._next(size)
-
-    def random(self, size):
-        assert self.bound is None
-        return self._next(size)
-
-    def _next(self, size):
-        row = next(self.rows)
-        assert len(row) == size
-        return row
+@pytest.mark.parametrize(
+    "bound", sorted({m for spec in PROTOCOLS.values() for m in (spec.d_ab, spec.basis_count)})
+)
+def test_int32_draws_equal_int64_draws_and_keep_the_stream_in_step(bound):
+    # Stream layout v3 draws integer roles as int32; numpy fills them with
+    # the values of the int64 call and consumes the same raw words.
+    for size in (1, 7, 16, 201, (3, 5), (7, 9)):
+        narrow, wide = _rng("alice-values"), _rng("alice-values")
+        for _ in range(2):
+            drawn = narrow.integers(0, bound, size, dtype=np.int32)
+            assert drawn.dtype == np.int32
+            np.testing.assert_array_equal(drawn, wide.integers(0, bound, size))
+            np.testing.assert_array_equal(narrow.random(3), wide.random(3))
 
 
 @pytest.mark.parametrize(
@@ -983,18 +986,25 @@ class _BatchRows:
     ids=lambda p: getattr(p, "value", getattr(p, "name", p)),
 )
 def test_batched_role_draws_reproduce_trial_transcripts(spec, scenario, eve, raw_bits):
+    # A trial's rows of one (trials, particles) block per role are the draws
+    # one stream call a trial returns, as the stream-layout table lists them.
     trials, particles = 7, raw_bits // spec.bits_per_particle
-    batched = {}
-    for role, rng in role_streams(SEED, scenario, eve).items():
-        bound = _role_bounds(spec)[role]
-        shape = (trials, particles)
-        batch = rng.random(shape) if bound is None else rng.integers(0, bound, shape)
-        batched[role] = _BatchRows(batch, bound)
     streams = role_streams(SEED, scenario, eve)
-    for _ in range(trials):
+    batched = trial_draws(spec, raw_bits, role_streams(SEED, scenario, eve), trials)
+    for draws in batched:
+        one_by_one = {}
+        for role, rng in streams.items():
+            bound = _role_bounds(spec)[role]
+            one_by_one[role] = (
+                rng.random(particles) if bound is None
+                else rng.integers(0, bound, particles, dtype=np.int32)
+            )
+        assert list(draws) == list(one_by_one) == list(CELL_ROLES[scenario, eve])
+        for role, row in draws.items():
+            assert row.dtype == one_by_one[role].dtype, role
+            np.testing.assert_array_equal(row, one_by_one[role], err_msg=role)
         _assert_same_trial(
-            run_trial(spec, scenario, eve, raw_bits, streams),
-            run_trial(spec, scenario, eve, raw_bits, batched),
+            run_trial(spec, scenario, eve, one_by_one), run_trial(spec, scenario, eve, draws)
         )
 
 
@@ -1036,31 +1046,41 @@ def test_a_run_opens_one_stream_per_role_its_cell_reads(spec, scenario, eve, mon
 
 
 class _CountedStream:
-    """One role's generator that counts its draw calls into ``calls[role]``."""
+    """One role's generator that lists its draw calls in ``calls[role]``:
+    the dtype of an ``integers`` call, "random" for a ``random`` call."""
 
     def __init__(self, rng, calls, role):
         self.rng, self.calls, self.role = rng, calls, role
 
     def integers(self, *args, **kwargs):
-        self.calls[self.role] += 1
+        self.calls[self.role].append(np.dtype(kwargs.get("dtype", np.int64)))
         return self.rng.integers(*args, **kwargs)
 
     def random(self, *args, **kwargs):
-        self.calls[self.role] += 1
+        self.calls[self.role].append("random")
         return self.rng.random(*args, **kwargs)
 
 
 def _count_draw_calls(monkeypatch):
-    """Make every stream a run opens count its draw calls; returns the counts."""
+    """Make every stream a run opens list its draw calls; returns the lists."""
     calls = {}
     stream = RandomSource.stream
 
     def counted(source, role):
-        calls[role] = 0
+        calls[role] = []
         return _CountedStream(stream(source, role), calls, role)
 
     monkeypatch.setattr(RandomSource, "stream", counted)
     return calls
+
+
+def _block_calls(scenario, eve, blocks):
+    """The draw calls of a run of ``blocks`` blocks: one int32 ``integers``
+    call a block on each integer role, one ``random`` call on the others."""
+    return {
+        role: ["random" if role.endswith("-measure") else np.dtype(np.int32)] * blocks
+        for role in CELL_ROLES[scenario, eve]
+    }
 
 
 @pytest.mark.filterwarnings("ignore::qkdlab.analysis.EmptySiftWarning")
@@ -1072,7 +1092,7 @@ def test_a_short_run_draws_each_role_once(spec, scenario, eve, monkeypatch):
     # not once a trial.
     calls = _count_draw_calls(monkeypatch)
     run_experiment(spec, scenario, eve, 150, 16, SEED)
-    assert calls == dict.fromkeys(CELL_ROLES[scenario, eve], 1)
+    assert calls == _block_calls(scenario, eve, 1)
 
 
 def test_a_long_key_draws_each_role_once_a_trial(monkeypatch):
@@ -1080,7 +1100,29 @@ def test_a_long_key_draws_each_role_once_a_trial(monkeypatch):
     calls = _count_draw_calls(monkeypatch)
     run_experiment(BB84, Scenario.CONTROL, EveModel.STANDARD, 2, 20_000, SEED)
     assert protocols.BLOCK_PARTICLES < 20_000
-    assert calls == dict.fromkeys(CELL_ROLES[Scenario.CONTROL, EveModel.STANDARD], 2)
+    assert calls == _block_calls(Scenario.CONTROL, EveModel.STANDARD, 2)
+
+
+@pytest.mark.filterwarnings("ignore::qkdlab.analysis.EmptySiftWarning")
+@pytest.mark.parametrize("trials,raw_bits", [(150, 16), (3, 20_000)])
+def test_a_blocks_draws_are_freed_before_it_is_scored(trials, raw_bits, monkeypatch):
+    # A long trial peaks while it samples; its blocks of draws must not live
+    # on while its kept values are scored, nor into the next block.
+    blocks, draw, score = [], protocols.alice_draws, analysis.score
+
+    def drawn(*args):
+        values, bases = draw(*args)
+        blocks.extend(map(weakref.ref, (values, bases)))
+        return values, bases
+
+    def scored(*args):
+        assert blocks and all(block() is None for block in blocks)
+        return score(*args)
+
+    monkeypatch.setattr(protocols, "alice_draws", drawn)
+    monkeypatch.setattr(analysis, "score", scored)
+    run_experiment(BB84, Scenario.CONTROL, EveModel.STANDARD, trials, raw_bits, SEED)
+    assert len(blocks) == 2 * (1 if trials == 150 else trials)
 
 
 # (particles a trial, blocks) for a 7-trial run in blocks of 42 particles:
@@ -1101,28 +1143,13 @@ def test_a_blocked_run_equals_its_trials_run_one_by_one(spec, scenario, eve, cas
     raw_bits = particles * bits
     streams = role_streams(SEED, scenario, eve)
     expected = [
-        _scored(trial, raw_bits, run_trial(spec, scenario, eve, raw_bits, streams), bits)
+        _scored(trial, raw_bits, _next_trial(spec, scenario, eve, raw_bits, streams), bits)
         for trial in range(trials)
     ]
     monkeypatch.setattr(protocols, "BLOCK_PARTICLES", 42)
     calls = _count_draw_calls(monkeypatch)
     assert run_experiment(spec, scenario, eve, trials, raw_bits, SEED) == expected
-    assert calls == dict.fromkeys(CELL_ROLES[scenario, eve], blocks)
-
-
-def test_a_block_reader_hands_out_the_rows_of_one_draw_then_drops_it():
-    reader = protocols._BlockReader(_rng("alice-values"), 3)
-    rows = [reader.integers(0, 4, size=5), reader.integers(0, 4, 5)]
-    for other in (lambda: reader.integers(0, 2, size=5), lambda: reader.integers(0, 4, size=6),
-                  lambda: reader.random(5)):
-        with pytest.raises(ContractError, match="of a block of 3"):
-            other()
-    assert reader.block is not None
-    rows.append(reader.integers(0, 4, size=5))
-    assert reader.block is None
-    np.testing.assert_array_equal(np.stack(rows), _rng("alice-values").integers(0, 4, size=(3, 5)))
-    with pytest.raises(ContractError, match="of a block of 3"):
-        reader.integers(0, 4, size=5)
+    assert calls == _block_calls(scenario, eve, blocks)
 
 
 @pytest.mark.filterwarnings("ignore::qkdlab.analysis.EmptySiftWarning")
@@ -1146,7 +1173,7 @@ def test_sifted_kernel_equals_the_masked_full_length_reference(scenario, eve, pa
     expected, matches = [], []
     for trial in range(trials):
         full = full_trial(spec, scenario, eve, raw_bits, reference)
-        _assert_same_trial(run_trial(spec, scenario, eve, raw_bits, streams), masked(full))
+        _assert_same_trial(_next_trial(spec, scenario, eve, raw_bits, streams), masked(full))
         expected.append(_scored(trial, raw_bits, masked(full), bits))
         # The matches flag as defined: Bob's sifted key equals the control run's.
         mask = full.mask
