@@ -134,7 +134,7 @@ def render_csv(doc: dict) -> str:
     return _csv_text(_CSV_FIELDS, [*rows, [agg[field] for field in _CSV_FIELDS]])
 
 
-def _trials_json(columns: dict) -> str:
+def _trial_rows(columns: dict) -> list[str]:
     """The trial rows at the depth and separators of ``indent=2``: each
     column's distinct values in one call of the C encoder, then one row
     template, its keys sorted, filled once a trial."""
@@ -146,7 +146,7 @@ def _trials_json(columns: dict) -> str:
         # A scalar's JSON token never holds ", ", the encoder's item separator.
         token = dict(zip(distinct, json.dumps(distinct)[1:-1].split(", ")))
         tokens.append(map(token.__getitem__, columns[name]))
-    return "[\n    " + ",\n    ".join(map(template.__mod__, zip(*tokens))) + "\n  ]"
+    return list(map(template.__mod__, zip(*tokens)))
 
 
 def render_json(doc: dict) -> str:
@@ -155,7 +155,13 @@ def render_json(doc: dict) -> str:
     text = json.dumps({**doc, "trials": None}, indent=2, sort_keys=True)
     # Only a top-level key starts a line indented by two spaces.
     slot = '\n  "trials": '
-    return text.replace(slot + "null", slot + _trials_json(doc["trials"]), 1) + "\n"
+    head, _, tail = text.partition(slot + "null")
+    # One join writes the whole text once: the head opens the first row and
+    # the tail closes the last, so the row separator joins everything.
+    rows = _trial_rows(doc["trials"])
+    rows[0] = f"{head}{slot}[\n    {rows[0]}"
+    rows[-1] = f"{rows[-1]}\n  ]{tail}\n"
+    return ",\n    ".join(rows)
 
 
 _RENDERERS = {"table": render_table, "csv": render_csv, "json": render_json}

@@ -35,7 +35,8 @@ rows of the conversion circuit's output, ``gates.conversion_output``;
 relabel follows from the index convention alone: the point mass on the value
 when the bases match, uniform over the d_ab values otherwise.  A trial
 samples all of its kept particles at once by inverse CDF: a uniform draw u
-picks the first value whose cumulative probability exceeds u.
+picks the first value whose cumulative probability exceeds u.  Where every
+row Bob can read is certain, it samples nothing (Sifting and scoring).
 
 The sampler reads the table flattened (``outcome_thresholds``): a read-only
 ``(d_ab - 1, d_ab * k * k)`` array whose column ``row =
@@ -80,13 +81,28 @@ Sifting and scoring
 -------------------
 Every statistic is one of the sifted key, so a trial sifts first: ``sift``
 returns the positions of the whole particles measured in matching bases, and
-only those kept particles are sampled.  ``run_trial`` reads one 1-D row per
-role, a view of that role's block: it takes Bob's uniforms and the
-eavesdropper's bases and uniforms at the kept positions, and samples Bob's
-value and the standard eavesdropper's intercept on the kept rows alone, as
-int32 like the drawn values.  Every role is still drawn whole, so no draw
-depends on which particles were kept.  A block's draws are freed once its
-last trial has run, before its trials are scored.
+only those kept particles are sampled, unless their rows are certain.
+``run_trial`` reads one 1-D row per role, a view of that role's block: it
+takes Bob's uniforms and the eavesdropper's bases and uniforms at the kept
+positions, and samples Bob's value and the standard eavesdropper's intercept
+on the kept rows alone, as int32 like the drawn values.  Every role is still
+drawn whole, so no draw depends on which particles were kept or sampled.  A
+block's draws are freed once its last trial has run, before its trials are
+scored.
+
+Without intercept-resend (eavesdropper none or hd) a kept particle reaches
+Bob as the state sent and is read in the basis sent: column
+``spec.state_index(v, a) * k + a`` of the thresholds.
+``matched_rows_certain(spec, scenario)``, computed once per spec and
+scenario, says whether every such column is exactly the step at the value
+sent, threshold j equal to 1.0 for j >= v and 0.0 below, compared without
+tolerance.  Where it holds the sampler returns the value sent for every
+uniform in [0, 1), so ``run_trial`` returns Alice's kept values as Bob's and
+neither takes Bob's uniforms nor samples.  It holds in all three scenarios of
+every paper protocol.  A spec whose control or conv table keeps rounding
+residue in such a row, below 1e-30, as most random-unitary specs do, keeps
+sampling.  Under the standard eavesdropper, her guessed basis and Bob's row
+after the resend are off-basis for some particles, so both are sampled.
 
 A trial returns the kept particles' values, Alice's, Bob's and the
 eavesdropper's.  A block's trials are scored together: one
@@ -96,13 +112,13 @@ record of int arrays, checked once.  No Fraction and no per-trial object is
 built: ``analysis.aggregate`` builds the exact means from the arrays.
 
 A trial "matches" when Bob's sifted key equals the key of the control run
-without an eavesdropper on the same draws.  That key is Alice's: a kept
-particle is decoded in the basis it was encoded in, and every such row of a
-registered protocol's control table is exactly the step at the value sent,
-so it samples the value sent whatever the uniform.  (In an unregistered
-spec's table rounding may leave thresholds below the value sent, under
-1e-30, which only a uniform of exactly 0.0 falls under.)  A trial therefore
-matches when its key has no errors, and no reference is sampled.
+without an eavesdropper on the same draws.  That key is Alice's wherever
+``matched_rows_certain(spec, Scenario.CONTROL)`` holds, as it does for every
+registered protocol: a kept particle is decoded in the basis it was encoded
+in, a row that samples the value sent whatever the uniform.  (Where it does
+not, rounding leaves thresholds below the value sent, under 1e-30, which
+only a uniform of exactly 0.0 falls under.)  A trial therefore matches when
+its key has no errors, and no reference is sampled.
 """
 
 from __future__ import annotations
@@ -130,19 +146,20 @@ class EveModel(str, Enum):
 
 
 # Upper bound on raw bits per trial.  A trial holds its full blocks of
-# draws (int32 integers and float64 uniforms), a few int32 and float64
-# arrays per kept particle, and the d_ab - 1 thresholds gathered for each
-# kept particle, so its memory grows linearly with raw bits; at this bound
-# a one-trial `run` peaks at 62-96 MB resident for the whole process
-# (measured on numpy 2.4: hdbb84 conv/hd 61.6 MB, bb84 control/none 78.8,
-# bb84 control/standard 96.0, ssp relabel/hd 71.0), well under 1 GB.
+# draws (int32 integers and float64 uniforms), a few int32 arrays per kept
+# particle and, in a cell that samples Bob's values, a float64 uniform and
+# the d_ab - 1 thresholds gathered for each kept particle, so its memory grows
+# linearly with raw bits; at this bound a one-trial `run` peaks at 50-96 MB
+# resident for the whole process (measured on numpy 2.4: hdbb84 conv/hd
+# 50.0 MB, ssp relabel/hd 60.5, bb84 control/none 63.1, and bb84
+# control/standard 95.9, which samples), well under 1 GB.
 MAX_RAW_BITS = 1_000_000
 
 # Upper bound on trials per run.  A run's counts are a few int arrays and the
 # document's trial table a few lists, but every trial's JSON text stays in
-# memory until the document is written, a few hundred bytes each: `run
-# --protocol bb84 --raw-bits 2 --format json` peaks at 55 MB resident with
-# 20,000 trials and at 115 MB with 100,000 (numpy 2.4).
+# memory until the document is written, a few hundred bytes each, and is
+# joined once: `run --protocol bb84 --raw-bits 2 --format json` peaks at
+# 52 MB resident with 20,000 trials and at 103 MB with 100,000 (numpy 2.4).
 MAX_TRIALS = 100_000
 
 
@@ -222,6 +239,18 @@ def outcome_thresholds(spec: ProtocolSpec, scenario: Scenario) -> np.ndarray:
     return np.ascontiguousarray(table.reshape(-1, table.shape[-1])[:, :-1].T)
 
 
+@spec_cached
+def matched_rows_certain(spec: ProtocolSpec, scenario: Scenario) -> np.ndarray:
+    """Whether every threshold column Bob reads in the basis sent is exactly
+    the step at the value sent, as a read-only 0-d bool array (module
+    docstring, Sifting and scoring)."""
+    thresholds = outcome_thresholds(spec, scenario)
+    states = np.arange(spec.d_e)
+    values, bases = spec.value_basis(states)
+    step = np.arange(spec.d_ab - 1)[:, None] >= values
+    return np.array(np.array_equal(thresholds[:, states * spec.basis_count + bases], step))
+
+
 def _sample(thresholds: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF sample of one outcome per particle from uniforms ``u``: the
     number of thresholds of column ``rows[i]`` at or below ``u[i]``, as int32
@@ -292,7 +321,9 @@ def run_trial(
 
     ``draws`` maps each role its cell reads to the trial's 1-D row of draws,
     as ``trial_draws`` yields them (stream layout v3, module docstring).
-    The kept particles are sampled at once.  The eavesdropper changes only
+    The kept particles are sampled at once, or, where ``matched_rows_certain``
+    holds without intercept-resend, Bob's values are Alice's (module
+    docstring, Sifting and scoring).  The eavesdropper changes only
     the channel row Bob reads: the standard one replaces it by the state she
     resends, the high-dimensional one leaves it as it is and reads (value,
     basis) off it.  Names are checked as ``validate_pairing`` does; a paired
@@ -304,11 +335,19 @@ def run_trial(
     k = spec.basis_count
     kept = sift(draws["alice-bases"], draws["bob-bases"])
     values, bases = draws["alice-values"].take(kept), draws["alice-bases"].take(kept)
+    eve_values = None
+    if eve is EveModel.HD:
+        # The channel holds the basis state indexing (value, basis): the
+        # measurement reads it deterministically and resends it unchanged.
+        eve_values = values
+    if eve is not EveModel.STANDARD and matched_rows_certain(spec, scenario):
+        # Bob reads the state sent in the basis sent, a row that samples the
+        # value sent whatever the uniform.
+        return values, values, eve_values
     u = draws["bob-measure"].take(kept)
 
     # Flat outcome-table rows: one per (value, basis) sent, read in that basis.
     sent = spec.state_index(values, bases) * k
-    eve_values = None
     if eve is EveModel.STANDARD:
         # Intercept-resend: Eve decodes in a guessed basis, then resends the
         # value she measured encoded in that basis.
@@ -316,10 +355,6 @@ def run_trial(
         eve_values = _sample(outcome_thresholds(spec, Scenario.CONTROL), sent + eve_bases, eve_u)
         del eve_u  # freed before Bob's sample, the peak of a long trial
         sent = spec.state_index(eve_values, eve_bases) * k
-    elif eve is EveModel.HD:
-        # The channel holds the basis state indexing (value, basis): the
-        # measurement reads it deterministically and resends it unchanged.
-        eve_values = values
     bob_values = _sample(outcome_thresholds(spec, scenario), sent + bases, u)
     return values, bob_values, eve_values
 

@@ -8,7 +8,10 @@ grid cell, ``render_digests.json`` the same for ``--format csv`` and
 --trials 150 --raw-bits 16 --seed 1`` (the one shape with empty sifted keys,
 whose knowledges are null), ``block_digests.json`` the same for ``--format
 json --trials 200 --raw-bits 200 --seed 3`` (20,000 to 40,000 particles a
-run, two or three of ``run_experiment``'s blocks of draws), and
+run, two or three of ``run_experiment``'s blocks of draws),
+``long_digests.json`` the same for ``--format json --trials 2 --raw-bits
+10000 --seed 1`` (trials of 2,500 to 5,000 kept values, which ``score``
+sums slice by slice, one trial a block for bb84 and ssp), and
 ``tests/golden/paper/`` the four ``reproduce-paper --seed 7`` tables.
 ``validate_gates.txt`` and ``hypothesis_table.txt`` are the stdout of
 ``validate-gates`` and ``hypothesis-table``, which take no seed and draw no
@@ -52,6 +55,7 @@ def _stdout(argv) -> bytes:
 RENDER_FORMATS = ("csv", "table")
 SHORT_SHAPE = ("--trials", "150", "--raw-bits", "16", "--seed", "1")
 BLOCK_SHAPE = ("--trials", "200", "--raw-bits", "200", "--seed", "3")
+LONG_SHAPE = ("--trials", "2", "--raw-bits", "10000", "--seed", "1")
 
 
 def _run_document(cell, fmt: str = "json", shape=("--seed", SEED)) -> bytes:
@@ -108,6 +112,12 @@ def test_short_run_document_matches_golden_digest(cell):
 def test_multi_block_run_document_matches_golden_digest(cell):
     golden = json.loads((GOLDEN / "block_digests.json").read_text())
     assert _run_digest(cell, shape=BLOCK_SHAPE) == golden["/".join(cell)]
+
+
+@pytest.mark.parametrize("cell", CELLS, ids="/".join)
+def test_long_run_document_matches_golden_digest(cell):
+    golden = json.loads((GOLDEN / "long_digests.json").read_text())
+    assert _run_digest(cell, shape=LONG_SHAPE) == golden["/".join(cell)]
 
 
 @pytest.mark.parametrize("fmt", RENDER_FORMATS)
@@ -180,6 +190,8 @@ if __name__ == "__main__":
     (GOLDEN / "short_digests.json").write_text(json.dumps(short, indent=2, sort_keys=True) + "\n")
     block = {"/".join(cell): _run_digest(cell, shape=BLOCK_SHAPE) for cell in CELLS}
     (GOLDEN / "block_digests.json").write_text(json.dumps(block, indent=2, sort_keys=True) + "\n")
+    long = {"/".join(cell): _run_digest(cell, shape=LONG_SHAPE) for cell in CELLS}
+    (GOLDEN / "long_digests.json").write_text(json.dumps(long, indent=2, sort_keys=True) + "\n")
     (GOLDEN / "render_digests.json").write_text(
         json.dumps(_render_digests(), indent=2, sort_keys=True) + "\n"
     )

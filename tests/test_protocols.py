@@ -30,6 +30,7 @@ from qkdlab.protocols import (
     Scenario,
     _sample,
     alice_draws,
+    matched_rows_certain,
     outcome_table,
     outcome_thresholds,
     role_streams,
@@ -493,6 +494,14 @@ def test_the_three_scenario_tables_of_a_paper_protocol_agree(spec):
 _SPEC_NAMES = (f"random-{n}" for n in itertools.count())
 
 
+def _random_spec(d_ab, k, seed):
+    """A spec of ``k`` random unitary bases in dimension ``d_ab``."""
+    rng = np.random.default_rng(seed)
+    shape = (k, d_ab, d_ab)
+    bases = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+    return ProtocolSpec(next(_SPEC_NAMES), tuple(bases))
+
+
 @settings(deadline=None, derandomize=True, database=None, max_examples=30)
 @given(st.tuples(st.sampled_from((2, 4)), st.integers(1, 3), st.integers(0, 2**32 - 1)))
 def test_conversion_table_equals_control_for_random_specs(case):
@@ -500,10 +509,7 @@ def test_conversion_table_equals_control_for_random_specs(case):
     # must deliver Alice's particle state on the value ancilla; registered,
     # the spec also passes validate-gates' conversion checks.
     d_ab, k, seed = case
-    rng = np.random.default_rng(seed)
-    shape = (k, d_ab, d_ab)
-    bases = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
-    spec = ProtocolSpec(next(_SPEC_NAMES), tuple(bases))
+    spec = _random_spec(d_ab, k, seed)
     assert np.array_equal(
         outcome_table(spec, Scenario.CONVERSION), outcome_table(spec, Scenario.CONTROL)
     )
@@ -690,14 +696,92 @@ def test_hd_eve_reads_state_and_resends_it():
 
 @pytest.mark.parametrize("spec", list(PROTOCOLS.values()), ids=lambda s: s.name)
 def test_bob_control_decode_matching_basis_is_exact(spec):
-    # Every matching-basis row is exactly the step at the value sent, so the
-    # control run without an eavesdropper samples Alice's value whatever the
-    # uniform: its sifted key is hers, which ``TrialResult.matches`` relies on.
-    table = outcome_table(spec, Scenario.CONTROL)
-    for value in range(spec.d_ab):
-        step = (np.arange(spec.d_ab) >= value).astype(float)
-        for basis in range(spec.basis_count):
-            assert np.array_equal(table[value, basis, basis], step), (value, basis)
+    # Every matching-basis row of every scenario table is exactly the step at
+    # the value sent, so without intercept-resend Bob reads Alice's value
+    # whatever the uniform: ``run_trial`` returns her kept values as his, and
+    # the control run's sifted key is hers, which ``matches`` relies on.
+    for scenario in Scenario:
+        table = outcome_table(spec, scenario)
+        for value in range(spec.d_ab):
+            step = (np.arange(spec.d_ab) >= value).astype(float)
+            for basis in range(spec.basis_count):
+                assert np.array_equal(table[value, basis, basis], step), (scenario, value, basis)
+        assert matched_rows_certain(spec, scenario)
+    # Rounding leaves this random-unitary spec's control and conv rows off the
+    # step by less than 1e-30; the relabel rows are exact by construction.
+    other = _random_spec(4, 2, 0)
+    assert [bool(matched_rows_certain(other, s)) for s in Scenario] == [False, False, True]
+    residue = [
+        np.abs(outcome_table(other, scenario)[value, basis, basis]
+               - (np.arange(4) >= value)).max()
+        for scenario in (Scenario.CONTROL, Scenario.CONVERSION)
+        for value in range(4)
+        for basis in range(2)
+    ]
+    assert 0 < max(residue) < 1e-30
+
+
+def _count_sample_calls(monkeypatch):
+    """Make ``run_trial``'s sampler list the length of every call; returns the list."""
+    calls = []
+
+    def counted(thresholds, rows, u):
+        calls.append(len(rows))
+        return _sample(thresholds, rows, u)
+
+    monkeypatch.setattr(protocols, "_sample", counted)
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore::qkdlab.analysis.EmptySiftWarning")
+@pytest.mark.parametrize(
+    "spec,scenario,eve", GRID_CELLS, ids=lambda p: getattr(p, "value", getattr(p, "name", p))
+)
+def test_only_uncertain_rows_are_sampled(spec, scenario, eve, monkeypatch):
+    # Timing-free guard on the shortcut: without intercept-resend a paper
+    # cell reads certain rows and samples nothing; the standard eavesdropper
+    # samples her intercept and Bob's reading in every trial.
+    calls = _count_sample_calls(monkeypatch)
+    run_experiment(spec, scenario, eve, 150, 16, SEED)
+    assert len(calls) == (2 * 150 if eve is EveModel.STANDARD else 0)
+
+
+def test_a_residue_spec_keeps_sampling(monkeypatch):
+    # The relabel rows alone are certain for this random-unitary spec.
+    spec = _random_spec(4, 2, 0)
+    calls = _count_sample_calls(monkeypatch)
+    per_trial = {}
+    for scenario, eve in CELLS:
+        calls.clear()
+        run_experiment(spec, scenario, eve, 5, 40, SEED)
+        per_trial[scenario.value, eve.value] = len(calls) / 5
+    assert per_trial == {
+        ("control", "none"): 1, ("conv", "none"): 1, ("relabel", "none"): 0,
+        ("control", "standard"): 2, ("conv", "hd"): 1, ("relabel", "hd"): 0,
+    }
+
+
+def test_a_broken_scenario_table_is_sampled_not_hidden(monkeypatch):
+    # A conversion circuit that delivers |0> sent in basis 0 as a mixture
+    # breaks one matched-basis row of a fresh copy's conv table: the fact
+    # reads False, Bob's values are sampled, and the errors show.
+    spec = ProtocolSpec("bb84-broken", BB84.bases)
+    conversion_output = gates.conversion_output
+
+    def broken(target, source):
+        rows = np.array(conversion_output(target, source))
+        if target is spec and source == spec.state_index(0, 0):
+            rows[rows.any(axis=1)] = [np.sqrt(0.75), np.sqrt(0.25)]
+        return rows
+
+    monkeypatch.setattr(gates, "conversion_output", broken)
+    assert not matched_rows_certain(spec, Scenario.CONVERSION)
+    assert matched_rows_certain(spec, Scenario.CONTROL)
+    calls = _count_sample_calls(monkeypatch)
+    results = run_experiment(spec, Scenario.CONVERSION, EveModel.NONE, 25, 200, SEED)
+    assert len(calls) == 25
+    assert analysis.aggregate(results)["qber"] > 0
+    assert not all(result.matches for result in results)
 
 
 def test_bob_control_decode_mismatched_basis_is_uniform():
@@ -1164,10 +1248,7 @@ def test_sifted_kernel_equals_the_masked_full_length_reference(scenario, eve, pa
     # particles, the reference samples all of them, and the two agree at the
     # kept particles; the run scores them alike.
     d_ab, k, seed = case
-    rng = np.random.default_rng(seed)
-    shape = (k, d_ab, d_ab)
-    bases = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
-    spec = ProtocolSpec(next(_SPEC_NAMES), tuple(bases))
+    spec = _random_spec(d_ab, k, seed)
     trials, raw_bits, bits = 3, particles * spec.bits_per_particle, spec.bits_per_particle
     streams, reference = role_streams(seed, scenario, eve), full_streams(seed)
     expected, matches = [], []
