@@ -33,10 +33,10 @@ scenario, computed once per protocol.  Control decodes Alice's state
 ``spec.encode(value, basis)``; conv sums Bob's decode probabilities over the
 rows of the conversion circuit's output, ``gates.conversion_output``;
 relabel follows from the index convention alone: the point mass on the value
-when the bases match, uniform over the d_ab values otherwise.  A trial
-samples all of its kept particles at once by inverse CDF: a uniform draw u
-picks the first value whose cumulative probability exceeds u.  Where every
-row Bob can read is certain, it samples nothing (Sifting and scoring).
+when the bases match, uniform over the d_ab values otherwise.  A block of
+trials samples all of its kept particles at once by inverse CDF: a uniform
+draw u picks the first value whose cumulative probability exceeds u.  Where
+every row Bob can read is certain, it samples nothing (Sifting and scoring).
 
 The sampler reads the table flattened (``outcome_thresholds``): a read-only
 ``(d_ab - 1, d_ab * k * k)`` array whose column ``row =
@@ -67,7 +67,8 @@ number of trials (the first T' trials of a T-trial run are a T'-trial run),
 and one ``(trials, particles)`` draw per role gives the same arrays as the
 trial-by-trial reads.  ``run_experiment`` draws each role that way, once per
 block of at most ``BLOCK_PARTICLES`` (2**14) particles, at least one trial a
-block (``trial_draws``), and hands each trial its row of every block.
+block (``block_draws``); ``trial_draws`` gives a block's trials one at a
+time, each role's row of its block, as ``run_trial`` takes them.
 Alice's and Bob's roles are read the same way in every scenario and under
 every eavesdropper.
 
@@ -79,16 +80,22 @@ pins this rule for every registered spec's d_ab and basis count.
 
 Sifting and scoring
 -------------------
-Every statistic is one of the sifted key, so a trial sifts first: ``sift``
-returns the positions of the whole particles measured in matching bases, and
-only those kept particles are sampled, unless their rows are certain.
-``run_trial`` reads one 1-D row per role, a view of that role's block: it
-takes Bob's uniforms and the eavesdropper's bases and uniforms at the kept
-positions, and samples Bob's value and the standard eavesdropper's intercept
-on the kept rows alone, as int32 like the drawn values.  Every role is still
-drawn whole, so no draw depends on which particles were kept or sampled.  A
-block's draws are freed once its last trial has run, before its trials are
-scored.
+Every statistic is one of the sifted key, so each trial sifts first:
+``sift`` returns the positions of the whole particles measured in matching
+bases, and only those kept particles are sampled, unless their rows are
+certain.  A block's loop over its trials does nothing else
+(``_kept_draws``): each trial sifts its row of the bases and takes, at the
+kept positions, its row of each role the channel reads, Alice's values
+always, her bases and Bob's uniforms where Bob is sampled, and the
+eavesdropper's bases and uniforms under the standard eavesdropper.  The
+block's draws are then freed, and the channel (``_channel``) runs once on
+the block's kept entries concatenated in trial order: it samples the
+standard eavesdropper's intercept and Bob's value, as int32 like the drawn
+values, in one ``_sample`` call each.  The sampler is elementwise over
+(row, uniform) pairs, which reach it in the order a trial-by-trial run gives
+them, so every output is that of sampling each trial alone.  Every role is
+still drawn whole, so no draw depends on which particles were kept or
+sampled.  ``run_trial`` runs the same two functions on one trial.
 
 Without intercept-resend (eavesdropper none or hd) a kept particle reaches
 Bob as the state sent and is read in the basis sent: column
@@ -97,19 +104,21 @@ Bob as the state sent and is read in the basis sent: column
 scenario, says whether every such column is exactly the step at the value
 sent, threshold j equal to 1.0 for j >= v and 0.0 below, compared without
 tolerance.  Where it holds the sampler returns the value sent for every
-uniform in [0, 1), so ``run_trial`` returns Alice's kept values as Bob's and
-neither takes Bob's uniforms nor samples.  It holds in all three scenarios of
-every paper protocol.  A spec whose control or conv table keeps rounding
-residue in such a row, below 1e-30, as most random-unitary specs do, keeps
-sampling.  Under the standard eavesdropper, her guessed basis and Bob's row
-after the resend are off-basis for some particles, so both are sampled.
+uniform in [0, 1), so the channel returns Alice's kept values as Bob's;
+Bob's uniforms are not taken and nothing is sampled.  It holds in all three
+scenarios of every paper protocol.  A spec whose control or conv table keeps
+rounding residue in such a row, below 1e-30, as most random-unitary specs
+do, keeps sampling.  Under the standard eavesdropper, her guessed basis and
+Bob's row after the resend are off-basis for some particles, so both are
+sampled.
 
-A trial returns the kept particles' values, Alice's, Bob's and the
-eavesdropper's.  A block's trials are scored together: one
-``analysis.score`` call counts every trial's sifted and differing bits as
-ints, and the run returns all of its counts as one ``analysis.RunCounts``
-record of int arrays, checked once.  No Fraction and no per-trial object is
-built: ``analysis.aggregate`` builds the exact means from the arrays.
+The channel returns the block's kept values, Alice's, Bob's and the
+eavesdropper's.  With each trial's kept count from the sift, one
+``analysis.score`` call a block counts every trial's sifted and differing
+bits as ints, and the run returns all of its counts as one
+``analysis.RunCounts`` record of int arrays, checked once.  No Fraction and
+no per-trial object is built: ``analysis.aggregate`` builds the exact means
+from the arrays.
 
 A trial "matches" when Bob's sifted key equals the key of the control run
 without an eavesdropper on the same draws.  That key is Alice's wherever
@@ -146,13 +155,13 @@ class EveModel(str, Enum):
 
 
 # Upper bound on raw bits per trial.  A trial holds its full blocks of
-# draws (int32 integers and float64 uniforms), a few int32 arrays per kept
-# particle and, in a cell that samples Bob's values, a float64 uniform and
-# the d_ab - 1 thresholds gathered for each kept particle, so its memory grows
-# linearly with raw bits; at this bound a one-trial `run` peaks at 50-96 MB
-# resident for the whole process (measured on numpy 2.4: hdbb84 conv/hd
-# 50.0 MB, ssp relabel/hd 60.5, bb84 control/none 63.1, and bb84
-# control/standard 95.9, which samples), well under 1 GB.
+# draws (int32 integers and float64 uniforms) while it sifts, and a few
+# arrays per kept particle; the draws are freed before a cell that samples
+# Bob's values gathers the d_ab - 1 thresholds of each kept particle.  Its
+# memory grows linearly with raw bits; at this bound a one-trial `run` peaks
+# at 49-84 MB resident for the whole process (measured on numpy 2.4:
+# hdbb84 conv/hd 49.0 MB, ssp relabel/hd 59.5, bb84 control/none 61.4, and
+# bb84 control/standard 84.1, which samples), well under 1 GB.
 MAX_RAW_BITS = 1_000_000
 
 # Upper bound on trials per run.  A run's counts are a few int arrays and the
@@ -282,13 +291,11 @@ def alice_draws(
     return values, bases
 
 
-def trial_draws(
+def block_draws(
     spec: ProtocolSpec, raw_bits: int, streams: dict[str, np.random.Generator], trials: int
-) -> Iterator[dict[str, np.ndarray]]:
+) -> dict[str, np.ndarray]:
     """Draw the next ``trials`` trials of every role in ``streams`` as one
-    ``(trials, particles)`` block per role (stream layout v3); returns an
-    iterator of one dict a trial, each role's 1-D row of its block.  The
-    blocks are freed once the iterator is exhausted or dropped."""
+    ``(trials, particles)`` block per role (stream layout v3)."""
     values, bases = alice_draws(spec, raw_bits, streams, trials)
     draws = {"alice-values": values, "alice-bases": bases}
     k, shape = spec.basis_count, values.shape
@@ -296,6 +303,15 @@ def trial_draws(
         if f"{party}-bases" in streams:  # the eavesdropper's under the standard one alone
             draws[f"{party}-bases"] = streams[f"{party}-bases"].integers(0, k, shape, dtype=np.int32)
             draws[f"{party}-measure"] = streams[f"{party}-measure"].random(shape)
+    return draws
+
+
+def trial_draws(
+    spec: ProtocolSpec, raw_bits: int, streams: dict[str, np.random.Generator], trials: int
+) -> Iterator[dict[str, np.ndarray]]:
+    """``block_draws`` as an iterator of one dict a trial, each role's 1-D
+    row of its block, the draws ``run_trial`` takes."""
+    draws = block_draws(spec, raw_bits, streams, trials)
     return (dict(zip(draws, rows)) for rows in zip(*draws.values()))
 
 
@@ -311,6 +327,56 @@ def sift(alice_bases: np.ndarray, bob_bases: np.ndarray) -> np.ndarray:
 BLOCK_PARTICLES = 2**14
 
 
+def _kept_draws(
+    spec: ProtocolSpec, scenario: Scenario, eve: EveModel, draws: dict[str, np.ndarray]
+) -> tuple[dict[str, np.ndarray], list[int]]:
+    """Sift each trial of a block, ``draws`` mapping each role to its
+    ``(trials, particles)`` block, and take the kept entries of the roles
+    ``_channel`` reads.  Returns those entries, concatenated in trial order,
+    and each trial's kept count."""
+    if eve is EveModel.STANDARD:
+        roles = ("alice-values", "alice-bases", "bob-measure", "eve-bases", "eve-measure")
+    elif matched_rows_certain(spec, scenario):
+        roles = ("alice-values",)  # Bob's values are Alice's (module docstring)
+    else:
+        roles = ("alice-values", "alice-bases", "bob-measure")
+    kept_rows = []
+    for alice_bases, bob_bases, *rows in zip(
+        draws["alice-bases"], draws["bob-bases"], *(draws[role] for role in roles)
+    ):
+        kept = sift(alice_bases, bob_bases)
+        kept_rows.append([row.take(kept) for row in rows])
+    return dict(zip(roles, _joined(kept_rows))), [len(rows[0]) for rows in kept_rows]
+
+
+def _channel(
+    spec: ProtocolSpec, scenario: Scenario, eve: EveModel, kept: dict[str, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The kept particles' ``(alice_values, bob_values, eve_values)`` from
+    ``_kept_draws``'s entries, for any number of trials at once.  Pops each
+    entry as it reads it, so that it is freed once used."""
+    values = kept.pop("alice-values")
+    # The hd eavesdropper reads (value, basis) off the basis state in the
+    # channel deterministically and resends it unchanged.
+    eve_values = values if eve is EveModel.HD else None
+    if "bob-measure" not in kept:
+        # Certain rows (``matched_rows_certain``): Bob reads the state sent in
+        # the basis sent, a row that samples the value sent whatever the uniform.
+        return values, values, eve_values
+    k, bases = spec.basis_count, kept.pop("alice-bases")
+    # Flat outcome-table rows: one per (value, basis) sent, read in that basis.
+    sent = spec.state_index(values, bases) * k
+    if eve is EveModel.STANDARD:
+        # Intercept-resend: Eve decodes in a guessed basis, then resends the
+        # value she measured encoded in that basis.
+        eve_bases, eve_u = kept.pop("eve-bases"), kept.pop("eve-measure")
+        eve_values = _sample(outcome_thresholds(spec, Scenario.CONTROL), sent + eve_bases, eve_u)
+        del eve_u  # freed before Bob's sample, the peak of a long trial
+        sent = spec.state_index(eve_values, eve_bases) * k
+    bob_values = _sample(outcome_thresholds(spec, scenario), sent + bases, kept.pop("bob-measure"))
+    return values, bob_values, eve_values
+
+
 def run_trial(
     spec: ProtocolSpec, scenario: Scenario, eve: EveModel, draws: dict[str, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -321,42 +387,19 @@ def run_trial(
 
     ``draws`` maps each role its cell reads to the trial's 1-D row of draws,
     as ``trial_draws`` yields them (stream layout v3, module docstring).
-    The kept particles are sampled at once, or, where ``matched_rows_certain``
-    holds without intercept-resend, Bob's values are Alice's (module
-    docstring, Sifting and scoring).  The eavesdropper changes only
-    the channel row Bob reads: the standard one replaces it by the state she
-    resends, the high-dimensional one leaves it as it is and reads (value,
-    basis) off it.  Names are checked as ``validate_pairing`` does; a paired
-    Scenario and EveModel, which ``run_experiment`` validated once, are
-    taken as given.
+    The trial is a block of one for the code ``run_experiment`` runs: it is
+    sifted, and its kept particles are sampled at once or, where
+    ``matched_rows_certain`` holds without intercept-resend, Bob's values
+    are Alice's (module docstring, Sifting and scoring).  The eavesdropper
+    changes only the channel row Bob reads: the standard one replaces it by
+    the state she resends, the high-dimensional one leaves it as it is and
+    reads (value, basis) off it.  Names are checked as ``validate_pairing``
+    does; a paired Scenario and EveModel are taken as given.
     """
     if (type(scenario), type(eve)) != (Scenario, EveModel) or (scenario, eve) not in CELLS:
         scenario, eve = validate_pairing(scenario, eve)
-    k = spec.basis_count
-    kept = sift(draws["alice-bases"], draws["bob-bases"])
-    values, bases = draws["alice-values"].take(kept), draws["alice-bases"].take(kept)
-    eve_values = None
-    if eve is EveModel.HD:
-        # The channel holds the basis state indexing (value, basis): the
-        # measurement reads it deterministically and resends it unchanged.
-        eve_values = values
-    if eve is not EveModel.STANDARD and matched_rows_certain(spec, scenario):
-        # Bob reads the state sent in the basis sent, a row that samples the
-        # value sent whatever the uniform.
-        return values, values, eve_values
-    u = draws["bob-measure"].take(kept)
-
-    # Flat outcome-table rows: one per (value, basis) sent, read in that basis.
-    sent = spec.state_index(values, bases) * k
-    if eve is EveModel.STANDARD:
-        # Intercept-resend: Eve decodes in a guessed basis, then resends the
-        # value she measured encoded in that basis.
-        eve_bases, eve_u = draws["eve-bases"].take(kept), draws["eve-measure"].take(kept)
-        eve_values = _sample(outcome_thresholds(spec, Scenario.CONTROL), sent + eve_bases, eve_u)
-        del eve_u  # freed before Bob's sample, the peak of a long trial
-        sent = spec.state_index(eve_values, eve_bases) * k
-    bob_values = _sample(outcome_thresholds(spec, scenario), sent + bases, u)
-    return values, bob_values, eve_values
+    kept, _ = _kept_draws(spec, scenario, eve, {role: row[None] for role, row in draws.items()})
+    return _channel(spec, scenario, eve, kept)
 
 
 def run_experiment(
@@ -370,8 +413,9 @@ def run_experiment(
     """Run several trials on one set of role streams and return their counts
     as one record; a trial's ``matches`` is defined in the module docstring
     (Sifting and scoring).  The trials run in blocks of at most
-    ``BLOCK_PARTICLES`` particles, at least one trial a block; each role is
-    read, and the block's kept values scored, once per block."""
+    ``BLOCK_PARTICLES`` particles, at least one trial a block: each role is
+    read once a block, each trial is sifted alone, and the block's kept
+    particles are sampled and scored together."""
     trials = integral(trials, "trials", low=1, high=MAX_TRIALS)
     scenario, eve = validate_pairing(scenario, eve)
     streams = role_streams(seed, scenario, eve)
@@ -380,11 +424,10 @@ def run_experiment(
     per_block = max(1, BLOCK_PARTICLES // (raw_len // bits))
     blocks = []
     for start in range(0, trials, per_block):
-        # Exhausted, the iterator frees the block's draws before they are scored.
-        draws = trial_draws(spec, raw_bits, streams, min(per_block, trials - start))
-        kept = [run_trial(spec, scenario, eve, trial) for trial in draws]
-        blocks.append(analysis.score(*_joined(kept), [len(values[0]) for values in kept], bits))
-        del kept  # freed before the next block draws
+        draws = block_draws(spec, raw_bits, streams, min(per_block, trials - start))
+        kept, counts = _kept_draws(spec, scenario, eve, draws)
+        del draws  # freed before the channel runs
+        blocks.append(analysis.score(*_channel(spec, scenario, eve, kept), counts, bits))
     return analysis.RunCounts(np.arange(trials), np.full(trials, raw_len), *_joined(blocks))
 
 

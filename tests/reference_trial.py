@@ -1,7 +1,8 @@
 """Full-length reference for one trial of stream layout v3.
 
-``protocols.run_trial`` sifts first and samples only the kept particles.
-This reference samples every particle, Bob's outcome and the standard
+``protocols.run_experiment`` sifts each trial first and samples only the
+kept particles, those of a whole block of trials at once; ``run_trial`` runs
+the same code on one trial.  This reference samples every particle, Bob's outcome and the standard
 eavesdropper's intercept alike, and sifts nothing, so the tests can check
 that the kernel's arrays are this reference's arrays masked by
 ``alice_bases == bob_bases``.  It also shows what the kernel never samples:

@@ -100,11 +100,11 @@ def test_run_rejects_oversized_raw_bits(capsys):
 
 
 def test_run_rejects_oversized_trials(capsys, monkeypatch):
-    # Fails on the bound before any trial runs.
-    def no_trial(*args, **kwargs):
-        raise AssertionError("a trial ran")
+    # Fails on the bound before any stream opens, which every run does first.
+    def no_streams(*args, **kwargs):
+        raise AssertionError("a run opened its streams")
 
-    monkeypatch.setattr(protocols, "run_trial", no_trial)
+    monkeypatch.setattr(protocols, "role_streams", no_streams)
     code, out, err = _run(
         capsys,
         ["run", "--protocol", "bb84", "--trials", str(protocols.MAX_TRIALS + 1)],

@@ -502,6 +502,11 @@ def _random_spec(d_ab, k, seed):
     return ProtocolSpec(next(_SPEC_NAMES), tuple(bases))
 
 
+# Rounding leaves this spec's control and conv rows off the step by less
+# than 1e-30, so its cells without intercept-resend sample Bob's values there.
+RESIDUE_SPEC = _random_spec(4, 2, 0)
+
+
 @settings(deadline=None, derandomize=True, database=None, max_examples=30)
 @given(st.tuples(st.sampled_from((2, 4)), st.integers(1, 3), st.integers(0, 2**32 - 1)))
 def test_conversion_table_equals_control_for_random_specs(case):
@@ -709,7 +714,7 @@ def test_bob_control_decode_matching_basis_is_exact(spec):
         assert matched_rows_certain(spec, scenario)
     # Rounding leaves this random-unitary spec's control and conv rows off the
     # step by less than 1e-30; the relabel rows are exact by construction.
-    other = _random_spec(4, 2, 0)
+    other = RESIDUE_SPEC
     assert [bool(matched_rows_certain(other, s)) for s in Scenario] == [False, False, True]
     residue = [
         np.abs(outcome_table(other, scenario)[value, basis, basis]
@@ -722,7 +727,7 @@ def test_bob_control_decode_matching_basis_is_exact(spec):
 
 
 def _count_sample_calls(monkeypatch):
-    """Make ``run_trial``'s sampler list the length of every call; returns the list."""
+    """Make the channel's sampler list the length of every call; returns the list."""
     calls = []
 
     def counted(thresholds, rows, u):
@@ -740,25 +745,39 @@ def _count_sample_calls(monkeypatch):
 def test_only_uncertain_rows_are_sampled(spec, scenario, eve, monkeypatch):
     # Timing-free guard on the shortcut: without intercept-resend a paper
     # cell reads certain rows and samples nothing; the standard eavesdropper
-    # samples her intercept and Bob's reading in every trial.
+    # samples her intercept and Bob's reading once a block, each call on all
+    # of the block's kept particles.  150 x 16 is one block, 200 x 200 is
+    # three or two (SCORED_BLOCKS).
     calls = _count_sample_calls(monkeypatch)
-    run_experiment(spec, scenario, eve, 150, 16, SEED)
-    assert len(calls) == (2 * 150 if eve is EveModel.STANDARD else 0)
+    bits = spec.bits_per_particle
+    for trials, raw_bits in ((150, 16), (200, 200)):
+        calls.clear()
+        results = run_experiment(spec, scenario, eve, trials, raw_bits, SEED)
+        per_block = protocols.BLOCK_PARTICLES // (raw_bits // bits)
+        kept = [
+            int(results.key_size[start:start + per_block].sum()) // bits
+            for start in range(0, trials, per_block)
+        ]
+        assert len(calls) == (2 * len(kept) if eve is EveModel.STANDARD else 0)
+        if eve is EveModel.STANDARD:
+            assert calls == [count for count in kept for _ in range(2)]
 
 
 def test_a_residue_spec_keeps_sampling(monkeypatch):
-    # The relabel rows alone are certain for this random-unitary spec.
-    spec = _random_spec(4, 2, 0)
+    # The relabel rows alone are certain for this random-unitary spec.  Five
+    # trials of 20 particles are one block, and 3 trials of 2**14 particles three.
+    spec = RESIDUE_SPEC
     calls = _count_sample_calls(monkeypatch)
-    per_trial = {}
-    for scenario, eve in CELLS:
-        calls.clear()
-        run_experiment(spec, scenario, eve, 5, 40, SEED)
-        per_trial[scenario.value, eve.value] = len(calls) / 5
-    assert per_trial == {
-        ("control", "none"): 1, ("conv", "none"): 1, ("relabel", "none"): 0,
-        ("control", "standard"): 2, ("conv", "hd"): 1, ("relabel", "hd"): 0,
-    }
+    for trials, blocks in ((5, 1), (3, 3)):
+        per_block = {}
+        for scenario, eve in CELLS:
+            calls.clear()
+            run_experiment(spec, scenario, eve, trials, 40 if blocks == 1 else 2**15, SEED)
+            per_block[scenario.value, eve.value] = len(calls) / blocks
+        assert per_block == {
+            ("control", "none"): 1, ("conv", "none"): 1, ("relabel", "none"): 0,
+            ("control", "standard"): 2, ("conv", "hd"): 1, ("relabel", "hd"): 0,
+        }
 
 
 def test_a_broken_scenario_table_is_sampled_not_hidden(monkeypatch):
@@ -779,7 +798,8 @@ def test_a_broken_scenario_table_is_sampled_not_hidden(monkeypatch):
     assert matched_rows_certain(spec, Scenario.CONTROL)
     calls = _count_sample_calls(monkeypatch)
     results = run_experiment(spec, Scenario.CONVERSION, EveModel.NONE, 25, 200, SEED)
-    assert len(calls) == 25
+    # 25 trials of 200 particles are one block: one call on all their kept rows.
+    assert calls == [int(results.key_size.sum()) // spec.bits_per_particle]
     assert analysis.aggregate(results)["qber"] > 0
     assert not all(result.matches for result in results)
 
@@ -908,8 +928,10 @@ def test_sift_discards_two_bit_chunks():
 def _assert_kernel_and_matches_equal_masked_forms(cell, trial, full, monkeypatch):
     _assert_same_trial(trial, masked(full))
     # The run's matches flag for this trial, against the reference's
-    # definition: Bob's sifted key equals the control run's.
-    monkeypatch.setattr(protocols, "run_trial", lambda *args: trial)
+    # definition: Bob's sifted key equals the control run's.  The run's block
+    # of one keeps this trial's particles and its channel returns this trial.
+    monkeypatch.setattr(protocols, "_kept_draws", lambda *args: ({}, [len(trial[0])]))
+    monkeypatch.setattr(protocols, "_channel", lambda *args: trial)
     raw_bits = len(full.alice_values) * cell[0].bits_per_particle
     (result,) = run_experiment(*cell, 1, raw_bits, SEED)
     mask = full.mask
@@ -1219,7 +1241,10 @@ BLOCK_CASES = {"one-full": (6, 1), "one-trial-full": (42, 7), "partial-last": (1
 @pytest.mark.filterwarnings("ignore::qkdlab.analysis.EmptySiftWarning")
 @pytest.mark.parametrize("case", BLOCK_CASES.values(), ids=BLOCK_CASES)
 @pytest.mark.parametrize(
-    "spec,scenario,eve", GRID_CELLS, ids=lambda p: getattr(p, "value", getattr(p, "name", p))
+    "spec,scenario,eve",
+    # The residue spec samples Bob's values in its control and conv cells.
+    GRID_CELLS + [(RESIDUE_SPEC, scenario, eve) for scenario, eve in CELLS],
+    ids=lambda p: getattr(p, "value", getattr(p, "name", p)),
 )
 def test_a_blocked_run_equals_its_trials_run_one_by_one(spec, scenario, eve, case, monkeypatch):
     particles, blocks = case
