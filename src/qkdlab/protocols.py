@@ -80,22 +80,23 @@ pins this rule for every registered spec's d_ab and basis count.
 
 Sifting and scoring
 -------------------
-Every statistic is one of the sifted key, so each trial sifts first:
-``sift`` returns the positions of the whole particles measured in matching
-bases, and only those kept particles are sampled, unless their rows are
-certain.  A block's loop over its trials does nothing else
-(``_kept_draws``): each trial sifts its row of the bases and takes, at the
-kept positions, its row of each role the channel reads, Alice's values
-always, her bases and Bob's uniforms where Bob is sampled, and the
-eavesdropper's bases and uniforms under the standard eavesdropper.  The
-block's draws are then freed, and the channel (``_channel``) runs once on
-the block's kept entries concatenated in trial order: it samples the
-standard eavesdropper's intercept and Bob's value, as int32 like the drawn
-values, in one ``_sample`` call each.  The sampler is elementwise over
-(row, uniform) pairs, which reach it in the order a trial-by-trial run gives
-them, so every output is that of sampling each trial alone.  Every role is
+Every statistic is one of the sifted key, so a block sifts first, in one
+``sift`` call over its ``(trials, particles)`` bases (``_kept_draws``): the
+flat C-order positions of the whole particles measured in matching bases,
+which are each trial's positions, offset by its row's start, concatenated in
+trial order.  One ``take`` a role at those positions gives the kept entries
+of each role the channel reads, Alice's values always, her bases and Bob's
+uniforms where Bob is sampled, and the eavesdropper's bases and uniforms
+under the standard eavesdropper; each trial's kept count is the number of
+positions in its row.  Only kept particles are sampled, unless their rows
+are certain.  The block's draws are then freed, and the channel
+(``_channel``) runs once on its kept entries: it samples the standard
+eavesdropper's intercept and Bob's value, as int32 like the drawn values, in
+one ``_sample`` call each.  The sampler is elementwise over (row, uniform)
+pairs, which reach it in the order a trial-by-trial run gives them, so every
+output is that of sifting and sampling each trial alone.  Every role is
 still drawn whole, so no draw depends on which particles were kept or
-sampled.  ``run_trial`` runs the same two functions on one trial.
+sampled.  ``run_trial`` runs the same two functions on a block of one.
 
 Without intercept-resend (eavesdropper none or hd) a kept particle reaches
 Bob as the state sent and is read in the basis sent: column
@@ -113,12 +114,11 @@ Bob's row after the resend are off-basis for some particles, so both are
 sampled.
 
 The channel returns the block's kept values, Alice's, Bob's and the
-eavesdropper's.  With each trial's kept count from the sift, one
-``analysis.score`` call a block counts every trial's sifted and differing
-bits as ints, and the run returns all of its counts as one
-``analysis.RunCounts`` record of int arrays, checked once.  No Fraction and
-no per-trial object is built: ``analysis.aggregate`` builds the exact means
-from the arrays.
+eavesdropper's.  With each trial's kept count, one ``analysis.score`` call
+a block counts every trial's sifted and differing bits as ints, and the run
+returns all of its counts as one ``analysis.RunCounts`` record of int
+arrays, checked once.  No Fraction and no per-trial object is built:
+``analysis.aggregate`` builds the exact means from the arrays.
 
 A trial "matches" when Bob's sifted key equals the key of the control run
 without an eavesdropper on the same draws.  That key is Alice's wherever
@@ -316,9 +316,11 @@ def trial_draws(
 
 
 def sift(alice_bases: np.ndarray, bob_bases: np.ndarray) -> np.ndarray:
-    """Positions of the whole particles measured in matching bases, for one
-    trial's 1-D arrays."""
-    return (alice_bases == bob_bases).nonzero()[0]
+    """Flat C-order positions of the whole particles measured in matching
+    bases, for one trial's 1-D arrays or a block's ``(trials, particles)``
+    arrays: a block's are its trials' positions, each offset by its row's
+    start, concatenated in trial order."""
+    return np.flatnonzero(alice_bases == bob_bases)
 
 
 # Particles per block of trials in ``run_experiment``: 2**14 float64 draws
@@ -330,23 +332,25 @@ BLOCK_PARTICLES = 2**14
 def _kept_draws(
     spec: ProtocolSpec, scenario: Scenario, eve: EveModel, draws: dict[str, np.ndarray]
 ) -> tuple[dict[str, np.ndarray], list[int]]:
-    """Sift each trial of a block, ``draws`` mapping each role to its
-    ``(trials, particles)`` block, and take the kept entries of the roles
-    ``_channel`` reads.  Returns those entries, concatenated in trial order,
-    and each trial's kept count."""
+    """Sift a block at once, ``draws`` mapping each role to its ``(trials,
+    particles)`` block, and take the kept entries of the roles ``_channel``
+    reads.  Returns those entries, in C order the trials' kept entries
+    concatenated in trial order, and each trial's kept count."""
     if eve is EveModel.STANDARD:
         roles = ("alice-values", "alice-bases", "bob-measure", "eve-bases", "eve-measure")
     elif matched_rows_certain(spec, scenario):
         roles = ("alice-values",)  # Bob's values are Alice's (module docstring)
     else:
         roles = ("alice-values", "alice-bases", "bob-measure")
-    kept_rows = []
-    for alice_bases, bob_bases, *rows in zip(
-        draws["alice-bases"], draws["bob-bases"], *(draws[role] for role in roles)
-    ):
-        kept = sift(alice_bases, bob_bases)
-        kept_rows.append([row.take(kept) for row in rows])
-    return dict(zip(roles, _joined(kept_rows))), [len(rows[0]) for rows in kept_rows]
+    kept = sift(draws["alice-bases"], draws["bob-bases"])
+    # Trial t keeps the positions in [t * particles, (t + 1) * particles).  A
+    # block of one, as every trial of over half a block is, needs no search.
+    trials, particles = draws["alice-bases"].shape
+    if trials == 1:
+        counts = [len(kept)]
+    else:
+        counts = np.diff(kept.searchsorted(np.arange(trials + 1) * particles)).tolist()
+    return {role: draws[role].take(kept) for role in roles}, counts
 
 
 def _channel(
@@ -414,8 +418,8 @@ def run_experiment(
     as one record; a trial's ``matches`` is defined in the module docstring
     (Sifting and scoring).  The trials run in blocks of at most
     ``BLOCK_PARTICLES`` particles, at least one trial a block: each role is
-    read once a block, each trial is sifted alone, and the block's kept
-    particles are sampled and scored together."""
+    read once a block, and the block is sifted in one ``sift`` call and its
+    kept particles sampled and scored together."""
     trials = integral(trials, "trials", low=1, high=MAX_TRIALS)
     scenario, eve = validate_pairing(scenario, eve)
     streams = role_streams(seed, scenario, eve)
@@ -428,13 +432,6 @@ def run_experiment(
         kept, counts = _kept_draws(spec, scenario, eve, draws)
         del draws  # freed before the channel runs
         blocks.append(analysis.score(*_channel(spec, scenario, eve, kept), counts, bits))
-    return analysis.RunCounts(np.arange(trials), np.full(trials, raw_len), *_joined(blocks))
-
-
-def _joined(rows) -> list[np.ndarray | None]:
-    """Each column of ``rows`` as one array, concatenated unless it holds one
-    (or None); a trial as long as a block is not copied."""
-    return [
-        column[0] if len(column) == 1 or column[0] is None else np.concatenate(column)
-        for column in zip(*rows)
-    ]
+    # Each count column as one array; a run of one block is not copied.
+    columns = [c[0] if len(c) == 1 or c[0] is None else np.concatenate(c) for c in zip(*blocks)]
+    return analysis.RunCounts(np.arange(trials), np.full(trials, raw_len), *columns)

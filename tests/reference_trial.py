@@ -1,9 +1,10 @@
 """Full-length reference for one trial of stream layout v3.
 
-``protocols.run_experiment`` sifts each trial first and samples only the
-kept particles, those of a whole block of trials at once; ``run_trial`` runs
-the same code on one trial.  This reference samples every particle, Bob's outcome and the standard
-eavesdropper's intercept alike, and sifts nothing, so the tests can check
+``protocols.run_experiment`` sifts a whole block of trials first, in one
+``sift`` call, and samples only the block's kept particles, at once;
+``run_trial`` runs the same code on a block of one trial.  This reference
+samples every particle, Bob's outcome and the standard eavesdropper's
+intercept alike, and sifts nothing, so the tests can check
 that the kernel's arrays are this reference's arrays masked by
 ``alice_bases == bob_bases``.  It also shows what the kernel never samples:
 Bob's values off the kept particles, uniform in the relabel scenario, where

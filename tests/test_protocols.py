@@ -1,6 +1,7 @@
 import gc
 import itertools
 import tracemalloc
+import warnings
 import weakref
 from typing import NamedTuple
 
@@ -1261,6 +1262,62 @@ def test_a_blocked_run_equals_its_trials_run_one_by_one(spec, scenario, eve, cas
     assert calls == _block_calls(scenario, eve, blocks)
 
 
+def _sifted_row_by_row(spec, scenario, eve, trials, raw_bits, seed):
+    """A run's key sizes and errors with each trial of its draws sifted
+    alone: ``sift`` on every row of one block of all its trials, the kept
+    entries of every role concatenated in trial order, then the channel and
+    the score.  Also checks that ``sift`` on the block gives the same
+    positions, each offset by its row's start."""
+    draws = protocols.block_draws(spec, raw_bits, role_streams(seed, scenario, eve), trials)
+    rows = [sift(a, b) for a, b in zip(draws["alice-bases"], draws["bob-bases"])]
+    particles = draws["alice-bases"].shape[1]
+    np.testing.assert_array_equal(
+        sift(draws["alice-bases"], draws["bob-bases"]),
+        np.concatenate([kept + t * particles for t, kept in enumerate(rows)]),
+    )
+    entries = {
+        role: np.concatenate([row.take(kept) for row, kept in zip(block, rows)])
+        for role, block in draws.items()
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", analysis.EmptySiftWarning)
+        scores = analysis.score(
+            *protocols._channel(spec, scenario, eve, entries),
+            [len(kept) for kept in rows],
+            spec.bits_per_particle,
+        )
+    return scores[:2]
+
+
+# (spec, trials) at 16 raw bits: shapes that cross a block boundary into a
+# last block of one trial and hold empty trials, and the usual trial counts.
+ROW_SIFT_SHAPES = [(BB84, 1025), (SSP, 1025), (HDBB84, 2049)] + [
+    (spec, trials) for spec in ALL_SPECS for trials in TRIAL_COUNTS
+]
+
+
+@pytest.mark.parametrize("spec,trials", ROW_SIFT_SHAPES, ids=lambda p: getattr(p, "name", p))
+def test_a_block_sift_equals_each_rows_sift(spec, trials):
+    empty = 0
+    for scenario, eve in CELLS:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = run_experiment(spec, scenario, eve, trials, 16, SEED)
+        key_size, errors = _sifted_row_by_row(spec, scenario, eve, trials, 16, SEED)
+        np.testing.assert_array_equal(results.key_size, key_size)
+        np.testing.assert_array_equal(results.errors, errors)
+        # One warning an empty trial for its QBER, and one for each
+        # knowledge where an eavesdropper reads the key.
+        empties = int((key_size == 0).sum())
+        per_trial = 1 if eve is EveModel.NONE else 3
+        assert [w.category for w in caught] == [analysis.EmptySiftWarning] * per_trial * empties
+        empty += empties
+    # The block-crossing shapes hold empty trials, except bb84's 16-particle
+    # trials, which sift to empty once in 2**16.
+    if trials > 1000 and spec is not BB84:
+        assert empty
+
+
 @pytest.mark.filterwarnings("ignore::qkdlab.analysis.EmptySiftWarning")
 @pytest.mark.parametrize("particles", (1, 7, 200))
 @pytest.mark.parametrize(
@@ -1392,6 +1449,28 @@ def test_run_experiment_scores_each_block_once_and_builds_no_trial_result(shape,
         results = run_experiment(spec, scenario, eve, *shape, 3)
         assert blocks == SCORED_BLOCKS[shape][spec.bits_per_particle]
         assert len(results) == shape[0]
+
+
+# Trials in each block that a run sifts, by shape and bits per particle: the
+# scored blocks, and 10,000-bit trials, one a block at 10,000 particles and
+# two at 5,000.
+SIFTED_BLOCKS = {**SCORED_BLOCKS, (2, 10_000): {1: [1, 1], 2: [2]}}
+
+
+@pytest.mark.filterwarnings("ignore::qkdlab.analysis.EmptySiftWarning")
+@pytest.mark.parametrize("shape", SIFTED_BLOCKS, ids=lambda s: "x".join(map(str, s)))
+def test_run_experiment_sifts_each_block_in_one_call(shape, monkeypatch):
+    blocks, sift_block = [], protocols.sift
+
+    def counted(alice_bases, bob_bases):
+        blocks.append(len(alice_bases))
+        return sift_block(alice_bases, bob_bases)
+
+    monkeypatch.setattr(protocols, "sift", counted)
+    for spec, scenario, eve in GRID_CELLS:
+        blocks.clear()
+        run_experiment(spec, scenario, eve, *shape, 3)
+        assert blocks == SIFTED_BLOCKS[shape][spec.bits_per_particle]
 
 
 def test_a_run_validates_its_cell_once_whatever_its_trials(monkeypatch):
