@@ -4,13 +4,16 @@
 the result document and the CSV tables write them.  :func:`score` counts a
 block of trials at once, and a run's counts are one :class:`RunCounts`
 record of int arrays, one entry a trial, whose items are each trial's
-:class:`TrialResult`.  Each statistic is stated once, as numerator and
-denominator counts of a trial's ints or a record's arrays (``_RATIOS``), and
-:func:`aggregate` returns their means under the same names.  An empty sifted
-key scores QBER 0, as every trial without an eavesdropper must, and
-knowledge None (undefined), which the means skip, as they skip trials
-without an eavesdropper.  A trial matches when its sifted key has no errors,
-as the ``protocols`` module docstring argues (Sifting and scoring).
+:class:`TrialResult`.  Each statistic is stated once (``_RATIOS``), as
+numerator and denominator sums of a trial's terms.  A record tallies each
+statistic once: every trial's numerator and denominator as one int code,
+from one matrix product, and the number of trials of each distinct code;
+:func:`aggregate` sums over those codes and returns the means under the
+same names.  An empty sifted key scores QBER 0, as every trial without an
+eavesdropper must, and knowledge None (undefined), which the means skip, as
+they skip trials without an eavesdropper.  A trial matches when its sifted
+key has no errors, as the ``protocols`` module docstring argues (Sifting
+and scoring).
 
 Trials are scored in integers.  A ``fractions.Fraction`` is built only for a
 mean, one per statistic, or when a trial's statistic is read as one; every
@@ -22,11 +25,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from collections.abc import Sequence
-from itertools import accumulate
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -116,23 +120,32 @@ def detection_probability(spec, compared_bits: int) -> float:
         return 1.0 if error else 0.0
 
 
-# Each statistic as numerator and denominator counts and whether it is
-# defined, for one trial's ints and a record's arrays alike: QBER 0 on an
-# empty key, and knowledge undefined there or without an eavesdropper
-# (``errors`` None).  The keys, in order, are STATISTICS.
-def _agreement(errors, total):
-    return (0, 1, False) if errors is None else (total - errors, np.maximum(total, 1), total > 0)
+_ONE = {"raw_len > 0": 1}
 
 
+def _knowledge(party: str) -> tuple[dict, dict]:
+    """Agreements over key_size, or 1 / 1 where all agree, 0 / 0 on an empty key."""
+    agreeing = {f"key_size if {party}_errors > 0": 1, "key_size > 0": 1, f"{party}_errors > 0": -1}
+    return {**agreeing, f"{party}_errors": -1}, agreeing
+
+
+# Each statistic as numerator and denominator, each a sum of a trial's terms
+# with integer coefficients: its counts, whether each is positive ("raw_len
+# > 0" is 1), and its key size where each error count is positive.  QBER is
+# errors / key_size, or 0 / 1 without errors.  Knowledge is undefined, 0 /
+# 0, on an empty key, and without an eavesdropper, whose counts are then
+# None.  A trial without errors so has one code whatever its key size.  The
+# keys, in order, are STATISTICS.
 _RATIOS = {
-    "key_size": lambda r: (r.key_size, 1, True),
-    "sift_fraction": lambda r: (r.key_size, r.raw_len, True),
-    "qber": lambda r: (r.errors, np.maximum(r.key_size, 1), True),
-    "alice_knowledge": lambda r: _agreement(r.alice_errors, r.key_size),
-    "bob_knowledge": lambda r: _agreement(r.bob_errors, r.key_size),
-    "matches": lambda r: (r.errors == 0, 1, True),
+    "key_size": ({"key_size": 1}, _ONE),
+    "sift_fraction": ({"key_size": 1}, {"raw_len": 1}),
+    "qber": ({"errors": 1}, {"key_size if errors > 0": 1, **_ONE, "errors > 0": -1}),
+    "alice_knowledge": _knowledge("alice"),
+    "bob_knowledge": _knowledge("bob"),
+    "matches": ({**_ONE, "errors > 0": -1}, _ONE),
 }
 STATISTICS = tuple(_RATIOS)
+
 
 @dataclass(frozen=True, slots=True)
 class TrialResult:
@@ -154,7 +167,7 @@ class TrialResult:
     bob_errors: int | None
 
     def __post_init__(self) -> None:
-        integral(self.raw_len, "raw_len", low=1, error=ContractError)
+        integral(self.raw_len, "raw_len", low=1, high=_MAX_RAW_LEN, error=ContractError)
         integral(self.key_size, "key_size", low=0, high=self.raw_len, error=ContractError)
         integral(self.errors, "errors", low=0, high=self.key_size, error=ContractError)
         for name in ("alice_errors", "bob_errors"):
@@ -172,9 +185,30 @@ class TrialResult:
 
 
 def _statistic(r: TrialResult, name: str) -> Fraction | None:
-    """A trial's statistic ``name`` as an exact Fraction, None where undefined."""
-    numerator, denominator, defined = _RATIOS[name](r)
-    return Fraction(int(numerator), int(denominator)) if defined else None
+    """A trial's statistic ``name`` as an exact Fraction, None where
+    undefined: the code of the record of this trial alone."""
+    (code,), _, base = RunCounts.of([r]).tallies[name]
+    return Fraction(*divmod(code, base)) if code else None
+
+
+# Raw bits a trial of a record at most: a code's terms, each times its
+# weight, add up to less than 4 * (raw_len + 1)**2, which int64 holds.
+_MAX_RAW_LEN = 2**30 - 1
+
+
+@lru_cache(maxsize=8)
+def _weights(base: int, counts: tuple[str, ...]) -> np.ndarray:
+    """Each statistic's code, numerator * base + denominator, as read-only
+    weights of the terms of ``counts`` in ``RunCounts.tallies`` order; one
+    that reads an absent count (an eavesdropper's) weighs none."""
+    terms = (*counts, *(f"{c} > 0" for c in counts), *(f"key_size if {c} > 0" for c in counts[2:]))
+    weights = np.array([
+        [base * numerator.get(t, 0) + denominator.get(t, 0) for t in terms]
+        if {*numerator, *denominator} <= {*terms} else [0] * len(terms)
+        for numerator, denominator in _RATIOS.values()
+    ], dtype=np.int64)
+    weights.flags.writeable = False
+    return weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,11 +231,12 @@ class RunCounts(Sequence):
         counts = np.array(columns) if len({np.shape(c) for c in columns}) == 1 else None
         # Every count of every trial: 0 <= errors <= key_size <= raw_len, 1 <= raw_len.
         if counts is None or counts.ndim != 2 or counts.dtype.kind not in "iu" or counts.size and (
-            counts.min() < 0 or counts[1].min() < 1 or (counts[2] > counts[1]).any()
-            or (counts[3:] > counts[2]).any()
+            counts.min() < 0 or counts[1].min() < 1 or counts[1].max() > _MAX_RAW_LEN
+            or (counts[2] > counts[1]).any() or (counts[3:] > counts[2]).any()
         ):
             raise ContractError("a run's counts must be one-dimensional int arrays, one entry a "
-                                "trial, with 0 <= errors <= key_size <= raw_len and raw_len >= 1")
+                                "trial, with 0 <= errors <= key_size <= raw_len and "
+                                f"1 <= raw_len <= {_MAX_RAW_LEN}")
 
     @classmethod
     def of(cls, results) -> RunCounts:
@@ -213,21 +248,25 @@ class RunCounts(Sequence):
         columns = [[getattr(r, f.name) for r in results] for f in fields(cls)]
         return cls(*(None if None in c else np.array(c, dtype=np.int64) for c in columns))
 
-    def ratio(self, name: str) -> tuple[tuple, tuple, tuple]:
-        """Statistic ``name`` of every trial as numerator, denominator and
-        defined tuples, one entry a trial."""
-        return self._ratios[name]
-
     @cached_property
-    def _ratios(self) -> dict[str, tuple[tuple, tuple, tuple]]:
-        # Built once a record: the document's rows and aggregate both read it.
-        trials = len(self.trial)
-        return {
-            name: tuple(
-                tuple(p.tolist()) if isinstance(p, np.ndarray) else (p,) * trials for p in ratio(self)
-            )
-            for name, ratio in _RATIOS.items()
-        }
+    def tallies(self) -> dict[str, tuple[list[int], dict[int, int], int]]:
+        """Each statistic of every trial as one code a trial, ``numerator *
+        base + denominator`` (0 where undefined), the number of trials of
+        each distinct defined code, and ``base``; built on first read, for
+        the document's rows and aggregate alike, from one product."""
+        counts = tuple(f.name for f in fields(self)[1:] if getattr(self, f.name) is not None)
+        values = np.array([getattr(self, c) for c in counts], dtype=np.int64)
+        positive = values > 0
+        terms = np.concatenate([values, positive, values[1] * positive[2:]])
+        base = int(self.raw_len.max(initial=0)) + 1
+        tallies = {}
+        for name, codes in zip(STATISTICS, (_weights(base, counts) @ terms).tolist()):
+            # A code every trial shares, as QBER without errors, needs no Counter.
+            one = codes and codes.count(codes[0]) == len(codes)
+            trials = {codes[0]: len(codes)} if one else Counter(codes)
+            trials.pop(0, None)
+            tallies[name] = (codes, trials, base)
+        return tallies
 
     def __len__(self) -> int:
         return len(self.trial)
@@ -243,48 +282,54 @@ class RunCounts(Sequence):
         return isinstance(other, Sequence) and list(self) == list(other)
 
 
-# Kept values a trial from which ``score`` sums each trial's values alone: a
+# Mean kept values a trial from which ``score`` sums each trial alone: a
 # running sum costs about 4 ns a value and a sum about 1 ns plus 2 us a call.
 _LONG_TRIAL = 1024
 
 
 def score(alice, bob, eve_values, kept, bits_per_particle: int) -> tuple:
     """The counts of a block of trials from their kept values, concatenated
-    in trial order, trial i keeping ``kept[i]`` particles: each trial's
-    sifted bits, and the bits where Bob's values differ from Alice's and
-    where the eavesdropper's differ from Alice's and from Bob's (None
-    without one).  Each pair is XORed and popcounted once; a trial's sum is
-    the difference of the running sum at its two ends, or, for trials of
-    ``_LONG_TRIAL`` values or more, the sum of its slice.  Warns for each
-    empty key as :func:`qber` and :func:`knowledge` do."""
+    in trial order, trial i keeping ``kept[i]`` particles (an int array or
+    sequence): each trial's sifted bits, and the bits where Bob's values
+    differ from Alice's and where the eavesdropper's differ from Alice's and
+    from Bob's (None without one).  Each pair is XORed and popcounted once;
+    a trial's sum is the difference of the running sum at its two ends, or,
+    where the block's trials keep ``_LONG_TRIAL`` values or more on average,
+    the sum of its slice.  Warns for each empty key as :func:`qber` and
+    :func:`knowledge` do."""
     bits = integral(bits_per_particle, "bits per particle", low=1, high=8, error=ContractError)
-    total = sum(kept)
+    kept = np.asarray(kept, dtype=np.int64)
+    total = int(kept.sum())
     keys = (alice, bob) if eve_values is None else (alice, bob, eve_values)
     if any(len(key) != total for key in keys):
         raise ContractError(f"a block keeps {total} values, got {[len(key) for key in keys]}")
-    ends = [0, *accumulate(kept)]
+    # Long trials, few a block, are sliced at Python-int ends, which numpy
+    # slices faster; short ones read a running sum at its array of ends.
+    long = total >= _LONG_TRIAL * len(kept)
+    ends = [0, *accumulate(kept.tolist())] if long else np.concatenate(([0], np.cumsum(kept)))
 
     def differing(a, b):
         # A one-bit value is its own popcount.
         popcounts = a ^ b if bits == 1 else _POPCOUNT.take(a ^ b)
-        if total >= _LONG_TRIAL * len(kept):  # long trials: a sum per trial
+        if long:
             return np.array([popcounts[i:j].sum() for i, j in zip(ends, ends[1:])], dtype=np.int64)
         # At most 8 bits a value: an int32 running sum holds 2**28 values.
         running = np.cumsum(np.concatenate(([0], popcounts)), dtype=np.int32)
         return np.diff(running.take(ends)).astype(np.int64)
 
-    for _ in range(sum(1 for count in kept if not count)):
+    for _ in range(len(kept) - np.count_nonzero(kept)):
         _warn_empty("QBER treated as 0")
         if eve_values is not None:
             _warn_empty("knowledge undefined")
             _warn_empty("knowledge undefined")
     eve = [None, None] if eve_values is None else [differing(eve_values, key) for key in keys[:2]]
-    return np.array([count * bits for count in kept], dtype=np.int64), differing(alice, bob), *eve
+    return kept * bits, differing(alice, bob), *eve
 
 
 def aggregate(results) -> dict[str, Fraction | None]:
     """Mean of each of :data:`STATISTICS` over the trials that have it, or
-    None when no trial does; ``results`` is a :class:`RunCounts` or an
+    None when no trial does, summed over the distinct codes of its tally
+    (``RunCounts.tallies``); ``results`` is a :class:`RunCounts` or an
     iterable of TrialResults."""
     counts = RunCounts.of(results)
     if not len(counts):
@@ -293,12 +338,13 @@ def aggregate(results) -> dict[str, Fraction | None]:
     for name in STATISTICS:
         # Numerators add as ints per distinct denominator, and each mean is
         # one Fraction over the least common multiple of the denominators.
-        sums, count = {}, 0
-        for n, d, defined in zip(*counts.ratio(name)):
-            if defined:
-                sums[d] = sums.get(d, 0) + n
-                count += 1
-        if count:
+        _, trials, base = counts.tallies[name]
+        sums = {}
+        for code, n in trials.items():
+            numerator, denominator = divmod(code, base)
+            sums[denominator] = sums.get(denominator, 0) + numerator * n
+        if sums:
             lcm = math.lcm(*sums)
-            means[name] = Fraction(sum(n * (lcm // d) for d, n in sums.items()), lcm * count)
+            total = sum(n * (lcm // d) for d, n in sums.items())
+            means[name] = Fraction(total, lcm * sum(trials.values()))
     return means

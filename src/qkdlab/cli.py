@@ -14,11 +14,13 @@ A result document (``build_document``) keeps its trial table as columns:
 ``doc["trials"]`` maps each of ``_CSV_FIELDS`` to a list, one value a trial:
 ints for ``trial`` and ``key_size``, bools for ``matches``, and floats
 rounded to four decimals, or None where undefined, for the other statistics.
-No per-trial dict is built.  ``render_json`` writes, byte for byte,
+A column is one value a distinct code of the record's tally, one lookup a
+trial; no per-trial dict is built.  ``render_json`` writes, byte for byte,
 ``json.dumps`` of the document with row dicts for its trial table,
-``indent=2, sort_keys=True``, plus a newline.  It looks each token up by
-value, so this holds while every column has a value, all of one type or None
-(a dict key cannot tell True from 1, or 0.0 from -0.0).
+``indent=2, sort_keys=True``, plus a newline, joining one piece a value.
+It looks each token up by value, so this holds while every column has a
+value, all of one type or None (a dict key cannot tell True from 1, or 0.0
+from -0.0).
 """
 
 from __future__ import annotations
@@ -57,18 +59,22 @@ def _resolve_seed(seed: int | None) -> int:
     return seed
 
 
+def _ratio(n: int, d: int) -> float | None:
+    """The one rounding rule of trial rows and means, None where d is 0:
+    ``round(n / d, 4)``, since ``n / d`` rounds correctly, as
+    ``float(Fraction(n, d))`` does."""
+    return round(n / d, 4) if d else None
+
+
 def _rounded(means: dict) -> dict:
-    """``aggregate``'s Fractions to four decimals, by the one rounding rule of
-    trial rows and means: ``round(n / d, 4)``, since ``n / d`` rounds
-    correctly, as ``float(Fraction(n, d))`` does."""
-    return {
-        name: m if m is None else round(m.numerator / m.denominator, 4) for name, m in means.items()
-    }
+    """``aggregate``'s Fractions to four decimals by ``_ratio``."""
+    return {name: None if m is None else _ratio(m.numerator, m.denominator)
+            for name, m in means.items()}
 
 
-# The statistics a trial row writes to four decimals; key_size stays an int
-# and matches a bool, as their numerators.
-_ROUNDED = tuple(name for name in analysis.STATISTICS if name not in ("key_size", "matches"))
+# A trial row's value of each statistic from its numerator and denominator:
+# key_size an int and matches a bool, as counted, the others by ``_ratio``.
+_ROW_VALUES = {"key_size": lambda n, d: n, "matches": lambda n, d: n == 1}
 
 
 def build_document(config: dict, results) -> dict:
@@ -77,13 +83,12 @@ def build_document(config: dict, results) -> dict:
     counts = analysis.RunCounts.of(results)
     columns = {"trial": counts.trial.tolist()}
     for name in analysis.STATISTICS:
-        ratios = counts.ratio(name)
-        if name not in _ROUNDED:
-            columns[name] = list(ratios[0])
-            continue
-        # Rounded once per distinct (numerator, denominator, defined) triple.
-        rounded = {r: round(r[0] / r[1], 4) if r[2] else None for r in set(zip(*ratios))}
-        columns[name] = [rounded[r] for r in zip(*ratios)]
+        # One value a distinct code, then one lookup a trial; an undefined
+        # statistic has no code in the tally, and reads None.
+        codes, trials, base = counts.tallies[name]
+        value = _ROW_VALUES.get(name, _ratio)
+        values = {code: value(*divmod(code, base)) for code in trials}
+        columns[name] = list(map(values.get, codes))
     return {
         "artifact_version": __version__,
         "catalog_fingerprint": gates.catalog_fingerprint(),
@@ -134,19 +139,23 @@ def render_csv(doc: dict) -> str:
     return _csv_text(_CSV_FIELDS, [*rows, [agg[field] for field in _CSV_FIELDS]])
 
 
-def _trial_rows(columns: dict) -> list[str]:
-    """The trial rows at the depth and separators of ``indent=2``: each
-    column's distinct values in one call of the C encoder, then one row
-    template, its keys sorted, filled once a trial."""
+def _trial_pieces(columns: dict) -> list[str]:
+    """The trial rows at the depth and separators of ``indent=2``, as pieces
+    to join, one a value, row by row: each column's distinct values in one
+    call of the C encoder, each token with its key and the separator after
+    it, the first column's with the comma and brace that open a row."""
     names = sorted(columns)
-    template = "{\n      " + ",\n      ".join(f"{json.dumps(n)}: %s" for n in names) + "\n    }"
-    tokens = []
-    for name in names:
+    pieces = [""] * (len(names) * len(columns[names[0]]))
+    for i, name in enumerate(names):
         distinct = list(dict.fromkeys(columns[name]))
         # A scalar's JSON token never holds ", ", the encoder's item separator.
-        token = dict(zip(distinct, json.dumps(distinct)[1:-1].split(", ")))
-        tokens.append(map(token.__getitem__, columns[name]))
-    return list(map(template.__mod__, zip(*tokens)))
+        tokens = json.dumps(distinct)[1:-1].split(", ")
+        key = (",\n    {\n      " if i == 0 else "") + f"{json.dumps(name)}: "
+        after = "\n    }" if i == len(names) - 1 else ",\n      "
+        piece = {v: f"{key}{t}{after}" for v, t in zip(distinct, tokens)}
+        # Column i's pieces fill every len(names)-th slot from slot i.
+        pieces[i::len(names)] = map(piece.__getitem__, columns[name])
+    return pieces
 
 
 def render_json(doc: dict) -> str:
@@ -156,12 +165,12 @@ def render_json(doc: dict) -> str:
     # Only a top-level key starts a line indented by two spaces.
     slot = '\n  "trials": '
     head, _, tail = text.partition(slot + "null")
-    # One join writes the whole text once: the head opens the first row and
-    # the tail closes the last, so the row separator joins everything.
-    rows = _trial_rows(doc["trials"])
-    rows[0] = f"{head}{slot}[\n    {rows[0]}"
-    rows[-1] = f"{rows[-1]}\n  ]{tail}\n"
-    return ",\n    ".join(rows)
+    # One join writes the whole text once: the head opens the table, whose
+    # first row opens without a comma, and the tail closes it.
+    pieces = _trial_pieces(doc["trials"])
+    pieces[0] = f"{head}{slot}[{pieces[0][1:]}"
+    pieces.append(f"\n  ]{tail}\n")
+    return "".join(pieces)
 
 
 _RENDERERS = {"table": render_table, "csv": render_csv, "json": render_json}

@@ -49,9 +49,11 @@ never needed.
 Stream layout v3
 ----------------
 A run opens one stream per (seed, role) once (``role_streams``), for the
-roles its cell reads and no other: Alice's and Bob's four in every cell and
-the two eavesdropper roles under the standard eavesdropper.  Each trial
-reads the next block of exactly ``particles`` draws from every one of them:
+roles its cell reads and no other (``_channel_roles``): Alice's two and
+Bob's bases in every cell, Bob's uniforms where his values are sampled (not
+in the 15 none/hd paper cells, Sifting and scoring), and the eavesdropper's
+two under the standard one.  Each trial reads the next block of exactly
+``particles`` draws from every role it opens:
 
 alice-values  ``integers(0, d_ab, particles)``, one value per particle;
 alice-bases   ``integers(0, bases, particles)`` encoding bases;
@@ -68,9 +70,8 @@ and one ``(trials, particles)`` draw per role gives the same arrays as the
 trial-by-trial reads.  ``run_experiment`` draws each role that way, once per
 block of at most ``BLOCK_PARTICLES`` (2**14) particles, at least one trial a
 block (``block_draws``); ``trial_draws`` gives a block's trials one at a
-time, each role's row of its block, as ``run_trial`` takes them.
-Alice's and Bob's roles are read the same way in every scenario and under
-every eavesdropper.
+time, each role's row of its block, as ``run_trial`` takes them.  A role
+not opened changes no other role's draws.
 
 Integer roles are drawn with ``dtype=np.int32``.  For the bounds used here
 numpy fills an int32 array with exactly the values of the int64 call and
@@ -88,15 +89,16 @@ trial order.  One ``take`` a role at those positions gives the kept entries
 of each role the channel reads, Alice's values always, her bases and Bob's
 uniforms where Bob is sampled, and the eavesdropper's bases and uniforms
 under the standard eavesdropper; each trial's kept count is the number of
-positions in its row.  Only kept particles are sampled, unless their rows
-are certain.  The block's draws are then freed, and the channel
-(``_channel``) runs once on its kept entries: it samples the standard
-eavesdropper's intercept and Bob's value, as int32 like the drawn values, in
-one ``_sample`` call each.  The sampler is elementwise over (row, uniform)
-pairs, which reach it in the order a trial-by-trial run gives them, so every
-output is that of sifting and sampling each trial alone.  Every role is
-still drawn whole, so no draw depends on which particles were kept or
-sampled.  ``run_trial`` runs the same two functions on a block of one.
+positions in its row, one int array.  Only kept particles are sampled,
+unless their rows are certain.  The
+block's draws are then freed, and the channel (``_channel``) runs once on
+its kept entries: it samples the standard eavesdropper's intercept and
+Bob's value, as int32 like the drawn values, in one ``_sample`` call each.
+The sampler is elementwise over (row, uniform) pairs, which reach it in the
+order a trial-by-trial run gives them, so every output is that of sifting
+and sampling each trial alone.  Every role that is opened is drawn whole,
+so no draw depends on which particles were kept or sampled.  ``run_trial``
+runs the same two functions on a block of one.
 
 Without intercept-resend (eavesdropper none or hd) a kept particle reaches
 Bob as the state sent and is read in the basis sent: column
@@ -106,7 +108,7 @@ scenario, says whether every such column is exactly the step at the value
 sent, threshold j equal to 1.0 for j >= v and 0.0 below, compared without
 tolerance.  Where it holds the sampler returns the value sent for every
 uniform in [0, 1), so the channel returns Alice's kept values as Bob's;
-Bob's uniforms are not taken and nothing is sampled.  It holds in all three
+Bob's uniforms are not drawn and nothing is sampled.  It holds in all three
 scenarios of every paper protocol.  A spec whose control or conv table keeps
 rounding residue in such a row, below 1e-30, as most random-unitary specs
 do, keeps sampling.  Under the standard eavesdropper, her guessed basis and
@@ -118,7 +120,7 @@ eavesdropper's.  With each trial's kept count, one ``analysis.score`` call
 a block counts every trial's sifted and differing bits as ints, and the run
 returns all of its counts as one ``analysis.RunCounts`` record of int
 arrays, checked once.  No Fraction and no per-trial object is built:
-``analysis.aggregate`` builds the exact means from the arrays.
+``analysis.aggregate`` builds the exact means from the record's tallies.
 
 A trial "matches" when Bob's sifted key equals the key of the control run
 without an eavesdropper on the same draws.  That key is Alice's wherever
@@ -165,10 +167,10 @@ class EveModel(str, Enum):
 MAX_RAW_BITS = 1_000_000
 
 # Upper bound on trials per run.  A run's counts are a few int arrays and the
-# document's trial table a few lists, but every trial's JSON text stays in
-# memory until the document is written, a few hundred bytes each, and is
-# joined once: `run --protocol bb84 --raw-bits 2 --format json` peaks at
-# 52 MB resident with 20,000 trials and at 103 MB with 100,000 (numpy 2.4).
+# document's trial table a few lists, but its JSON text, a few hundred bytes
+# a trial, is joined once in memory: `run --protocol bb84 --raw-bits 2
+# --format json` peaks at 49 MB resident with 20,000 trials and at 91 MB
+# with 100,000, 101 MB with `--eve standard` (numpy 2.4).
 MAX_TRIALS = 100_000
 
 
@@ -267,15 +269,26 @@ def _sample(thresholds: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarr
     return (u >= thresholds.take(rows, axis=1)).sum(0, dtype=np.int32)
 
 
-def role_streams(seed: int, scenario: Scenario, eve: EveModel) -> dict[str, np.random.Generator]:
-    """One generator per role that the cell reads (stream layout v3), opened
-    once per run."""
-    scenario, eve = validate_pairing(scenario, eve)
-    roles = ("alice-values", "alice-bases", "bob-bases", "bob-measure")
+def _channel_roles(spec: ProtocolSpec | None, scenario: Scenario, eve: EveModel) -> tuple[str, ...]:
+    """The roles whose kept entries ``_channel`` reads, in stream-layout
+    order; a spec of None stands for one whose matched rows are not certain,
+    so that Bob's values are sampled (module docstring)."""
     if eve is EveModel.STANDARD:
-        roles += ("eve-bases", "eve-measure")
+        return ("alice-values", "alice-bases", "bob-measure", "eve-bases", "eve-measure")
+    if spec is not None and matched_rows_certain(spec, scenario):
+        return ("alice-values",)
+    return ("alice-values", "alice-bases", "bob-measure")
+
+
+def role_streams(
+    seed: int, scenario: Scenario, eve: EveModel, spec: ProtocolSpec | None = None
+) -> dict[str, np.random.Generator]:
+    """One generator per role that the cell reads for ``spec``, opened once
+    per run: the sifted bases and ``_channel_roles`` (stream layout v3)."""
+    scenario, eve = validate_pairing(scenario, eve)
+    roles = ("alice-values", "alice-bases", "bob-bases", *_channel_roles(spec, scenario, eve))
     source = RandomSource(seed)
-    return {role: source.stream(role) for role in roles}
+    return {role: source.stream(role) for role in dict.fromkeys(roles)}
 
 
 def alice_draws(
@@ -299,10 +312,11 @@ def block_draws(
     values, bases = alice_draws(spec, raw_bits, streams, trials)
     draws = {"alice-values": values, "alice-bases": bases}
     k, shape = spec.basis_count, values.shape
-    for party in ("bob", "eve"):
-        if f"{party}-bases" in streams:  # the eavesdropper's under the standard one alone
-            draws[f"{party}-bases"] = streams[f"{party}-bases"].integers(0, k, shape, dtype=np.int32)
-            draws[f"{party}-measure"] = streams[f"{party}-measure"].random(shape)
+    for role, stream in streams.items():
+        if role.endswith("-measure"):
+            draws[role] = stream.random(shape)
+        elif role not in draws:  # Bob's and the eavesdropper's bases
+            draws[role] = stream.integers(0, k, shape, dtype=np.int32)
     return draws
 
 
@@ -331,26 +345,20 @@ BLOCK_PARTICLES = 2**14
 
 def _kept_draws(
     spec: ProtocolSpec, scenario: Scenario, eve: EveModel, draws: dict[str, np.ndarray]
-) -> tuple[dict[str, np.ndarray], list[int]]:
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Sift a block at once, ``draws`` mapping each role to its ``(trials,
-    particles)`` block, and take the kept entries of the roles ``_channel``
-    reads.  Returns those entries, in C order the trials' kept entries
-    concatenated in trial order, and each trial's kept count."""
-    if eve is EveModel.STANDARD:
-        roles = ("alice-values", "alice-bases", "bob-measure", "eve-bases", "eve-measure")
-    elif matched_rows_certain(spec, scenario):
-        roles = ("alice-values",)  # Bob's values are Alice's (module docstring)
-    else:
-        roles = ("alice-values", "alice-bases", "bob-measure")
+    particles)`` block, and take the kept entries of ``_channel_roles``.
+    Returns those entries, in C order the trials' kept entries concatenated
+    in trial order, and each trial's kept count as one int array."""
     kept = sift(draws["alice-bases"], draws["bob-bases"])
     # Trial t keeps the positions in [t * particles, (t + 1) * particles).  A
     # block of one, as every trial of over half a block is, needs no search.
     trials, particles = draws["alice-bases"].shape
     if trials == 1:
-        counts = [len(kept)]
+        counts = np.array([len(kept)])
     else:
-        counts = np.diff(kept.searchsorted(np.arange(trials + 1) * particles)).tolist()
-    return {role: draws[role].take(kept) for role in roles}, counts
+        counts = np.diff(kept.searchsorted(np.arange(trials + 1) * particles))
+    return {role: draws[role].take(kept) for role in _channel_roles(spec, scenario, eve)}, counts
 
 
 def _channel(
@@ -422,7 +430,7 @@ def run_experiment(
     kept particles sampled and scored together."""
     trials = integral(trials, "trials", low=1, high=MAX_TRIALS)
     scenario, eve = validate_pairing(scenario, eve)
-    streams = role_streams(seed, scenario, eve)
+    streams = role_streams(seed, scenario, eve, spec)
     bits = spec.bits_per_particle
     raw_len = integral(raw_bits, "raw_bits", low=1, high=MAX_RAW_BITS, multiple=bits)
     per_block = max(1, BLOCK_PARTICLES // (raw_len // bits))

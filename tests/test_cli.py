@@ -502,18 +502,85 @@ def test_render_json_equals_indented_json_dumps(doc):
 
 @st.composite
 def _records(draw) -> analysis.RunCounts:
-    """A run's counts: 1 to 40 trials, some with empty keys, with or
-    without an eavesdropper."""
-    raw_len = draw(st.integers(1, 64))
-    key_sizes = draw(st.lists(st.just(0) | st.integers(0, raw_len), min_size=1, max_size=40))
+    """A run's counts: 1 to 40 trials, one trial often, with one raw_len a
+    record or one a trial, up to 64 or up to ``protocols.MAX_RAW_BITS``,
+    some keys empty or every key, with or without an eavesdropper."""
+    trials = draw(st.just(1) | st.integers(1, 40))
+    raw_len = st.integers(1, draw(st.sampled_from([64, protocols.MAX_RAW_BITS])))
+    if draw(st.booleans()):
+        raw_lens = draw(st.lists(raw_len, min_size=trials, max_size=trials))
+    else:
+        raw_lens = [draw(raw_len)] * trials
+    every_key_empty = draw(st.booleans())
+    key_sizes = [
+        0 if every_key_empty else draw(st.just(0) | st.just(n) | st.integers(0, n))
+        for n in raw_lens
+    ]
     errors = [
-        np.array([draw(st.integers(0, key_size)) for key_size in key_sizes])
+        np.array([draw(st.just(0) | st.integers(0, key_size)) for key_size in key_sizes])
         for _ in range(3 if draw(st.booleans()) else 1)
     ]
-    trials, eve = len(key_sizes), [None] * (3 - len(errors))
+    eve = [None] * (3 - len(errors))
     return analysis.RunCounts(
-        np.arange(trials), np.full(trials, raw_len), np.array(key_sizes), *errors, *eve
+        np.arange(trials), np.array(raw_lens), np.array(key_sizes), *errors, *eve
     )
+
+
+def _exact(r: analysis.TrialResult) -> dict:
+    """Each statistic of a trial as an exact Fraction from its counts alone,
+    None where undefined."""
+    def agreement(wrong):
+        return None if wrong is None or not r.key_size else Fraction(r.key_size - wrong, r.key_size)
+
+    return {
+        "key_size": Fraction(r.key_size),
+        "sift_fraction": Fraction(r.key_size, r.raw_len),
+        "qber": Fraction(r.errors, max(r.key_size, 1)),
+        "alice_knowledge": agreement(r.alice_errors),
+        "bob_knowledge": agreement(r.bob_errors),
+        "matches": Fraction(r.errors == 0),
+    }
+
+
+def _assert_exact(record, doc):
+    """The document's rows and means, and each trial's statistics, against
+    the exact Fractions of every trial's counts."""
+    exact = [_exact(r) for r in record]
+    for name in analysis.STATISTICS:
+        values = [trial[name] for trial in exact if trial[name] is not None]
+        mean = sum(values) / len(values) if values else None
+        assert analysis.aggregate(record)[name] == mean, name
+        assert doc["aggregate"][name] == (None if mean is None else round(float(mean), 4)), name
+    for r, row, trial in zip(record, _rows(doc["trials"]), exact, strict=True):
+        assert row["trial"] == r.trial
+        assert type(row["key_size"]) is int and row["key_size"] == r.key_size
+        assert type(row["matches"]) is bool
+        assert row["matches"] is r.matches is (trial["matches"] == 1)
+        for name in ("sift_fraction", "qber", "alice_knowledge", "bob_knowledge"):
+            assert getattr(r, name) == trial[name], name
+            value = trial[name]
+            assert row[name] == (None if value is None else round(float(value), 4)), name
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_records())
+def test_the_rows_and_means_of_any_record_equal_their_exact_fractions(record):
+    _assert_exact(record, cli.build_document({"protocol": "bb84"}, record))
+
+
+def test_a_record_whose_codes_would_overflow_int64_is_refused():
+    # A code is numerator * (raw_len + 1) + denominator: 2**30 - 1 raw bits
+    # a trial keep every partial sum of a code below 2**62.
+    bound = analysis._MAX_RAW_LEN
+    assert bound == 2**30 - 1 > protocols.MAX_RAW_BITS
+    counts = [np.array([bound, bound, 1]), np.array([bound - 1, 0, 1]),
+              np.array([bound - 2, 0, 0]), np.array([0, bound, 1])]
+    record = analysis.RunCounts(np.arange(3), np.array([bound, bound, 1]), *counts)
+    _assert_exact(record, cli.build_document({}, record))
+    with pytest.raises(ContractError, match=f"raw_len <= {bound}"):
+        analysis.RunCounts(np.arange(1), np.array([bound + 1]), *2 * [np.array([0])], None, None)
+    with pytest.raises(ContractError, match="raw_len"):
+        analysis.TrialResult(0, bound + 1, 0, 0, None, None)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

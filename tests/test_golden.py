@@ -11,8 +11,12 @@ json --trials 200 --raw-bits 200 --seed 3`` (20,000 to 40,000 particles a
 run, two or three of ``run_experiment``'s blocks of draws),
 ``long_digests.json`` the same for ``--format json --trials 2 --raw-bits
 10000 --seed 1`` (trials of 2,500 to 5,000 kept values, which ``score``
-sums slice by slice, one trial a block for bb84 and ssp), and
-``tests/golden/paper/`` the four ``reproduce-paper --seed 7`` tables.
+sums slice by slice, one trial a block for bb84 and ssp),
+``max_trials_digests.json`` the same for ``--format json --trials 100000
+--raw-bits 2 --seed 1`` in bb84 control without an eavesdropper and under
+the standard one (``protocols.MAX_TRIALS`` trials of one or two particles,
+a quarter of them empty), and ``tests/golden/paper/`` the four
+``reproduce-paper --seed 7`` tables.
 ``validate_gates.txt`` and ``hypothesis_table.txt`` are the stdout of
 ``validate-gates`` and ``hypothesis-table``, which take no seed and draw no
 random number, and ``catalog_dump.sha256`` the SHA-256 of the
@@ -25,6 +29,7 @@ import contextlib
 import hashlib
 import io
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -56,6 +61,8 @@ RENDER_FORMATS = ("csv", "table")
 SHORT_SHAPE = ("--trials", "150", "--raw-bits", "16", "--seed", "1")
 BLOCK_SHAPE = ("--trials", "200", "--raw-bits", "200", "--seed", "3")
 LONG_SHAPE = ("--trials", "2", "--raw-bits", "10000", "--seed", "1")
+MAX_TRIALS_SHAPE = ("--trials", str(protocols.MAX_TRIALS), "--raw-bits", "2", "--seed", "1")
+MAX_TRIALS_CELLS = [("bb84", "control", "none"), ("bb84", "control", "standard")]
 
 
 def _run_document(cell, fmt: str = "json", shape=("--seed", SEED)) -> bytes:
@@ -118,6 +125,20 @@ def test_multi_block_run_document_matches_golden_digest(cell):
 def test_long_run_document_matches_golden_digest(cell):
     golden = json.loads((GOLDEN / "long_digests.json").read_text())
     assert _run_digest(cell, shape=LONG_SHAPE) == golden["/".join(cell)]
+
+
+def _max_trials_digest(cell) -> str:
+    # A quarter of the trials sift no key, each with its warnings.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", analysis.EmptySiftWarning)
+        return _run_digest(cell, shape=MAX_TRIALS_SHAPE)
+
+
+@pytest.mark.parametrize("cell", MAX_TRIALS_CELLS, ids="/".join)
+def test_max_trials_run_document_matches_golden_digest(cell):
+    golden = json.loads((GOLDEN / "max_trials_digests.json").read_text())
+    assert sorted(golden) == ["/".join(cell) for cell in MAX_TRIALS_CELLS]
+    assert _max_trials_digest(cell) == golden["/".join(cell)]
 
 
 @pytest.mark.parametrize("fmt", RENDER_FORMATS)
@@ -192,6 +213,10 @@ if __name__ == "__main__":
     (GOLDEN / "block_digests.json").write_text(json.dumps(block, indent=2, sort_keys=True) + "\n")
     long = {"/".join(cell): _run_digest(cell, shape=LONG_SHAPE) for cell in CELLS}
     (GOLDEN / "long_digests.json").write_text(json.dumps(long, indent=2, sort_keys=True) + "\n")
+    most = {"/".join(cell): _max_trials_digest(cell) for cell in MAX_TRIALS_CELLS}
+    (GOLDEN / "max_trials_digests.json").write_text(
+        json.dumps(most, indent=2, sort_keys=True) + "\n"
+    )
     (GOLDEN / "render_digests.json").write_text(
         json.dumps(_render_digests(), indent=2, sort_keys=True) + "\n"
     )

@@ -1096,8 +1096,8 @@ def test_batched_role_draws_reproduce_trial_transcripts(spec, scenario, eve, raw
     # A trial's rows of one (trials, particles) block per role are the draws
     # one stream call a trial returns, as the stream-layout table lists them.
     trials, particles = 7, raw_bits // spec.bits_per_particle
-    streams = role_streams(SEED, scenario, eve)
-    batched = trial_draws(spec, raw_bits, role_streams(SEED, scenario, eve), trials)
+    streams = role_streams(SEED, scenario, eve, spec)
+    batched = trial_draws(spec, raw_bits, role_streams(SEED, scenario, eve, spec), trials)
     for draws in batched:
         one_by_one = {}
         for role, rng in streams.items():
@@ -1115,18 +1115,28 @@ def test_batched_role_draws_reproduce_trial_transcripts(spec, scenario, eve, raw
         )
 
 
-# The roles each pairing reads, as the stream-layout docstring lists them:
-# Alice's and Bob's four everywhere, the two eavesdropper roles under the
-# standard eavesdropper.
-_ALICE_BOB = ("alice-values", "alice-bases", "bob-bases", "bob-measure")
+# The roles each pairing reads for the paper protocols, as the stream-layout
+# docstring lists them: Alice's two and Bob's bases everywhere, and Bob's
+# uniforms and the two eavesdropper roles under the standard eavesdropper
+# alone, since every row Bob reads without intercept-resend is certain.
+_SIFTED = ("alice-values", "alice-bases", "bob-bases")
 CELL_ROLES = {
-    (Scenario.CONTROL, EveModel.NONE): _ALICE_BOB,
-    (Scenario.CONVERSION, EveModel.NONE): _ALICE_BOB,
-    (Scenario.RELABEL, EveModel.NONE): _ALICE_BOB,
-    (Scenario.CONTROL, EveModel.STANDARD): _ALICE_BOB + ("eve-bases", "eve-measure"),
-    (Scenario.CONVERSION, EveModel.HD): _ALICE_BOB,
-    (Scenario.RELABEL, EveModel.HD): _ALICE_BOB,
+    (Scenario.CONTROL, EveModel.NONE): _SIFTED,
+    (Scenario.CONVERSION, EveModel.NONE): _SIFTED,
+    (Scenario.RELABEL, EveModel.NONE): _SIFTED,
+    (Scenario.CONTROL, EveModel.STANDARD): _SIFTED + ("bob-measure", "eve-bases", "eve-measure"),
+    (Scenario.CONVERSION, EveModel.HD): _SIFTED,
+    (Scenario.RELABEL, EveModel.HD): _SIFTED,
 }
+
+
+def _cell_roles(spec, scenario, eve):
+    """``CELL_ROLES``, with Bob's uniforms where ``spec`` samples his values
+    without intercept-resend, as the residue spec does in control and conv."""
+    roles = CELL_ROLES[scenario, eve]
+    if "bob-measure" in roles or matched_rows_certain(spec, scenario):
+        return roles
+    return roles + ("bob-measure",)
 
 
 def test_cell_roles_cover_the_grid_pairings():
@@ -1148,8 +1158,13 @@ def test_a_run_opens_one_stream_per_role_its_cell_reads(spec, scenario, eve, mon
     run_experiment(spec, scenario, eve, 3, 16, SEED)
     assert opened == list(CELL_ROLES[scenario, eve])
     opened.clear()
-    assert list(role_streams(SEED, scenario.value, eve.value)) == list(CELL_ROLES[scenario, eve])
-    assert opened == list(CELL_ROLES[scenario, eve])
+    streams = role_streams(SEED, scenario.value, eve.value, spec)
+    assert list(streams) == opened == list(CELL_ROLES[scenario, eve])
+    # Without a spec, the roles of one that samples Bob's values.
+    opened.clear()
+    assert list(role_streams(SEED, scenario.value, eve.value)) == opened == list(
+        dict.fromkeys(CELL_ROLES[scenario, eve] + ("bob-measure",))
+    )
 
 
 class _CountedStream:
@@ -1181,12 +1196,12 @@ def _count_draw_calls(monkeypatch):
     return calls
 
 
-def _block_calls(scenario, eve, blocks):
+def _block_calls(spec, scenario, eve, blocks):
     """The draw calls of a run of ``blocks`` blocks: one int32 ``integers``
     call a block on each integer role, one ``random`` call on the others."""
     return {
         role: ["random" if role.endswith("-measure") else np.dtype(np.int32)] * blocks
-        for role in CELL_ROLES[scenario, eve]
+        for role in _cell_roles(spec, scenario, eve)
     }
 
 
@@ -1199,7 +1214,7 @@ def test_a_short_run_draws_each_role_once(spec, scenario, eve, monkeypatch):
     # not once a trial.
     calls = _count_draw_calls(monkeypatch)
     run_experiment(spec, scenario, eve, 150, 16, SEED)
-    assert calls == _block_calls(scenario, eve, 1)
+    assert calls == _block_calls(spec, scenario, eve, 1)
 
 
 def test_a_long_key_draws_each_role_once_a_trial(monkeypatch):
@@ -1207,7 +1222,7 @@ def test_a_long_key_draws_each_role_once_a_trial(monkeypatch):
     calls = _count_draw_calls(monkeypatch)
     run_experiment(BB84, Scenario.CONTROL, EveModel.STANDARD, 2, 20_000, SEED)
     assert protocols.BLOCK_PARTICLES < 20_000
-    assert calls == _block_calls(Scenario.CONTROL, EveModel.STANDARD, 2)
+    assert calls == _block_calls(BB84, Scenario.CONTROL, EveModel.STANDARD, 2)
 
 
 @pytest.mark.filterwarnings("ignore::qkdlab.analysis.EmptySiftWarning")
@@ -1259,7 +1274,7 @@ def test_a_blocked_run_equals_its_trials_run_one_by_one(spec, scenario, eve, cas
     monkeypatch.setattr(protocols, "BLOCK_PARTICLES", 42)
     calls = _count_draw_calls(monkeypatch)
     assert run_experiment(spec, scenario, eve, trials, raw_bits, SEED) == expected
-    assert calls == _block_calls(scenario, eve, blocks)
+    assert calls == _block_calls(spec, scenario, eve, blocks)
 
 
 def _sifted_row_by_row(spec, scenario, eve, trials, raw_bits, seed):
