@@ -4,16 +4,13 @@
 the result document and the CSV tables write them.  :func:`score` counts a
 block of trials at once, and a run's counts are one :class:`RunCounts`
 record of int arrays, one entry a trial, whose items are each trial's
-:class:`TrialResult`.  Each statistic is stated once (``_RATIOS``), as
-numerator and denominator sums of a trial's terms.  A record tallies each
-statistic once: every trial's numerator and denominator as one int code,
-from one matrix product, and the number of trials of each distinct code;
-:func:`aggregate` sums over those codes and returns the means under the
-same names.  An empty sifted key scores QBER 0, as every trial without an
-eavesdropper must, and knowledge None (undefined), which the means skip, as
-they skip trials without an eavesdropper.  A trial matches when its sifted
-key has no errors, as the ``protocols`` module docstring argues (Sifting
-and scoring).
+:class:`TrialResult`.  Each statistic is stated once, as every trial's int
+numerator and denominator (``RunCounts.ratios``, built once a record) that
+the document's rows and :func:`aggregate`'s means read.  An empty sifted key
+scores QBER 0, as every trial without an eavesdropper must, and knowledge
+None (undefined), which the means skip, as they skip trials without an
+eavesdropper.  A trial matches when its sifted key has no errors, as the
+``protocols`` module docstring argues (Sifting and scoring).
 
 Trials are scored in integers.  A ``fractions.Fraction`` is built only for a
 mean, one per statistic, or when a trial's statistic is read as one; every
@@ -24,13 +21,13 @@ reproducible.  Rendering to decimals happens only at the output layer.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -120,31 +117,7 @@ def detection_probability(spec, compared_bits: int) -> float:
         return 1.0 if error else 0.0
 
 
-_ONE = {"raw_len > 0": 1}
-
-
-def _knowledge(party: str) -> tuple[dict, dict]:
-    """Agreements over key_size, or 1 / 1 where all agree, 0 / 0 on an empty key."""
-    agreeing = {f"key_size if {party}_errors > 0": 1, "key_size > 0": 1, f"{party}_errors > 0": -1}
-    return {**agreeing, f"{party}_errors": -1}, agreeing
-
-
-# Each statistic as numerator and denominator, each a sum of a trial's terms
-# with integer coefficients: its counts, whether each is positive ("raw_len
-# > 0" is 1), and its key size where each error count is positive.  QBER is
-# errors / key_size, or 0 / 1 without errors.  Knowledge is undefined, 0 /
-# 0, on an empty key, and without an eavesdropper, whose counts are then
-# None.  A trial without errors so has one code whatever its key size.  The
-# keys, in order, are STATISTICS.
-_RATIOS = {
-    "key_size": ({"key_size": 1}, _ONE),
-    "sift_fraction": ({"key_size": 1}, {"raw_len": 1}),
-    "qber": ({"errors": 1}, {"key_size if errors > 0": 1, **_ONE, "errors > 0": -1}),
-    "alice_knowledge": _knowledge("alice"),
-    "bob_knowledge": _knowledge("bob"),
-    "matches": ({**_ONE, "errors > 0": -1}, _ONE),
-}
-STATISTICS = tuple(_RATIOS)
+STATISTICS = ("key_size", "sift_fraction", "qber", "alice_knowledge", "bob_knowledge", "matches")
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,37 +151,14 @@ class TrialResult:
     def matches(self) -> bool:
         return self.errors == 0
 
-    sift_fraction = property(lambda self: _statistic(self, "sift_fraction"))
-    qber = property(lambda self: _statistic(self, "qber"))
-    alice_knowledge = property(lambda self: _statistic(self, "alice_knowledge"))
-    bob_knowledge = property(lambda self: _statistic(self, "bob_knowledge"))
+    sift_fraction = property(lambda self: aggregate([self])["sift_fraction"])
+    qber = property(lambda self: aggregate([self])["qber"])
+    alice_knowledge = property(lambda self: aggregate([self])["alice_knowledge"])
+    bob_knowledge = property(lambda self: aggregate([self])["bob_knowledge"])
 
 
-def _statistic(r: TrialResult, name: str) -> Fraction | None:
-    """A trial's statistic ``name`` as an exact Fraction, None where
-    undefined: the code of the record of this trial alone."""
-    (code,), _, base = RunCounts.of([r]).tallies[name]
-    return Fraction(*divmod(code, base)) if code else None
-
-
-# Raw bits a trial of a record at most: a code's terms, each times its
-# weight, add up to less than 4 * (raw_len + 1)**2, which int64 holds.
+# Raw bits a trial of a record at most, so a document's int64 codes hold.
 _MAX_RAW_LEN = 2**30 - 1
-
-
-@lru_cache(maxsize=8)
-def _weights(base: int, counts: tuple[str, ...]) -> np.ndarray:
-    """Each statistic's code, numerator * base + denominator, as read-only
-    weights of the terms of ``counts`` in ``RunCounts.tallies`` order; one
-    that reads an absent count (an eavesdropper's) weighs none."""
-    terms = (*counts, *(f"{c} > 0" for c in counts), *(f"key_size if {c} > 0" for c in counts[2:]))
-    weights = np.array([
-        [base * numerator.get(t, 0) + denominator.get(t, 0) for t in terms]
-        if {*numerator, *denominator} <= {*terms} else [0] * len(terms)
-        for numerator, denominator in _RATIOS.values()
-    ], dtype=np.int64)
-    weights.flags.writeable = False
-    return weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,24 +199,21 @@ class RunCounts(Sequence):
         return cls(*(None if None in c else np.array(c, dtype=np.int64) for c in columns))
 
     @cached_property
-    def tallies(self) -> dict[str, tuple[list[int], dict[int, int], int]]:
-        """Each statistic of every trial as one code a trial, ``numerator *
-        base + denominator`` (0 where undefined), the number of trials of
-        each distinct defined code, and ``base``; built on first read, for
-        the document's rows and aggregate alike, from one product."""
-        counts = tuple(f.name for f in fields(self)[1:] if getattr(self, f.name) is not None)
-        values = np.array([getattr(self, c) for c in counts], dtype=np.int64)
-        positive = values > 0
-        terms = np.concatenate([values, positive, values[1] * positive[2:]])
-        base = int(self.raw_len.max(initial=0)) + 1
-        tallies = {}
-        for name, codes in zip(STATISTICS, (_weights(base, counts) @ terms).tolist()):
-            # A code every trial shares, as QBER without errors, needs no Counter.
-            one = codes and codes.count(codes[0]) == len(codes)
-            trials = {codes[0]: len(codes)} if one else Counter(codes)
-            trials.pop(0, None)
-            tallies[name] = (codes, trials, base)
-        return tallies
+    def ratios(self) -> np.ndarray:
+        """Every trial's statistics as int numerators and denominators, a
+        ``(2, len(STATISTICS), trials)`` array.  Without errors QBER is 0 / 1
+        and knowledge 1 / 1 whatever the key size; undefined is 0 / 0."""
+        ratios = np.zeros((2, len(STATISTICS), len(self)), dtype=np.int64)
+        (numerators, denominators), key_size, errors = ratios, self.key_size, self.errors
+        numerators[0] = numerators[1] = key_size
+        numerators[2], numerators[5] = errors, errors == 0
+        denominators[0] = denominators[5] = 1
+        denominators[1], denominators[2] = self.raw_len, np.where(errors, key_size, 1)
+        for row, eve in ((3, self.alice_errors), (4, self.bob_errors)):
+            if eve is not None:  # agreeing bits over all, or 1 / 1 without errors
+                denominators[row] = np.where(eve, key_size, key_size > 0)
+                numerators[row] = denominators[row] - eve
+        return ratios
 
     def __len__(self) -> int:
         return len(self.trial)
@@ -289,62 +236,64 @@ _LONG_TRIAL = 1024
 
 def score(alice, bob, eve_values, kept, bits_per_particle: int) -> tuple:
     """The counts of a block of trials from their kept values, concatenated
-    in trial order, trial i keeping ``kept[i]`` particles (an int array or
-    sequence): each trial's sifted bits, and the bits where Bob's values
-    differ from Alice's and where the eavesdropper's differ from Alice's and
-    from Bob's (None without one).  Each pair is XORed and popcounted once;
-    a trial's sum is the difference of the running sum at its two ends, or,
-    where the block's trials keep ``_LONG_TRIAL`` values or more on average,
+    in trial order, trial i keeping ``kept[i]`` particles: each trial's
+    sifted bits, and the bits where Bob's values differ from Alice's and
+    where the eavesdropper's differ from Alice's and from Bob's (None
+    without one).  Each pair is XORed and popcounted once; a trial's sum is
+    the difference of the running sum at its two ends, or, where the
+    block's trials keep ``_LONG_TRIAL`` values a trial or more on average,
     the sum of its slice.  Warns for each empty key as :func:`qber` and
     :func:`knowledge` do."""
     bits = integral(bits_per_particle, "bits per particle", low=1, high=8, error=ContractError)
     kept = np.asarray(kept, dtype=np.int64)
-    total = int(kept.sum())
-    keys = (alice, bob) if eve_values is None else (alice, bob, eve_values)
-    if any(len(key) != total for key in keys):
-        raise ContractError(f"a block keeps {total} values, got {[len(key) for key in keys]}")
-    # Long trials, few a block, are sliced at Python-int ends, which numpy
-    # slices faster; short ones read a running sum at its array of ends.
-    long = total >= _LONG_TRIAL * len(kept)
+    # A long trial sums its slice between Python-int ends; short ones read a running sum.
+    long = len(alice) >= _LONG_TRIAL * len(kept)
     ends = [0, *accumulate(kept.tolist())] if long else np.concatenate(([0], np.cumsum(kept)))
+    keys = (alice, bob) if eve_values is None else (alice, bob, eve_values)
+    if any(len(key) != ends[-1] for key in keys):
+        raise ContractError(f"a block keeps {ends[-1]} values, got {[len(key) for key in keys]}")
 
     def differing(a, b):
         # A one-bit value is its own popcount.
         popcounts = a ^ b if bits == 1 else _POPCOUNT.take(a ^ b)
         if long:
-            return np.array([popcounts[i:j].sum() for i, j in zip(ends, ends[1:])], dtype=np.int64)
+            return np.array([popcounts[i:j].sum() for i, j in pairwise(ends)], np.int64)
         # At most 8 bits a value: an int32 running sum holds 2**28 values.
         running = np.cumsum(np.concatenate(([0], popcounts)), dtype=np.int32)
         return np.diff(running.take(ends)).astype(np.int64)
 
-    for _ in range(len(kept) - np.count_nonzero(kept)):
-        _warn_empty("QBER treated as 0")
-        if eve_values is not None:
-            _warn_empty("knowledge undefined")
-            _warn_empty("knowledge undefined")
+    empty = ["QBER treated as 0", *["knowledge undefined"] * 2 * (eve_values is not None)]
+    for what in empty * (len(kept) - np.count_nonzero(kept)):
+        _warn_empty(what)
     eve = [None, None] if eve_values is None else [differing(eve_values, key) for key in keys[:2]]
     return kept * bits, differing(alice, bob), *eve
 
 
 def aggregate(results) -> dict[str, Fraction | None]:
     """Mean of each of :data:`STATISTICS` over the trials that have it, or
-    None when no trial does, summed over the distinct codes of its tally
-    (``RunCounts.tallies``); ``results`` is a :class:`RunCounts` or an
+    None when no trial does; ``results`` is a :class:`RunCounts` or an
     iterable of TrialResults."""
     counts = RunCounts.of(results)
     if not len(counts):
         raise ContractError("cannot aggregate an empty result list")
-    means = dict.fromkeys(STATISTICS)
-    for name in STATISTICS:
-        # Numerators add as ints per distinct denominator, and each mean is
-        # one Fraction over the least common multiple of the denominators.
-        _, trials, base = counts.tallies[name]
-        sums = {}
-        for code, n in trials.items():
-            numerator, denominator = divmod(code, base)
-            sums[denominator] = sums.get(denominator, 0) + numerator * n
+    numerators, denominators = counts.ratios
+    # Numerators add as ints per distinct denominator, in one sum where a
+    # row's trials share one; 0, undefined, adds none.
+    uniform = (denominators == denominators[:, :1]).all(1).tolist()
+    totals = numerators.sum(1).tolist()
+    means, scales = dict.fromkeys(STATISTICS), {}
+    for name, one, total, row, trials in zip(STATISTICS, uniform, totals, numerators, denominators):
+        trials, sums = trials.tolist(), {}
+        for n, d in [(total, trials[0])] if one else zip(row.tolist(), trials):
+            sums[d] = sums.get(d, 0) + n
+        sums.pop(0, None)
         if sums:
-            lcm = math.lcm(*sums)
-            total = sum(n * (lcm // d) for d, n in sums.items())
-            means[name] = Fraction(total, lcm * sum(trials.values()))
+            # One Fraction over the denominators' least common multiple, found
+            # once for rows of the same ones, as QBER's and knowledge's mostly.
+            if (key := tuple(sums)) not in scales:
+                lcm = math.lcm(*key)
+                scales[key] = lcm, [lcm // d for d in key]
+            lcm, scale = scales[key]
+            total = sum(map(operator.mul, sums.values(), scale))
+            means[name] = Fraction(total, lcm * (len(trials) - trials.count(0)))
     return means

@@ -14,10 +14,8 @@ A result document (``build_document``) keeps its trial table as columns:
 ``doc["trials"]`` maps each of ``_CSV_FIELDS`` to a list, one value a trial:
 ints for ``trial`` and ``key_size``, bools for ``matches``, and floats
 rounded to four decimals, or None where undefined, for the other statistics.
-A column is one value a distinct code of the record's tally, one lookup a
-trial; no per-trial dict is built.  ``render_json`` writes, byte for byte,
-``json.dumps`` of the document with row dicts for its trial table,
-``indent=2, sort_keys=True``, plus a newline, joining one piece a value.
+``render_json`` writes, byte for byte, ``json.dumps`` of the document with
+row dicts for its trial table, ``indent=2, sort_keys=True``, plus a newline.
 It looks each token up by value, so this holds while every column has a
 value, all of one type or None (a dict key cannot tell True from 1, or 0.0
 from -0.0).
@@ -61,19 +59,16 @@ def _resolve_seed(seed: int | None) -> int:
 
 def _ratio(n: int, d: int) -> float | None:
     """The one rounding rule of trial rows and means, None where d is 0:
-    ``round(n / d, 4)``, since ``n / d`` rounds correctly, as
-    ``float(Fraction(n, d))`` does."""
+    ``round(n / d, 4)``, correctly rounded as ``float(Fraction(n, d))``."""
     return round(n / d, 4) if d else None
 
 
 def _rounded(means: dict) -> dict:
     """``aggregate``'s Fractions to four decimals by ``_ratio``."""
-    return {name: None if m is None else _ratio(m.numerator, m.denominator)
-            for name, m in means.items()}
+    return {name: None if m is None else _ratio(*m.as_integer_ratio()) for name, m in means.items()}
 
 
-# A trial row's value of each statistic from its numerator and denominator:
-# key_size an int and matches a bool, as counted, the others by ``_ratio``.
+# A trial row's key_size is an int and matches a bool, as counted; the rest go by ``_ratio``.
 _ROW_VALUES = {"key_size": lambda n, d: n, "matches": lambda n, d: n == 1}
 
 
@@ -82,13 +77,13 @@ def build_document(config: dict, results) -> dict:
     (module docstring) and the means."""
     counts = analysis.RunCounts.of(results)
     columns = {"trial": counts.trial.tolist()}
-    for name in analysis.STATISTICS:
-        # One value a distinct code, then one lookup a trial; an undefined
-        # statistic has no code in the tally, and reads None.
-        codes, trials, base = counts.tallies[name]
+    # One int code a trial's ratio, then one value a distinct code, one lookup a trial.
+    base = int(counts.raw_len.max(initial=0)) + 1
+    for name, numerators, denominators in zip(analysis.STATISTICS, *counts.ratios):
+        row = (base * numerators + denominators).tolist()
         value = _ROW_VALUES.get(name, _ratio)
-        values = {code: value(*divmod(code, base)) for code in trials}
-        columns[name] = list(map(values.get, codes))
+        values = {code: value(*divmod(code, base)) for code in set(row)}
+        columns[name] = list(map(values.__getitem__, row))
     return {
         "artifact_version": __version__,
         "catalog_fingerprint": gates.catalog_fingerprint(),
@@ -140,10 +135,10 @@ def render_csv(doc: dict) -> str:
 
 
 def _trial_pieces(columns: dict) -> list[str]:
-    """The trial rows at the depth and separators of ``indent=2``, as pieces
-    to join, one a value, row by row: each column's distinct values in one
-    call of the C encoder, each token with its key and the separator after
-    it, the first column's with the comma and brace that open a row."""
+    """The trial rows at the depth and separators of ``indent=2``, one piece a
+    value, row by row: each column's distinct values in one call of the C
+    encoder, each token with its key and the separator after it, the first
+    column's with the comma and brace that open a row."""
     names = sorted(columns)
     pieces = [""] * (len(names) * len(columns[names[0]]))
     for i, name in enumerate(names):
@@ -165,8 +160,8 @@ def render_json(doc: dict) -> str:
     # Only a top-level key starts a line indented by two spaces.
     slot = '\n  "trials": '
     head, _, tail = text.partition(slot + "null")
-    # One join writes the whole text once: the head opens the table, whose
-    # first row opens without a comma, and the tail closes it.
+    # One join writes the text: the head opens the table, whose first row
+    # opens without a comma, and the tail closes it.
     pieces = _trial_pieces(doc["trials"])
     pieces[0] = f"{head}{slot}[{pieces[0][1:]}"
     pieces.append(f"\n  ]{tail}\n")

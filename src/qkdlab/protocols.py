@@ -49,11 +49,10 @@ never needed.
 Stream layout v3
 ----------------
 A run opens one stream per (seed, role) once (``role_streams``), for the
-roles its cell reads and no other (``_channel_roles``): Alice's two and
-Bob's bases in every cell, Bob's uniforms where his values are sampled (not
-in the 15 none/hd paper cells, Sifting and scoring), and the eavesdropper's
-two under the standard one.  Each trial reads the next block of exactly
-``particles`` draws from every role it opens:
+roles its cell reads (``_channel_roles``): Alice's two and Bob's bases, Bob's
+uniforms where his values are sampled (Sifting and scoring), and the
+eavesdropper's two under the standard one.  Each trial reads the next block
+of exactly ``particles`` draws from every role opened:
 
 alice-values  ``integers(0, d_ab, particles)``, one value per particle;
 alice-bases   ``integers(0, bases, particles)`` encoding bases;
@@ -90,15 +89,15 @@ of each role the channel reads, Alice's values always, her bases and Bob's
 uniforms where Bob is sampled, and the eavesdropper's bases and uniforms
 under the standard eavesdropper; each trial's kept count is the number of
 positions in its row, one int array.  Only kept particles are sampled,
-unless their rows are certain.  The
-block's draws are then freed, and the channel (``_channel``) runs once on
-its kept entries: it samples the standard eavesdropper's intercept and
-Bob's value, as int32 like the drawn values, in one ``_sample`` call each.
-The sampler is elementwise over (row, uniform) pairs, which reach it in the
-order a trial-by-trial run gives them, so every output is that of sifting
-and sampling each trial alone.  Every role that is opened is drawn whole,
-so no draw depends on which particles were kept or sampled.  ``run_trial``
-runs the same two functions on a block of one.
+unless their rows are certain.  The block's draws are then freed, and the
+channel (``_channel``) runs once on its kept entries: it samples the
+standard eavesdropper's intercept and Bob's value, as int32 like the drawn
+values, in one ``_sample`` call each.  The sampler is elementwise over
+(row, uniform) pairs, which reach it in the order a trial-by-trial run
+gives them, so every output is that of sifting and sampling each trial
+alone.  Every role that is opened is drawn whole, so no draw depends on
+which particles were kept or sampled.  ``run_trial`` runs the same two
+functions on a block of one.
 
 Without intercept-resend (eavesdropper none or hd) a kept particle reaches
 Bob as the state sent and is read in the basis sent: column
@@ -120,7 +119,7 @@ eavesdropper's.  With each trial's kept count, one ``analysis.score`` call
 a block counts every trial's sifted and differing bits as ints, and the run
 returns all of its counts as one ``analysis.RunCounts`` record of int
 arrays, checked once.  No Fraction and no per-trial object is built:
-``analysis.aggregate`` builds the exact means from the record's tallies.
+``analysis.aggregate`` builds the exact means from the arrays.
 
 A trial "matches" when Bob's sifted key equals the key of the control run
 without an eavesdropper on the same draws.  That key is Alice's wherever
@@ -167,10 +166,9 @@ class EveModel(str, Enum):
 MAX_RAW_BITS = 1_000_000
 
 # Upper bound on trials per run.  A run's counts are a few int arrays and the
-# document's trial table a few lists, but its JSON text, a few hundred bytes
-# a trial, is joined once in memory: `run --protocol bb84 --raw-bits 2
-# --format json` peaks at 49 MB resident with 20,000 trials and at 91 MB
-# with 100,000, 101 MB with `--eve standard` (numpy 2.4).
+# document's trial table a few lists, but its JSON text, a few hundred bytes a
+# trial, is joined once in memory: `run --protocol bb84 --raw-bits 2 --format
+# json` peaks at 49 MB resident with 20,000 trials and 99-101 MB with 100,000.
 MAX_TRIALS = 100_000
 
 
@@ -269,19 +267,17 @@ def _sample(thresholds: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarr
     return (u >= thresholds.take(rows, axis=1)).sum(0, dtype=np.int32)
 
 
-def _channel_roles(spec: ProtocolSpec | None, scenario: Scenario, eve: EveModel) -> tuple[str, ...]:
-    """The roles whose kept entries ``_channel`` reads, in stream-layout
-    order; a spec of None stands for one whose matched rows are not certain,
-    so that Bob's values are sampled (module docstring)."""
+def _channel_roles(spec: ProtocolSpec, scenario: Scenario, eve: EveModel) -> tuple[str, ...]:
+    """The roles whose kept entries ``_channel`` reads (module docstring)."""
     if eve is EveModel.STANDARD:
         return ("alice-values", "alice-bases", "bob-measure", "eve-bases", "eve-measure")
-    if spec is not None and matched_rows_certain(spec, scenario):
+    if matched_rows_certain(spec, scenario):
         return ("alice-values",)
     return ("alice-values", "alice-bases", "bob-measure")
 
 
 def role_streams(
-    seed: int, scenario: Scenario, eve: EveModel, spec: ProtocolSpec | None = None
+    seed: int, scenario: Scenario, eve: EveModel, spec: ProtocolSpec
 ) -> dict[str, np.random.Generator]:
     """One generator per role that the cell reads for ``spec``, opened once
     per run: the sifted bases and ``_channel_roles`` (stream layout v3)."""
@@ -347,17 +343,14 @@ def _kept_draws(
     spec: ProtocolSpec, scenario: Scenario, eve: EveModel, draws: dict[str, np.ndarray]
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Sift a block at once, ``draws`` mapping each role to its ``(trials,
-    particles)`` block, and take the kept entries of ``_channel_roles``.
-    Returns those entries, in C order the trials' kept entries concatenated
-    in trial order, and each trial's kept count as one int array."""
+    particles)`` block: the kept entries of ``_channel_roles``, the trials'
+    concatenated in trial order, and each trial's kept count, an int array."""
     kept = sift(draws["alice-bases"], draws["bob-bases"])
     # Trial t keeps the positions in [t * particles, (t + 1) * particles).  A
     # block of one, as every trial of over half a block is, needs no search.
     trials, particles = draws["alice-bases"].shape
-    if trials == 1:
-        counts = np.array([len(kept)])
-    else:
-        counts = np.diff(kept.searchsorted(np.arange(trials + 1) * particles))
+    ends = np.arange(trials + 1) * particles
+    counts = np.array([len(kept)]) if trials == 1 else np.diff(kept.searchsorted(ends))
     return {role: draws[role].take(kept) for role in _channel_roles(spec, scenario, eve)}, counts
 
 

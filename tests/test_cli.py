@@ -569,14 +569,17 @@ def test_the_rows_and_means_of_any_record_equal_their_exact_fractions(record):
 
 
 def test_a_record_whose_codes_would_overflow_int64_is_refused():
-    # A code is numerator * (raw_len + 1) + denominator: 2**30 - 1 raw bits
-    # a trial keep every partial sum of a code below 2**62.
+    # A document's code is numerator * (the longest raw_len + 1) + denominator:
+    # with 2**30 - 1 raw bits a trial it stays below 2**60, in int64 even
+    # where the record's columns are int32.
     bound = analysis._MAX_RAW_LEN
     assert bound == 2**30 - 1 > protocols.MAX_RAW_BITS
     counts = [np.array([bound, bound, 1]), np.array([bound - 1, 0, 1]),
               np.array([bound - 2, 0, 0]), np.array([0, bound, 1])]
-    record = analysis.RunCounts(np.arange(3), np.array([bound, bound, 1]), *counts)
-    _assert_exact(record, cli.build_document({}, record))
+    for dtype in (np.int64, np.int32):
+        columns = [np.arange(3), np.array([bound, bound, 1]), *counts]
+        record = analysis.RunCounts(*(c.astype(dtype) for c in columns))
+        _assert_exact(record, cli.build_document({}, record))
     with pytest.raises(ContractError, match=f"raw_len <= {bound}"):
         analysis.RunCounts(np.arange(1), np.array([bound + 1]), *2 * [np.array([0])], None, None)
     with pytest.raises(ContractError, match="raw_len"):

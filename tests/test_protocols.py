@@ -77,7 +77,7 @@ def _next_trial(spec, scenario, eve, raw_bits, streams):
 
 def _trial(spec, scenario, eve, raw_bits, trial=0, seed=SEED):
     """Trial ``trial`` of a run, on its rows of one block of ``trial + 1`` trials."""
-    draws = trial_draws(spec, raw_bits, role_streams(seed, scenario, eve), trial + 1)
+    draws = trial_draws(spec, raw_bits, role_streams(seed, scenario, eve, spec), trial + 1)
     return run_trial(spec, scenario, eve, list(draws)[trial])
 
 
@@ -261,7 +261,7 @@ def test_unknown_names_raise_config_error_listing_valid_values(scenario, eve, mo
     with pytest.raises(ConfigError, match=valid):
         run_trial(BB84, scenario, eve, _draws(BB84, 2, full_streams(SEED)))
     with pytest.raises(ConfigError, match=valid):
-        role_streams(SEED, scenario, eve)
+        role_streams(SEED, scenario, eve, BB84)
 
     # A bad cell fails before any stream opens.
     def no_stream(*args):
@@ -1010,7 +1010,7 @@ def test_scenarios_share_sifted_keys_without_eve(spec):
     for trials in TRIAL_COUNTS:
         keys = []
         for scenario in Scenario:
-            streams = role_streams(SEED, scenario, EveModel.NONE)
+            streams = role_streams(SEED, scenario, EveModel.NONE, spec)
             keys.append([
                 run_trial(spec, scenario, EveModel.NONE, draws)[1]
                 for draws in trial_draws(spec, 200, streams, trials)
@@ -1034,14 +1034,11 @@ def test_control_reference_equals_separate_control_run(spec):
 
 def test_alice_randomness_is_scenario_independent():
     # Alice's and Bob's roles draw alike in every cell, so the kept positions
-    # and their bases agree too (the full-length reference returns them).
+    # and their bases agree too.
     cells = [(Scenario.CONTROL, EveModel.STANDARD), (Scenario.RELABEL, EveModel.HD)]
-    control, relabel = (
-        full_trial(BB84, scenario, eve, 200, role_streams(SEED, scenario, eve))
-        for scenario, eve in cells
-    )
-    for name in ("alice_values", "alice_bases", "bob_bases"):
-        assert np.array_equal(getattr(control, name), getattr(relabel, name)), name
+    control, relabel = (_draws(BB84, 200, role_streams(SEED, *cell, BB84)) for cell in cells)
+    for name in ("alice-values", "alice-bases", "bob-bases"):
+        assert np.array_equal(control[name], relabel[name]), name
     control_alice, relabel_alice = (_trial(BB84, *cell, 200)[0] for cell in cells)
     assert np.array_equal(control_alice, relabel_alice)
 
@@ -1160,11 +1157,6 @@ def test_a_run_opens_one_stream_per_role_its_cell_reads(spec, scenario, eve, mon
     opened.clear()
     streams = role_streams(SEED, scenario.value, eve.value, spec)
     assert list(streams) == opened == list(CELL_ROLES[scenario, eve])
-    # Without a spec, the roles of one that samples Bob's values.
-    opened.clear()
-    assert list(role_streams(SEED, scenario.value, eve.value)) == opened == list(
-        dict.fromkeys(CELL_ROLES[scenario, eve] + ("bob-measure",))
-    )
 
 
 class _CountedStream:
@@ -1266,7 +1258,7 @@ def test_a_blocked_run_equals_its_trials_run_one_by_one(spec, scenario, eve, cas
     particles, blocks = case
     trials, bits = 7, spec.bits_per_particle
     raw_bits = particles * bits
-    streams = role_streams(SEED, scenario, eve)
+    streams = role_streams(SEED, scenario, eve, spec)
     expected = [
         _scored(trial, raw_bits, _next_trial(spec, scenario, eve, raw_bits, streams), bits)
         for trial in range(trials)
@@ -1283,7 +1275,7 @@ def _sifted_row_by_row(spec, scenario, eve, trials, raw_bits, seed):
     entries of every role concatenated in trial order, then the channel and
     the score.  Also checks that ``sift`` on the block gives the same
     positions, each offset by its row's start."""
-    draws = protocols.block_draws(spec, raw_bits, role_streams(seed, scenario, eve), trials)
+    draws = protocols.block_draws(spec, raw_bits, role_streams(seed, scenario, eve, spec), trials)
     rows = [sift(a, b) for a, b in zip(draws["alice-bases"], draws["bob-bases"])]
     particles = draws["alice-bases"].shape[1]
     np.testing.assert_array_equal(
@@ -1347,7 +1339,7 @@ def test_sifted_kernel_equals_the_masked_full_length_reference(scenario, eve, pa
     d_ab, k, seed = case
     spec = _random_spec(d_ab, k, seed)
     trials, raw_bits, bits = 3, particles * spec.bits_per_particle, spec.bits_per_particle
-    streams, reference = role_streams(seed, scenario, eve), full_streams(seed)
+    streams, reference = role_streams(seed, scenario, eve, spec), full_streams(seed)
     expected, matches = [], []
     for trial in range(trials):
         full = full_trial(spec, scenario, eve, raw_bits, reference)
